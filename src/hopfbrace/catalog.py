@@ -198,6 +198,10 @@ def load_brace(path) -> tuple[BraceDescriptor, SkewBrace]:
     for fieldname in ("order", "identity", "dot_table", "circ_table"):
         if fieldname not in doc:
             raise BraceFileError(f"{path}: missing field {fieldname!r}")
+    for fieldname in ("order", "identity"):
+        if type(doc[fieldname]) is not int:     # bool is not int
+            raise BraceFileError(f"{path}: field {fieldname!r} must be an "
+                                 f"integer, got {doc[fieldname]!r}")
     order = doc["order"]
     for tname in ("dot_table", "circ_table"):
         t = doc[tname]
@@ -205,6 +209,10 @@ def load_brace(path) -> tuple[BraceDescriptor, SkewBrace]:
                 or any(not isinstance(r, list) or len(r) != order for r in t)):
             raise BraceFileError(
                 f"{path}: field {tname!r} is not an {order}x{order} matrix")
+        bad = [x for row in t for x in row if type(x) is not int]
+        if bad:
+            raise BraceFileError(
+                f"{path}: field {tname!r} has a non-integer entry {bad[0]!r}")
     brace = validate_skew_brace(doc["dot_table"], doc["circ_table"],
                                 identity=doc["identity"])
     desc = BraceDescriptor(name=str(doc.get("name", path)), order=brace.order,
@@ -230,7 +238,8 @@ def load_map(path) -> dict:
             f"{exc.msg}") from exc
     if not isinstance(doc, dict) or "images" not in doc:
         raise BraceFileError(f"{path}: map file needs an 'images' field")
-    if not isinstance(doc["images"], list):
+    if (not isinstance(doc["images"], list)
+            or any(type(x) is not int for x in doc["images"])):
         raise BraceFileError(f"{path}: 'images' must be an array of indices")
     return doc
 

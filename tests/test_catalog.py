@@ -95,6 +95,25 @@ def test_load_rejects_broken_compatibility(tmp_path, radical_c4):
     assert info.value.witness == (1, 1, 1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dot_table", 2.5), ("dot_table", "x"), ("circ_table", True),
+    ("identity", 0.5), ("identity", False), ("order", 4.0)])
+def test_load_rejects_non_integers_instead_of_coercing(tmp_path, radical_c4,
+                                                        field, value):
+    doc = {"name": "coerced", "order": 4, "identity": 0,
+           "dot_table": radical_c4.dot.table.tolist(),
+           "circ_table": radical_c4.circ.table.tolist()}
+    if field.endswith("_table"):
+        doc[field][1][1] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(hb.BraceFileError) as info:
+        hb.load_brace(path)
+    assert repr(value) in str(info.value)
+
+
 def test_resolve(tmp_path, radical_c4):
     desc, brace = hb.resolve("radical_c4")
     assert brace == radical_c4
@@ -116,3 +135,7 @@ def test_map_round_trip(tmp_path):
     bad.write_text("[1,2,3]")
     with pytest.raises(hb.BraceFileError):
         hb.load_map(bad)
+    for images in ([0, "1", 0, 1], [0, 1.0, 0, 1], [0, True, 0, 1]):
+        bad.write_text(json.dumps({"images": images}))
+        with pytest.raises(hb.BraceFileError):
+            hb.load_map(bad)

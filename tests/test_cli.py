@@ -40,6 +40,23 @@ def test_validate_corrupted_file(tmp_path, capsys, radical_c4):
     assert "witness" in err
 
 
+def test_non_integer_inputs_exit_2_with_one_line(tmp_path, capsys,
+                                                  radical_c4):
+    doc = {"name": "float", "order": 4, "identity": 0,
+           "dot_table": radical_c4.dot.table.tolist(),
+           "circ_table": radical_c4.circ.table.tolist()}
+    doc["dot_table"][1][1] = 2.5         # would truncate to the valid 2
+    brace = tmp_path / "float.json"
+    brace.write_text(json.dumps(doc))
+    images = tmp_path / "strimg.map.json"
+    images.write_text(json.dumps({"target": "trivial:C2",
+                                  "images": [0, "x", 0, 1]}))
+    for argv in (["validate", str(brace)],
+                 ["check-central", "radical_c4", "--map", str(images)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and len(err.strip().splitlines()) == 1, (argv, err)
+
+
 def test_series_right_radical_c4(capsys):
     code, out, _ = run(capsys, "series", "radical_c4", "--kind", "right",
                        "--json")

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfbrace as hb
 import oracle
+from hopfbrace.skewbrace import _generating_set
 
 
 def test_validate_trivial_c2():
@@ -205,3 +210,167 @@ def test_all_subgroups_counts():
     assert len(hb.symmetric_group(3).all_subgroups()) == 6
     assert len(hb.dihedral_group(4).all_subgroups()) == 10
     assert len(hb.symmetric_group(4).all_subgroups()) == 30
+
+
+@pytest.mark.parametrize("table", [
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[0, 1.5], [1, 0]],
+    [[False, True], [True, False]],
+    [["0", "1"], ["1", "0"]],
+])
+def test_non_integer_tables_are_refused_not_truncated(table):
+    with pytest.raises(hb.ValidationError) as info:
+        hb.FiniteGroup(np.array(table))
+    assert "integers" in str(info.value)
+
+
+# ------------------------------------- differential test against the oracle
+
+SMALL_GROUPS = ([oracle.cyclic_table(n) for n in range(1, 7)]
+                + [oracle.symmetric_table(3)[0],
+                   oracle.product_table(oracle.cyclic_table(2),
+                                        oracle.cyclic_table(2))])
+
+
+def relabel(table, p):
+    """The table with element a renamed p[a]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[p[a]][p[b]] = p[table[a][b]]
+    return out
+
+
+@st.composite
+def table_pairs(draw):
+    """A dot table that is a relabelled group, a Latin square (an isotope
+    of one, associative or not), a group with one entry changed, or random
+    entries; and a circ table that is the trivial or opposite product, a
+    relabelled group of the same order sharing the dot's identity when the
+    dot is a group, or another draw of the same kinds."""
+    group = draw(st.sampled_from(SMALL_GROUPS))
+    n = len(group)
+    index = st.integers(0, n - 1)
+
+    def table(p):
+        kind = draw(st.sampled_from(
+            ("group", "group", "isotope", "perturbed", "random")))
+        if kind == "random":
+            row = st.lists(index, min_size=n, max_size=n)
+            return draw(st.lists(row, min_size=n, max_size=n))
+        t = relabel(group, p)
+        if kind == "isotope":
+            rows = draw(st.permutations(range(n)))
+            cols = draw(st.permutations(range(n)))
+            t = [[t[rows[a]][cols[b]] for b in range(n)] for a in range(n)]
+        elif kind == "perturbed":
+            t[draw(index)][draw(index)] = draw(index)
+        return t
+
+    p = draw(st.permutations(range(n)))
+    dot = table(p)
+    kind = draw(st.sampled_from(
+        ("trivial", "opposite", "group", "group", "group", "other")))
+    if kind == "trivial":
+        return dot, [row[:] for row in dot]
+    if kind == "opposite":
+        return dot, [list(col) for col in zip(*dot)]
+    if kind == "group":
+        other = draw(st.sampled_from([g for g in SMALL_GROUPS if len(g) == n]))
+        q = list(draw(st.permutations(range(n))))
+        i = q.index(p[0])
+        q[0], q[i] = q[i], q[0]              # identity 0 goes where p sends it
+        return dot, relabel(other, q)
+    return dot, table(draw(st.permutations(range(n))))
+
+
+def first_failure(n, fails):
+    """The lexicographically first (a, b, c) with fails(a, b, c), by a plain
+    triple loop."""
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if fails(a, b, c):
+                    return a, b, c
+    return None
+
+
+def group_failure(t):
+    """The message and witness a non-group table must be rejected with."""
+    n = len(t)
+    for a in range(n):
+        for kind, line in (("row", t[a]), ("column", [r[a] for r in t])):
+            if sorted(line) != list(range(n)):
+                return (f"{kind} {a} is not a permutation (not a Latin square)",
+                        (a,))
+    triple = first_failure(n, lambda a, b, c: t[t[a][b]][c] != t[a][t[b][c]])
+    return f"associativity fails at triple {triple}", triple
+
+
+@settings(max_examples=500, deadline=None)
+@given(table_pairs())
+def test_validator_agrees_with_oracle_and_plain_sweep(pair):
+    dot, circ = pair
+    valid = oracle.is_skew_brace(dot, circ)
+    try:
+        hb.validate_skew_brace(dot, circ)
+    except hb.ValidationError as exc:
+        got = type(exc), str(exc), exc.witness
+    else:
+        got = None
+    assert (got is None) == valid
+    if valid:
+        return
+    for t in (dot, circ):
+        if not oracle.is_group(t):
+            message, witness = group_failure(t)
+            assert got == (hb.NotAGroupError, message, witness)
+            return
+    if oracle.identity_of(dot) != oracle.identity_of(circ):
+        assert got[0] is hb.IdentityMismatchError
+        return
+    inv = oracle.inverses_of(dot)
+    triple = first_failure(len(dot), lambda a, b, c: (
+        circ[a][dot[b][c]] != dot[dot[circ[a][b]][inv[a]]][circ[a][c]]))
+    assert got == (hb.CompatibilityError,
+                   f"compatibility fails at triple {triple}", triple)
+
+
+# x.y = s(x) + y mod 4 for the permutation s = [1, 2, 0, 3] of Z/4: a Latin
+# square, associative only when s is a translation.  The greedy set is
+# S = [0, 3] (0*0 = 1, 1*0 = 2, 2*0 = 0 reach {0, 1, 2}; 3 is added) and the
+# first bad triple (0, 1, 0) has its middle outside S.
+SHIFTED_Z4 = [[(s + y) % 4 for y in range(4)] for s in (1, 2, 0, 3)]
+
+
+def test_light_test_rejects_when_first_bad_middle_is_outside_generators():
+    t, n = SHIFTED_Z4, len(SHIFTED_Z4)
+    gens = _generating_set(np.array(t))
+    assert gens == [0, 3]
+    bad = [(x, g, y) for x in range(n) for g in range(n) for y in range(n)
+           if t[t[x][g]][y] != t[x][t[g][y]]]
+    assert bad[0] == (0, 1, 0) and 1 not in gens
+    # Light's test: the passing middles are closed under products, so some
+    # middle in a generating set must fail whenever any triple fails
+    assert any(g in gens for _, g, _ in bad)
+    with pytest.raises(hb.NotAGroupError) as info:
+        hb.FiniteGroup(t)
+    assert info.value.witness == (0, 1, 0)
+    assert str(info.value) == "associativity fails at triple (0, 1, 0)"
+
+
+def test_validating_order_192_allocates_no_cubic_array():
+    brace = hb.direct_product(
+        hb.direct_product(hb.opposite_brace(hb.symmetric_group(4)),
+                          hb.radical_c4_brace()),
+        hb.trivial_brace(hb.cyclic_group(2)))
+    assert brace.order == 192
+    cubic_mb = 192 ** 3 * 8 / 1e6                # one int64 array: 56.6 MB
+    tracemalloc.start()
+    try:
+        hb.validate_skew_brace(brace.dot.table, brace.circ.table)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 20 < cubic_mb
