@@ -182,6 +182,9 @@ def save_brace(brace: SkewBrace, path, name: str = "brace") -> None:
         fh.write("\n")
 
 
+_INT64 = range(-2**63, 2**63)
+
+
 def load_brace(path) -> tuple[BraceDescriptor, SkewBrace]:
     """Load and fully revalidate a brace file; parse problems raise
     BraceFileError with a line/field diagnostic, axiom problems raise the
@@ -202,6 +205,9 @@ def load_brace(path) -> tuple[BraceDescriptor, SkewBrace]:
         if type(doc[fieldname]) is not int:     # bool is not int
             raise BraceFileError(f"{path}: field {fieldname!r} must be an "
                                  f"integer, got {doc[fieldname]!r}")
+        if doc[fieldname] not in _INT64:
+            raise BraceFileError(f"{path}: field {fieldname!r} is outside "
+                                 f"the 64-bit range, got {doc[fieldname]}")
     order = doc["order"]
     for tname in ("dot_table", "circ_table"):
         t = doc[tname]
@@ -209,10 +215,12 @@ def load_brace(path) -> tuple[BraceDescriptor, SkewBrace]:
                 or any(not isinstance(r, list) or len(r) != order for r in t)):
             raise BraceFileError(
                 f"{path}: field {tname!r} is not an {order}x{order} matrix")
-        bad = [x for row in t for x in row if type(x) is not int]
+        bad = [x for row in t for x in row
+               if type(x) is not int or x not in _INT64]
         if bad:
+            kind = "an out-of-range" if type(bad[0]) is int else "a non-integer"
             raise BraceFileError(
-                f"{path}: field {tname!r} has a non-integer entry {bad[0]!r}")
+                f"{path}: field {tname!r} has {kind} entry {bad[0]!r}")
     brace = validate_skew_brace(doc["dot_table"], doc["circ_table"],
                                 identity=doc["identity"])
     desc = BraceDescriptor(name=str(doc.get("name", path)), order=brace.order,

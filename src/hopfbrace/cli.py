@@ -28,9 +28,10 @@ from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, SUITES, verify_suite
 SEED_ENV = "HOPFBRACE_SEED"
 
 
-def _default_seed() -> int:
-    env = os.environ.get(SEED_ENV)
-    return int(env) if env else DEFAULT_SEED
+def _error(message) -> int:
+    """Report a bad input on one stderr line; exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _engine() -> dict:
@@ -77,8 +78,7 @@ def cmd_validate(args) -> int:
     try:
         desc, brace = resolve(args.input)
     except BraceFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     except ValidationError as exc:
         print(f"invalid brace: {exc} (witness: {exc.witness})", file=sys.stderr)
         return 1
@@ -91,11 +91,12 @@ def cmd_validate(args) -> int:
 
 def cmd_series(args) -> int:
     started = time.perf_counter()
+    if args.max < 1:
+        return _error(f"--max must be at least 1, got {args.max}")
     try:
         desc, brace = resolve(args.input)
     except (BraceFileError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     H = HopfBrace(brace)
     runner = {"left": left_series, "right": right_series,
               "gamma": gamma_series}[args.kind]
@@ -127,8 +128,7 @@ def cmd_invariants(args) -> int:
     try:
         desc, brace = resolve(args.input)
     except (BraceFileError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     H = HopfBrace(brace)
     soc = socle_annihilator(H)
     hz = hopf_center(H)
@@ -196,15 +196,13 @@ def cmd_check_central(args) -> int:
         target_name = map_doc.get("target") or args.input
         tdesc, tbrace = resolve(target_name)
     except (BraceFileError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     H, T = HopfBrace(brace), HopfBrace(tbrace)
     try:
         f = HopfMorphism(H, T, map_doc["images"])
         report = analyze_extension(f)
     except MorphismError as exc:
-        print(f"error: invalid map: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"invalid map: {exc}")
     results = {
         "surjective": report.surjective,
         "kernel_carrier": list(report.kernel.carrier),
@@ -235,18 +233,26 @@ def cmd_check_central(args) -> int:
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get(SEED_ENV)
+        try:
+            seed = int(env) if env else DEFAULT_SEED
+        except ValueError:
+            return _error(f"{SEED_ENV} must be an integer, got {env!r}")
+    if args.max < 1:
+        return _error(f"--max must be at least 1, got {args.max}")
+    if args.samples < 0:
+        return _error(f"--samples must be non-negative, got {args.samples}")
     if args.all:
         targets = builtin_catalog()
     else:
         if not args.input:
-            print("error: give a brace or --all", file=sys.stderr)
-            return 2
+            return _error("give a brace or --all")
         try:
             targets = [resolve(args.input)]
         except (BraceFileError, ValidationError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _error(exc)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     lines = [f"seed: {seed}   samples: {args.samples}"]
     entries = []

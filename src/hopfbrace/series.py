@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import CrossCheckError, NormalityError, PrimeFieldError
 from .hopf import HopfBrace
 from .linalg import SparseVector, Subspace, common_nullspace, span_of_indices
@@ -36,10 +38,10 @@ def _run_series(H: HopfBrace, kind: str, max_n: int, step) -> SeriesResult:
     gens: list[tuple[int, ...]] = [()]
     stabilized = False
     while len(terms) < max_n and not terms[-1].is_trivial():
-        new_gens = step(terms[-1])
+        new_gens = np.flatnonzero(step(terms[-1].elements))
         nxt = generated_subbrace(H, new_gens)
         terms.append(nxt)
-        gens.append(tuple(sorted(new_gens)))
+        gens.append(tuple(new_gens.tolist()))
         if nxt.carrier == terms[-2].carrier:
             stabilized = True
             break
@@ -51,38 +53,24 @@ def _run_series(H: HopfBrace, kind: str, max_n: int, step) -> SeriesResult:
 
 def left_series(H: HopfBrace, max_n: int = 10) -> SeriesResult:
     """H, H*H, H*(H*H), ...; every term is a strong subbrace."""
-    st = H.base.star_table
-
-    def step(prev: Subbrace):
-        return {int(st[a, x]) for a in range(H.dim) for x in prev.carrier}
-
-    return _run_series(H, "left", max_n, step)
+    st, dot = H.base.star_table, H.base.dot
+    return _run_series(H, "left", max_n, lambda c: dot.mask(st[:, c]))
 
 
 def right_series(H: HopfBrace, max_n: int = 10) -> SeriesResult:
     """H, H*H, (H*H)*H, ...; every term is a normal subbrace."""
-    st = H.base.star_table
-
-    def step(prev: Subbrace):
-        return {int(st[x, a]) for x in prev.carrier for a in range(H.dim)}
-
-    return _run_series(H, "right", max_n, step)
+    st, dot = H.base.star_table, H.base.dot
+    return _run_series(H, "right", max_n, lambda c: dot.mask(st[c]))
 
 
 def gamma_series(H: HopfBrace, max_n: int = 10) -> SeriesResult:
     """Lower central series from star values and dot-commutators; each
     step is cross-checked against the Huq commutator with the whole brace."""
-    base = H.base
-    st = base.star_table
+    st, dot = H.base.star_table, H.base.dot
 
-    def step(prev: Subbrace):
-        gens = set()
-        for i in prev.carrier:
-            for h in range(H.dim):
-                gens.add(int(st[i, h]))
-                gens.add(int(st[h, i]))
-                gens.add(base.dot.commutator(h, i))
-        return gens
+    def step(c):            # st[i, h], st[h, i] and [h, i] for i in c
+        comm = dot.table[dot.conj_table[:, c], dot.inverses[c]]
+        return dot.mask(st[c]) | dot.mask(st[:, c]) | dot.mask(comm)
 
     result = _run_series(H, "gamma", max_n, step)
     for n in range(1, len(result.terms)):
@@ -101,17 +89,10 @@ def relative_commutator(I: Subbrace, H: HopfBrace) -> Subbrace:
         raise ValueError("subbrace does not belong to this Hopf brace")
     if not I.is_normal():
         raise NormalityError(f"carrier {I.carrier} is not normal")
-    base = H.base
-    st = base.star_table
-    gens = set()
-    for i in I.carrier:
-        for h in range(H.dim):
-            gens.add(int(st[i, h]))
-            s = int(st[h, i])
-            gens.add(s)
-            for k in range(H.dim):
-                gens.add(base.dot.conj(k, s))
-    return generated_subbrace(H, gens)
+    st, dot, c = H.base.star_table, H.base.dot, I.elements
+    hi = np.flatnonzero(dot.mask(st[:, c]))
+    gens = dot.mask(st[c]) | dot.mask(dot.conj_table[:, hi])
+    return generated_subbrace(H, np.flatnonzero(gens))
 
 
 def huq_commutator(I: Subbrace, H: HopfBrace) -> Subbrace:
@@ -121,15 +102,12 @@ def huq_commutator(I: Subbrace, H: HopfBrace) -> Subbrace:
         raise ValueError("subbrace does not belong to this Hopf brace")
     if not I.is_normal():
         raise NormalityError(f"carrier {I.carrier} is not normal")
-    base = H.base
-    st = base.star_table
-    gens = set()
-    for i in I.carrier:
-        for h in range(H.dim):
-            gens.add(base.dot.commutator(i, h))
-            gens.add(base.circ.commutator(i, h))
-            gens.add(int(st[i, h]))
-    return Subbrace(H, base.dot.normal_closure(gens))
+    base, c = H.base, I.elements
+    dot, circ = base.dot, base.circ
+    gens = (dot.mask(dot.table[dot.conj_table[c], dot.inverses])
+            | dot.mask(circ.table[circ.conj_table[c], circ.inverses])
+            | dot.mask(base.star_table[c]))
+    return Subbrace(H, dot.normal_closure(np.flatnonzero(gens)))
 
 
 def hopf_center(H: HopfBrace) -> Subbrace:
@@ -195,12 +173,9 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
     center = base.dot.center()
     in_center = set(center)
     st = base.star_table
-    lam = base.lambda_table
-
-    soc_carrier = tuple(g for g in center
-                        if all(int(lam[g, b]) == b for b in range(n)))
-    ann_carrier = tuple(g for g in soc_carrier
-                        if all(int(lam[b, g]) == g for b in range(n)))
+    fixed = base.lambda_table == np.arange(n)        # lambda_g(b) == b
+    soc_mask = base.dot.mask(center) & fixed.all(axis=1)
+    ann_mask = soc_mask & fixed.all(axis=0)
 
     outside = [SparseVector({g: 1}) for g in range(n) if g not in in_center]
     soc_rows = outside + _fiber_constraints(
@@ -209,8 +184,8 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
         lambda g, h: int(st[h, g]), center, n, e)
 
     return SocleData(
-        socle=Subbrace(H, soc_carrier),
-        annihilator=Subbrace(H, ann_carrier),
+        socle=Subbrace(H, np.flatnonzero(soc_mask)),
+        annihilator=Subbrace(H, np.flatnonzero(ann_mask)),
         socle_space=common_nullspace(soc_rows, n),
         annihilator_space=common_nullspace(ann_rows, n),
     )
@@ -238,11 +213,10 @@ def star_abelianization(H: HopfBrace) -> tuple[HopfBrace, HopfMorphism]:
 def full_abelianization(H: HopfBrace) -> tuple[HopfBrace, HopfMorphism]:
     """Universal commutative quotient: divide out star values and
     dot-commutators."""
-    base = H.base
-    gens = set(base.star_image())
-    gens.update(base.dot.commutator(a, b)
-                for a in range(H.dim) for b in range(H.dim))
-    carrier = base.dot.normal_closure(gens)
+    base, dot = H.base, H.base.dot
+    gens = (dot.mask(base.star_table)
+            | dot.mask(dot.table[dot.conj_table, dot.inverses]))
+    carrier = dot.normal_closure(np.flatnonzero(gens))
     Q, pi = quotient(H, Subbrace(H, carrier))
     qt = Q.base.dot.table
     if not Q.base.is_trivial() or not (qt == qt.T).all():

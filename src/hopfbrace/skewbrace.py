@@ -12,6 +12,13 @@ triples with one entry in a greedy generating set S, and still exactly:
 
 Only a rejected pair pays for the full sweep that finds the witness, the
 lexicographically first failing triple.
+
+The subgroup kernel works on boolean carrier masks with numpy gathers;
+carriers are sorted tuples only at the API edge.  A closure is a BFS
+under right multiplication by the generators alone (in a finite group
+g^-1 is a positive power of g), a normal closure one closure of all
+conjugates of the generators, read off the cached table
+conj_table[a, x] = a x a^-1.
 """
 
 from __future__ import annotations
@@ -53,6 +60,17 @@ def _generating_set(table) -> list[int]:
     return gens
 
 
+def _indices(elems) -> np.ndarray:
+    """Carrier indices from an iterable or an index array of any shape."""
+    if isinstance(elems, np.ndarray):
+        return elems.ravel()
+    return np.fromiter(elems, dtype=np.int64)
+
+
+def _carrier(mask) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(mask).tolist())
+
+
 def _first_bad_triple(n, mismatch) -> tuple[int, int, int]:
     """The lexicographically first (a, b, c) with mismatch(a)[b, c]."""
     for a in range(n):
@@ -65,7 +83,7 @@ def _first_bad_triple(n, mismatch) -> tuple[int, int, int]:
 class FiniteGroup:
     """A finite group as an order x order Cayley table on indices."""
 
-    __slots__ = ("table", "order", "identity", "inverses")
+    __slots__ = ("table", "order", "identity", "inverses", "_conj")
 
     def __init__(self, table):
         table = _as_table(table)
@@ -103,6 +121,7 @@ class FiniteGroup:
         self.order = n
         self.identity = e
         self.inverses = inverses
+        self._conj = None
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -110,40 +129,40 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return int(self.inverses[a])
 
-    def conj(self, a: int, b: int) -> int:
-        """a b a^-1."""
-        return int(self.table[self.table[a, b], self.inverses[a]])
+    @property
+    def conj_table(self) -> np.ndarray:
+        """conj_table[a, x] = a x a^-1, built on first use."""
+        if self._conj is None:
+            conj = self.table[self.table, self.inverses[:, None]]
+            conj.setflags(write=False)
+            self._conj = conj
+        return self._conj
 
-    def commutator(self, a: int, b: int) -> int:
-        """a b a^-1 b^-1."""
-        return int(self.table[self.conj(a, b), self.inverses[b]])
+    def mask(self, elems) -> np.ndarray:
+        """The boolean carrier mask of an iterable or index array."""
+        mask = np.zeros(self.order, dtype=bool)
+        mask[_indices(elems)] = True
+        return mask
+
+    def _close(self, mask, gens) -> np.ndarray:
+        """Grow mask in place to its closure under right multiplication
+        by gens, a BFS that only multiplies the newest elements."""
+        frontier = np.flatnonzero(mask)
+        while frontier.size:
+            new = self.mask(self.table[frontier[:, None], gens]) & ~mask
+            mask |= new
+            frontier = np.flatnonzero(new)
+        return mask
 
     # ---------------------------------------------------------- subgroups
 
     def subgroup_generated(self, gens) -> tuple[int, ...]:
-        cur = {self.identity}
-        cur.update(int(g) for g in gens)
-        cur.update(self.inv(g) for g in gens)
-        frontier = set(cur)
-        while frontier:
-            new = set()
-            for a in frontier:
-                for b in cur:
-                    new.add(self.mul(a, b))
-                    new.add(self.mul(b, a))
-            new -= cur
-            cur |= new
-            frontier = new
-        return tuple(sorted(cur))
+        gens = np.flatnonzero(self.mask(gens))
+        return _carrier(self._close(self.mask([self.identity]), gens))
 
     def normal_closure(self, gens) -> tuple[int, ...]:
-        gens = set(int(g) for g in gens)
-        while True:
-            sub = set(self.subgroup_generated(gens))
-            conj = {self.conj(a, x) for a in range(self.order) for x in sub}
-            if conj <= sub:
-                return tuple(sorted(sub))
-            gens = sub | conj
+        """A conjugation-closed set generates a normal subgroup."""
+        return self.subgroup_generated(self.conj_table[:, _indices(gens)])
 
     def center(self) -> tuple[int, ...]:
         t = self.table
@@ -151,51 +170,51 @@ class FiniteGroup:
         return tuple(int(g) for g in central)
 
     def is_subgroup(self, carrier) -> bool:
-        s = set(carrier)
-        if self.identity not in s:
-            return False
-        return all(self.mul(a, b) in s and self.inv(a) in s
-                   for a in s for b in s)
+        """Nonempty and closed under products, which suffices when finite."""
+        c = _indices(carrier)
+        return c.size > 0 and bool(
+            self.mask(c)[self.table[c[:, None], c]].all())
 
     def is_normal(self, carrier) -> bool:
-        s = set(carrier)
-        return self.is_subgroup(s) and all(
-            self.conj(a, x) in s for a in range(self.order) for x in s)
+        c = _indices(carrier)
+        return self.is_subgroup(c) and bool(
+            self.mask(c)[self.conj_table[:, c]].all())
 
     def all_subgroups(self) -> list[tuple[int, ...]]:
-        """Every subgroup, by closure BFS from the trivial subgroup."""
-        trivial = (self.identity,)
-        found = {trivial}
+        """Every subgroup as a join of cyclic subgroups (the cyclic
+        extension method, Holt-Eick-O'Brien, Handbook of Computational
+        Group Theory, 3.4): each found subgroup is joined with every
+        cyclic subgroup outside it, deduplicated by bitmask."""
+        n, rng = self.order, np.arange(self.order)
+        cyclic = np.zeros((n, n), dtype=bool)      # cyclic[g] masks <g>
+        power = rng
+        while not cyclic[rng, power].all():
+            cyclic[rng, power] = True
+            power = self.table[power, rng]
+        _, cyclic_gens = np.unique(cyclic, axis=0, return_index=True)
+        trivial = self.mask([self.identity])
+        found = {np.packbits(trivial).tobytes(): (self.identity,)}
         frontier = [trivial]
         while frontier:
             nxt = []
             for sub in frontier:
-                inside = set(sub)
-                for g in range(self.order):
-                    if g in inside:
-                        continue
-                    bigger = self.subgroup_generated(inside | {g})
-                    if bigger not in found:
-                        found.add(bigger)
-                        nxt.append(bigger)
+                elems = np.flatnonzero(sub)
+                for g in cyclic_gens[~sub[cyclic_gens]]:
+                    join = self._close(sub.copy(), np.append(elems, g))
+                    key = np.packbits(join).tobytes()
+                    if key not in found:
+                        found[key] = _carrier(join)
+                        nxt.append(join)
             frontier = nxt
-        return sorted(found, key=lambda s: (len(s), s))
+        return sorted(found.values(), key=lambda s: (len(s), s))
 
     def quotient(self, carrier) -> tuple["FiniteGroup", list[int]]:
         """Quotient by a normal subgroup; returns (group, projection)."""
         if not self.is_normal(carrier):
             raise ValidationError(f"subgroup {tuple(carrier)} is not normal")
-        n = self.order
-        rep = [None] * n
-        for g in range(n):
-            rep[g] = min(self.mul(g, x) for x in carrier)
-        reps = sorted(set(rep))
-        coset_of = {r: i for i, r in enumerate(reps)}
-        proj = [coset_of[rep[g]] for g in range(n)]
-        k = len(reps)
-        table = [[coset_of[rep[self.mul(reps[i], reps[j])]] for j in range(k)]
-                 for i in range(k)]
-        return FiniteGroup(table), proj
+        rep = self.table[:, _indices(carrier)].min(axis=1)   # min of g N
+        reps, proj = np.unique(rep, return_inverse=True)
+        return FiniteGroup(proj[self.table[np.ix_(reps, reps)]]), proj.tolist()
 
     def __eq__(self, other):
         return (isinstance(other, FiniteGroup)

@@ -19,17 +19,26 @@ from .skewbrace import BraceMap, FiniteGroup, SkewBrace
 class Subbrace:
     """A subobject of a Hopf brace, backed by a subgroup of the dot-group."""
 
-    __slots__ = ("parent", "carrier", "_strong", "_normal", "_normal_star")
+    __slots__ = ("parent", "carrier", "mask", "_strong", "_normal",
+                 "_normal_star")
 
     def __init__(self, parent: HopfBrace, carrier):
-        carrier = tuple(sorted(int(g) for g in set(carrier)))
-        if not parent.base.dot.is_subgroup(carrier):
+        mask = parent.base.dot.mask(carrier)
+        elems = np.flatnonzero(mask)
+        carrier = tuple(elems.tolist())
+        if not parent.base.dot.is_subgroup(elems):
             raise ValueError(f"{carrier} is not a dot-subgroup")
+        mask.setflags(write=False)
         self.parent = parent
         self.carrier = carrier
+        self.mask = mask
         self._strong = None
         self._normal = None
         self._normal_star = None
+
+    @property
+    def elements(self) -> np.ndarray:
+        return np.flatnonzero(self.mask)
 
     @property
     def dim(self) -> int:
@@ -41,51 +50,34 @@ class Subbrace:
     def is_whole(self) -> bool:
         return len(self.carrier) == self.parent.dim
 
-    def _member_mask(self) -> np.ndarray:
-        mask = np.zeros(self.parent.dim, dtype=bool)
-        mask[list(self.carrier)] = True
-        return mask
-
     def is_strong(self) -> bool:
         """Stable under the lambda action of every element."""
         if self._strong is None:
-            base = self.parent.base
-            mask = self._member_mask()
-            self._strong = bool(mask[base.lambda_table[:, list(self.carrier)]].all())
+            lam = self.parent.base.lambda_table
+            self._strong = bool(self.mask[lam[:, self.elements]].all())
         return self._strong
 
     def is_normal(self) -> bool:
         """Definition-based: dot-normal, circ-normal and lambda-stable."""
         if self._normal is None:
-            base = self.parent.base
-            cols = list(self.carrier)
-            mask = self._member_mask()
-            d, o = base.dot, base.circ
-            dconj = d.table[d.table[:, cols], d.inverses[:, None]]
-            oconj = o.table[o.table[:, cols], o.inverses[:, None]]
-            self._normal = bool(mask[dconj].all() and mask[oconj].all()
-                                and mask[base.lambda_table[:, cols]].all())
+            base, c, mask = self.parent.base, self.elements, self.mask
+            self._normal = bool(mask[base.dot.conj_table[:, c]].all()
+                                and mask[base.circ.conj_table[:, c]].all()
+                                and mask[base.lambda_table[:, c]].all())
         return self._normal
 
     def is_normal_via_star(self) -> bool:
         """Equivalent characterization: dot-normal plus two-sided star absorption."""
         if self._normal_star is None:
-            base = self.parent.base
-            cols = list(self.carrier)
-            mask = self._member_mask()
-            d = base.dot
-            dconj = d.table[d.table[:, cols], d.inverses[:, None]]
+            base, c, mask = self.parent.base, self.elements, self.mask
             st = base.star_table
-            self._normal_star = bool(mask[dconj].all()
-                                     and mask[st[:, cols]].all()
-                                     and mask[st[cols, :]].all())
+            self._normal_star = bool(mask[base.dot.conj_table[:, c]].all()
+                                     and mask[st[:, c]].all()
+                                     and mask[st[c]].all())
         return self._normal_star
 
     def contains(self, other: "Subbrace") -> bool:
-        return set(other.carrier) <= set(self.carrier)
-
-    def element_span_contains(self, x: Element) -> bool:
-        return x.support <= set(self.carrier)
+        return bool((other.mask <= self.mask).all())
 
     def __eq__(self, other):
         return (isinstance(other, Subbrace) and self.parent == other.parent
@@ -158,15 +150,10 @@ def quotient(H: HopfBrace, B: Subbrace) -> tuple[HopfBrace, HopfMorphism]:
         raise ValueError("subbrace does not belong to this Hopf brace")
     if not B.is_normal():
         raise NormalityError(f"carrier {B.carrier} is not a normal subbrace")
-    base = H.base
-    qdot, proj = base.dot.quotient(B.carrier)
-    reps = {}
-    for g in range(base.order):
-        reps.setdefault(proj[g], g)
-    k = qdot.order
-    qcirc_table = [[proj[base.circ.mul(reps[i], reps[j])] for j in range(k)]
-                   for i in range(k)]
-    qbase = SkewBrace(qdot, FiniteGroup(qcirc_table))
+    qdot, proj = H.base.dot.quotient(B.carrier)
+    _, reps = np.unique(proj, return_index=True)     # least element per coset
+    qcirc = np.asarray(proj)[H.base.circ.table[np.ix_(reps, reps)]]
+    qbase = SkewBrace(qdot, FiniteGroup(qcirc))
     Q = HopfBrace(qbase, H.field)
     pi = HopfMorphism(H, Q, proj)
     if hopf_kernel(pi).carrier != B.carrier:

@@ -57,6 +57,45 @@ def test_non_integer_inputs_exit_2_with_one_line(tmp_path, capsys,
         assert code == 2 and len(err.strip().splitlines()) == 1, (argv, err)
 
 
+def test_integers_beyond_int64_exit_2_with_one_line(tmp_path, capsys,
+                                                   radical_c4):
+    base = {"name": "big", "order": 4, "identity": 0,
+            "dot_table": radical_c4.dot.table.tolist(),
+            "circ_table": radical_c4.circ.table.tolist()}
+    entry = json.loads(json.dumps(base))
+    entry["circ_table"][2][3] = 10**30
+    for stem, doc in (("entry", entry),
+                      ("identity", {**base, "identity": 10**30}),
+                      ("order", {**base, "order": -10**30})):
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2 and len(err.strip().splitlines()) == 1, (stem, err)
+        assert "range" in err
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["verify", "radical_c4", "--suite", "axioms"], {"HOPFBRACE_SEED": "abc"}),
+    (["series", "radical_c4", "--max", "0"], {}),
+    (["verify", "radical_c4", "--suite", "propositions", "--max", "0"], {}),
+    (["verify", "radical_c4", "--suite", "axioms", "--samples", "-1"], {}),
+])
+def test_bad_flags_exit_2_with_one_line(capsys, monkeypatch, argv, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_zero_samples_still_runs_the_basis_layer(capsys):
+    code, out, _ = run(capsys, "verify", "radical_c4", "--suite", "axioms",
+                       "--samples", "0", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["results"][0]["random_checks"] == 0
+    assert doc["results"][0]["basis_checks"] > 0
+
+
 def test_series_right_radical_c4(capsys):
     code, out, _ = run(capsys, "series", "radical_c4", "--kind", "right",
                        "--json")
