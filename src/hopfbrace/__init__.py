@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .errors import (BraceFileError, CompatibilityError, CrossCheckError,
                      IdentityMismatchError, MorphismError, NormalityError,
                      NotAGroupError, PrimeFieldError, ValidationError)
-from .linalg import SparseVector, Subspace, common_nullspace, intersect, rref
+from .linalg import SparseVector, Subspace, common_nullspace
 from .skewbrace import (BraceMap, FiniteGroup, SkewBrace, cyclic_group,
                         dihedral_group, direct_product, opposite_brace,
                         radical_c4_brace, symmetric_group, trivial_brace,

@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 
+import numpy as np
+
 from .errors import BraceFileError, ValidationError
-from .skewbrace import (SkewBrace, cyclic_group, dihedral_group,
-                        direct_product, opposite_brace, radical_c4_brace,
-                        symmetric_group, trivial_brace, validate_skew_brace)
+from .skewbrace import (FiniteGroup, SkewBrace, cyclic_group, dihedral_group,
+                        direct_product, opposite_brace, product_group,
+                        radical_c4_brace, symmetric_group, trivial_brace,
+                        validate_skew_brace)
 
 
 @dataclass
@@ -29,6 +32,8 @@ class BraceDescriptor:
 
 
 def _perm_names(n):
+    """Cycle notation of the permutations of range(n) in sorted order,
+    the element order of ``symmetric_group(n)``."""
     def cycles(p):
         seen, out = set(), []
         for start in range(n):
@@ -45,6 +50,17 @@ def _perm_names(n):
     return tuple(cycles(p) for p in sorted(permutations(range(n))))
 
 
+def _alternating_group_4(s4):
+    """A4 as the even permutations of S4, kept in S4's element order, and
+    their names."""
+    even = [k for k, p in enumerate(sorted(permutations(range(4))))
+            if sum(p[i] > p[j] for j in range(4) for i in range(j)) % 2 == 0]
+    table = s4.table[np.ix_(even, even)]
+    names = _perm_names(4)
+    return (FiniteGroup(np.searchsorted(even, table)),
+            tuple(names[k] for k in even))
+
+
 def _dihedral_names(n):
     return tuple([f"r{k}" for k in range(n)] + [f"sr{k}" for k in range(n)])
 
@@ -53,40 +69,8 @@ def _cyclic_names(n):
     return tuple(str(k) for k in range(n))
 
 
-def _pair_names(n1, n2, names1, names2):
-    names1 = names1 or tuple(str(i) for i in range(n1))
-    names2 = names2 or tuple(str(i) for i in range(n2))
-    return tuple(f"({names1[a]},{names2[b]})"
-                 for a in range(n1) for b in range(n2))
-
-
-def direct_product_group_c2c2():
-    from .skewbrace import product_group
-    return product_group(cyclic_group(2), cyclic_group(2))
-
-
-def alternating_group_4():
-    """A4 as the even permutations of S4, reindexed."""
-    from .skewbrace import FiniteGroup
-    elems = sorted(permutations(range(4)))
-
-    def parity(p):
-        return sum(1 for i in range(4) for j in range(i + 1, 4)
-                   if p[i] > p[j]) % 2
-
-    even = [p for p in elems if parity(p) == 0]
-    index = {p: i for i, p in enumerate(even)}
-    table = [[index[tuple(p[q[i]] for i in range(4))] for q in even]
-             for p in even]
-    return FiniteGroup(table)
-
-
-def _a4_names():
-    even = [p for p in sorted(permutations(range(4)))
-            if sum(1 for i in range(4) for j in range(i + 1, 4)
-                   if p[i] > p[j]) % 2 == 0]
-    names4 = dict(zip(sorted(permutations(range(4))), _perm_names(4)))
-    return tuple(names4[p] for p in even)
+def _pair_names(names1, names2):
+    return tuple(f"({a},{b})" for a in names1 for b in names2)
 
 
 def builtin_catalog() -> list[tuple[BraceDescriptor, SkewBrace]]:
@@ -98,33 +82,31 @@ def builtin_catalog() -> list[tuple[BraceDescriptor, SkewBrace]]:
 @lru_cache(maxsize=1)
 def _catalog() -> tuple[tuple[BraceDescriptor, SkewBrace], ...]:
     entries: list[tuple[BraceDescriptor, SkewBrace]] = []
-
-    group_names = {
-        "C2": _cyclic_names(2), "C4": _cyclic_names(4),
-        "C2xC2": _pair_names(2, 2, _cyclic_names(2), _cyclic_names(2)),
-        "S3": _perm_names(3), "D4": _dihedral_names(4),
-        "A4": _a4_names(), "S4": _perm_names(4),
-    }
-    groups = {
-        "C2": cyclic_group(2), "C4": cyclic_group(4),
-        "C2xC2": direct_product_group_c2c2(),
-        "S3": symmetric_group(3), "D4": dihedral_group(4),
-        "A4": alternating_group_4(), "S4": symmetric_group(4),
+    c2, s4 = _cyclic_names(2), symmetric_group(4)
+    groups = {        # name -> (group, element names)
+        "C2": (cyclic_group(2), c2), "C4": (cyclic_group(4), _cyclic_names(4)),
+        "C2xC2": (product_group(cyclic_group(2), cyclic_group(2)),
+                  _pair_names(c2, c2)),
+        "S3": (symmetric_group(3), _perm_names(3)),
+        "D4": (dihedral_group(4), _dihedral_names(4)),
+        "A4": _alternating_group_4(s4),
+        "S4": (s4, _perm_names(4)),
     }
 
-    for gname in ("C2", "C4", "C2xC2", "S3", "D4", "A4", "S4"):
-        b = trivial_brace(groups[gname])
+    for gname, (group, names) in groups.items():
+        b = trivial_brace(group)
         entries.append((BraceDescriptor(
             name=f"trivial:{gname}", order=b.order, construction="trivial",
             notes=f"both products equal the {gname} product",
-            element_names=group_names[gname]), b))
+            element_names=names), b))
 
     for gname in ("S3", "D4", "A4", "S4"):
-        b = opposite_brace(groups[gname])
+        group, names = groups[gname]
+        b = opposite_brace(group)
         entries.append((BraceDescriptor(
             name=f"opposite:{gname}", order=b.order, construction="opposite",
             notes=f"circ is the opposite {gname} product (a o b = b.a)",
-            element_names=group_names[gname]), b))
+            element_names=names), b))
 
     rc4 = radical_c4_brace()
     entries.append((BraceDescriptor(
@@ -132,24 +114,16 @@ def _catalog() -> tuple[tuple[BraceDescriptor, SkewBrace], ...]:
         notes="Z/4 with a.b = a+b, a o b = a+b+2ab",
         element_names=_cyclic_names(4)), rc4))
 
-    products = [
-        ("prod:radical_c4,radical_c4", rc4, "radical_c4", rc4, "radical_c4"),
-        ("prod:radical_c4,trivial:S3", rc4, "radical_c4",
-         trivial_brace(groups["S3"]), "trivial:S3"),
-        ("prod:opposite:S4,trivial:C2", opposite_brace(groups["S4"]),
-         "opposite:S4", trivial_brace(groups["C2"]), "trivial:C2"),
-    ]
-    comp_names = {"radical_c4": _cyclic_names(4),
-                  "trivial:S3": _perm_names(3),
-                  "opposite:S4": _perm_names(4),
-                  "trivial:C2": _cyclic_names(2)}
-    for name, b1, n1, b2, n2 in products:
+    built = {d.name: (d, b) for d, b in entries}
+    for n1, n2 in (("radical_c4", "radical_c4"), ("radical_c4", "trivial:S3"),
+                   ("opposite:S4", "trivial:C2")):
+        (d1, b1), (d2, b2) = built[n1], built[n2]
         b = direct_product(b1, b2)
         entries.append((BraceDescriptor(
-            name=name, order=b.order, construction="product",
+            name=f"prod:{n1},{n2}", order=b.order, construction="product",
             notes=f"direct product of {n1} and {n2}",
-            element_names=_pair_names(b1.order, b2.order,
-                                      comp_names[n1], comp_names[n2])), b))
+            element_names=_pair_names(d1.element_names, d2.element_names)),
+            b))
 
     names = [d.name for d, _ in entries]
     assert len(names) == len(set(names))
@@ -249,11 +223,18 @@ def load_map(path) -> dict:
     if (not isinstance(doc["images"], list)
             or any(type(x) is not int for x in doc["images"])):
         raise BraceFileError(f"{path}: 'images' must be an array of indices")
+    for key in ("source", "target"):
+        if key in doc and not isinstance(doc[key], str):
+            raise BraceFileError(f"{path}: {key!r} must be a catalog name or "
+                                 f"file path string, got {doc[key]!r}")
     return doc
 
 
 def resolve(name_or_path: str) -> tuple[BraceDescriptor, SkewBrace]:
     """Resolve a CLI input: catalog name first, then file path."""
+    if not isinstance(name_or_path, str):
+        raise BraceFileError(f"expected a catalog name or file path, got "
+                             f"{name_or_path!r}")
     try:
         return lookup(name_or_path)
     except KeyError:

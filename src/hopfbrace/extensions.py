@@ -8,7 +8,7 @@ carrier order, so reports are byte-stable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import MorphismError
 from .subobjects import HopfMorphism, Subbrace, hopf_kernel
@@ -23,18 +23,6 @@ class ExtensionReport:
     central_huq: bool | None = None
     witness_hopfcoc: tuple[int, int] | None = None
     witness_huq: tuple[int, int] | None = None
-
-    def merged_with(self, other: "ExtensionReport") -> "ExtensionReport":
-        return ExtensionReport(
-            morphism=self.morphism, surjective=self.surjective,
-            kernel=self.kernel,
-            central_hopfcoc=(self.central_hopfcoc
-                             if self.central_hopfcoc is not None
-                             else other.central_hopfcoc),
-            central_huq=(self.central_huq if self.central_huq is not None
-                         else other.central_huq),
-            witness_hopfcoc=self.witness_hopfcoc or other.witness_hopfcoc,
-            witness_huq=self.witness_huq or other.witness_huq)
 
 
 def _require_surjective(f: HopfMorphism) -> Subbrace:
@@ -102,4 +90,6 @@ def centrality_consequences(f: HopfMorphism) -> list[tuple[int, int]]:
 
 def analyze_extension(f: HopfMorphism) -> ExtensionReport:
     """Both verdicts on one report (the checks stay independent)."""
-    return check_central_hopfcoc(f).merged_with(check_central_huq(f))
+    hopfcoc, huq = check_central_hopfcoc(f), check_central_huq(f)
+    return replace(hopfcoc, central_huq=huq.central_huq,
+                   witness_huq=huq.witness_huq)

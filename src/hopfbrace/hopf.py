@@ -247,9 +247,13 @@ class HopfBrace:
             row = table[g]
             for h, ch in y.coeffs.items():
                 k = int(row[h])
-                s = f.add(out.get(k, f.zero), f.mul(cg, ch))
+                p = f.mul(cg, ch)
+                if k not in out:
+                    out[k] = p          # nonzero: a field has no zero divisors
+                    continue
+                s = f.add(out[k], p)
                 if s == f.zero:
-                    out.pop(k, None)
+                    del out[k]
                 else:
                     out[k] = s
         return Element(out, f, _clean=True)

@@ -167,10 +167,6 @@ class Subspace:
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
-def rref(rows: Iterable[SparseVector], ambient: int) -> Subspace:
-    return Subspace.row_space(rows, ambient)
-
-
 def common_nullspace(constraint_rows: Iterable[SparseVector], ambient: int) -> Subspace:
     """{x : <row, x> = 0 for every constraint row}."""
     reduced = Subspace.row_space(constraint_rows, ambient)
@@ -187,10 +183,6 @@ def common_nullspace(constraint_rows: Iterable[SparseVector], ambient: int) -> S
                 vec[row.leading_index()] = -c
         basis.append(SparseVector(vec))
     return Subspace.row_space(basis, ambient)
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
 
 
 def span_of_indices(indices: Iterable[int], ambient: int) -> Subspace:

@@ -1,27 +1,44 @@
 """Machine verification of every identity and proposition in scope.
 
-Each identity is checked two ways:
+Each identity is written once, in ``REGISTRY``: a name, its variables and
+an lhs and an rhs expression over the operations dot, circ, act, star, S,
+T, one, eps, scale, mul, comul and pair.  The expressions are compiled at
+import and evaluated with empty builtins in one of two namespaces, so
+both check layers are derived from the same definition:
 
-* exhaustively on all basis tuples, via vectorized Cayley-table index
-  arithmetic (sound and complete for multilinear identities, since the
-  comultiplication is diagonal on the basis);
-* on random sparse rational combinations, evaluated through the element
-  arithmetic with Sweedler legs expanded over supports, as a regression
-  check on the linear-extension code itself.
+* the basis layer binds the variables to index grids and the operations
+  to Cayley-table gathers (S and T to the inverse arrays, one to the
+  identity, eps to 1, scale to its first argument) and compares the two
+  sides on every basis tuple at once.  This is sound and complete for
+  the multilinear identities, since the comultiplication is diagonal on
+  the basis;
+* the random layer binds the variables to random sparse rational
+  combinations and the operations to the ``HopfBrace`` arithmetic, as a
+  regression check on the linear-extension code itself.  A variable
+  that occurs more than once in a side stands for its Sweedler legs, so
+  that side is expanded over the variable's support: each leg of a
+  group-like basis element is the element itself.  A variable that
+  occurs once is passed as the full element.
 
-Identities that collapse to tautologies on group-likes (the coalgebra
-compatibilities) only run at the element level.
+The coalgebra compatibilities of act and star collapse to tautologies on
+group-likes; the registry marks them element-only, and they run in the
+random layer alone.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import product
+from types import CodeType
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CrossCheckError
-from .hopf import HopfBrace, Tensor2, random_element
+from .hopf import Element, HopfBrace, Tensor2, random_element
 from .series import (gamma_series, hopf_center, left_series,
                      relative_commutator, right_series, socle_annihilator,
                      star_closure_subbrace)
@@ -61,280 +78,158 @@ class CheckReport:
 
 # ------------------------------------------------------- identity registry
 
-class Identity:
-    """One named identity: a basis-level evaluator on index arrays and an
-    element-level evaluator on full elements."""
-
-    __slots__ = ("name", "arity", "set_eval", "elem_eval")
-
-    def __init__(self, name, arity, set_eval, elem_eval):
-        self.name = name
-        self.arity = arity
-        self.set_eval = set_eval      # None for element-only identities
-        self.elem_eval = elem_eval
+class Side(NamedTuple):
+    """One side of an identity, compiled once."""
+    code: CodeType
+    repeated: tuple[str, ...]      # variables expanded over their support
 
 
-def _one(H, scalar):
-    return H.one().scale(scalar)
+def _side(source: str, variables: tuple[str, ...]) -> Side:
+    names = re.findall(r"\w+", source)     # operation and variable names
+    return Side(compile(source, source, "eval"),
+                tuple(v for v in variables if names.count(v) > 1))
 
 
-def _sum(H, parts):
-    out = H.zero()
-    for coeff, element in parts:
-        out = out + element.scale(coeff)
-    return out
+class Identity(NamedTuple):
+    suite: str
+    name: str
+    variables: tuple[str, ...]
+    lhs: Side
+    rhs: Side
+    basis: bool            # False: a tautology on group-likes, element-only
+
+    @property
+    def arity(self) -> int:
+        return len(self.variables)
 
 
-def _tensor(H, parts):
-    f = H.field
-    entries = {}
-    for coeff, key in parts:
-        entries[key] = f.add(entries.get(key, f.zero), coeff)
-    return Tensor2({k: v for k, v in entries.items() if v != f.zero},
-                   f, _clean=True)
+def _identity(suite, name, variables, lhs, rhs, basis=True) -> Identity:
+    variables = tuple(variables.split())
+    return Identity(suite, name, variables, _side(lhs, variables),
+                    _side(rhs, variables), basis)
 
 
-def _identities(base):
-    """Build the registry for one skew brace (closes over its tables)."""
+REGISTRY = {ident.name: ident for ident in (
+    _identity("axioms", "compatibility", "a b c", "circ(a, dot(b, c))",
+              "dot(dot(circ(a, b), S(a)), circ(a, c))"),
+    _identity("lemma", "star-lemma-1", "a x y", "star(a, dot(x, y))",
+              "dot(dot(dot(star(a, x), x), star(a, y)), S(x))"),
+    _identity("lemma", "star-lemma-2", "x y a", "star(circ(x, y), a)",
+              "dot(dot(star(x, star(y, a)), star(y, a)), star(x, a))"),
+    _identity("lemma", "star-lemma-3", "a x y", "act(a, star(x, y))",
+              "star(circ(circ(a, x), T(a)), act(a, y))"),
+    _identity("lemma", "star-lemma-4", "a x", "circ(circ(a, x), T(a))",
+              "dot(dot(a, act(a, dot(x, star(x, T(a))))), S(a))"),
+    _identity("structure", "circ-via-action", "a b", "circ(a, b)",
+              "dot(a, act(a, b))"),
+    _identity("structure", "dot-via-action", "a b", "dot(a, b)",
+              "circ(a, act(T(a), b))"),
+    _identity("structure", "antipode-via-action", "a", "S(a)",
+              "act(a, T(a))"),
+    _identity("structure", "t-via-action", "b", "T(b)", "S(act(T(b), b))"),
+    _identity("structure", "action-fixes-unit", "a", "act(a, one())",
+              "scale(one(), eps(a))"),
+    _identity("structure", "action-multiplicative", "a b c",
+              "act(a, dot(b, c))", "dot(act(a, b), act(a, c))"),
+    _identity("structure", "action-module", "a b c", "act(circ(a, b), c)",
+              "act(a, act(b, c))"),
+    _identity("structure", "action-antipode-compat", "a b", "S(act(a, b))",
+              "act(a, S(b))"),
+    _identity("structure", "action-comultiplicative", "a b",
+              "comul(act(a, b))", "pair(act(a, b), act(a, b))", basis=False),
+    _identity("structure", "action-counit", "a b", "eps(act(a, b))",
+              "mul(eps(a), eps(b))", basis=False),
+    _identity("structure", "star-comultiplicative", "a b",
+              "comul(star(a, b))", "pair(star(a, b), star(a, b))",
+              basis=False),
+    _identity("structure", "star-counit", "a b", "eps(star(a, b))",
+              "mul(eps(a), eps(b))", basis=False),
+    _identity("structure", "star-via-action", "a b", "star(a, b)",
+              "dot(act(a, b), S(b))"),
+    _identity("structure", "star-via-antipodes", "a b", "star(a, b)",
+              "dot(dot(S(a), circ(a, b)), S(b))"),
+)}
+
+
+def _basis_ops(base) -> dict:
+    """The operations on index arrays: Cayley-table gathers."""
     d, o = base.dot.table, base.circ.table
-    si, ti = base.dot.inverses, base.circ.inverses
     lam, st = base.lambda_table, base.star_table
     e = base.identity
+    return {"__builtins__": {},
+            "dot": lambda x, y: d[x, y], "circ": lambda x, y: o[x, y],
+            "act": lambda x, y: lam[x, y], "star": lambda x, y: st[x, y],
+            "S": base.dot.inverses.__getitem__,
+            "T": base.circ.inverses.__getitem__,
+            "one": lambda: e, "eps": lambda x: 1, "scale": lambda x, c: x}
 
-    def compat_set(a, b, c):
-        return o[a, d[b, c]], d[d[o[a, b], si[a]], o[a, c]]
 
-    def compat_elem(H, a, b, c):
-        lhs = H.circ(a, H.dot(b, c))
-        rhs = _sum(H, ((cg, H.dot(H.dot(H.circ(H.basis(g), b),
-                                        H.basis(int(si[g]))),
-                                  H.circ(H.basis(g), c)))
-                       for g, cg in a.coeffs.items()))
-        return lhs, rhs
+def _element_ops(H: HopfBrace) -> dict:
+    """The operations on elements: the HopfBrace arithmetic."""
+    f = H.field
 
-    def lemma1_set(a, x, y):
-        return st[a, d[x, y]], d[d[d[st[a, x], x], st[a, y]], si[x]]
+    def pair(x, y):
+        return Tensor2({(g, h): f.mul(cg, ch) for g, cg in x.coeffs.items()
+                        for h, ch in y.coeffs.items()}, f, _clean=True)
 
-    def lemma1_elem(H, a, x, y):
-        lhs = H.star(a, H.dot(x, y))
-        parts = []
-        for g, cg in a.coeffs.items():
-            dg = H.basis(g)
-            for h, ch in x.coeffs.items():
-                dh = H.basis(h)
-                val = H.dot(H.dot(H.dot(H.star(dg, dh), dh), H.star(dg, y)),
-                            H.antipode_dot(dh))
-                parts.append((H.field.mul(cg, ch), val))
-        return lhs, _sum(H, parts)
+    return {"__builtins__": {},
+            "dot": H.dot, "circ": H.circ, "act": H.act, "star": H.star,
+            "S": H.antipode_dot, "T": H.antipode_circ, "one": H.one,
+            "eps": H.counit, "scale": lambda x, c: x.scale(c), "mul": f.mul,
+            "comul": H.comultiply, "pair": pair}
 
-    def lemma2_set(x, y, a):
-        return st[o[x, y], a], d[d[st[x, st[y, a]], st[y, a]], st[x, a]]
 
-    def lemma2_elem(H, x, y, a):
-        lhs = H.star(H.circ(x, y), a)
-        f = H.field
-        parts = []
-        for g, cg in x.coeffs.items():
-            dg = H.basis(g)
-            for h, ch in y.coeffs.items():
-                dh = H.basis(h)
-                for k, ck in a.coeffs.items():
-                    dk = H.basis(k)
-                    inner = H.star(dh, dk)
-                    val = H.dot(H.dot(H.star(dg, inner), inner),
-                                H.star(dg, dk))
-                    parts.append((f.mul(f.mul(cg, ch), ck), val))
-        return lhs, _sum(H, parts)
-
-    def lemma3_set(a, x, y):
-        return lam[a, st[x, y]], st[o[o[a, x], ti[a]], lam[a, y]]
-
-    def lemma3_elem(H, a, x, y):
-        lhs = H.act(a, H.star(x, y))
-        rhs = _sum(H, ((cg, H.star(H.circ(H.circ(H.basis(g), x),
-                                          H.basis(int(ti[g]))),
-                                   H.act(H.basis(g), y)))
-                       for g, cg in a.coeffs.items()))
-        return lhs, rhs
-
-    def lemma4_set(a, x):
-        return o[o[a, x], ti[a]], d[d[a, lam[a, d[x, st[x, ti[a]]]]], si[a]]
-
-    def lemma4_elem(H, a, x):
-        f = H.field
-        lhs = _sum(H, ((cg, H.circ(H.circ(H.basis(g), x),
-                                   H.basis(int(ti[g]))))
-                       for g, cg in a.coeffs.items()))
-        parts = []
-        for g, cg in a.coeffs.items():
-            dg, tg, sg = H.basis(g), H.basis(int(ti[g])), H.basis(int(si[g]))
-            for h, ch in x.coeffs.items():
-                dh = H.basis(h)
-                val = H.dot(H.dot(dg, H.act(dg, H.dot(dh, H.star(dh, tg)))),
-                            sg)
-                parts.append((f.mul(cg, ch), val))
-        return lhs, _sum(H, parts)
-
-    def circ_via_act_elem(H, a, b):
-        lhs = H.circ(a, b)
-        rhs = _sum(H, ((cg, H.dot(H.basis(g), H.act(H.basis(g), b)))
-                       for g, cg in a.coeffs.items()))
-        return lhs, rhs
-
-    def dot_via_act_elem(H, a, b):
-        lhs = H.dot(a, b)
-        rhs = _sum(H, ((cg, H.circ(H.basis(g),
-                                   H.act(H.basis(int(ti[g])), b)))
-                       for g, cg in a.coeffs.items()))
-        return lhs, rhs
-
-    def antipode_via_act_elem(H, a):
-        lhs = H.antipode_dot(a)
-        rhs = _sum(H, ((cg, H.act(H.basis(g), H.basis(int(ti[g]))))
-                       for g, cg in a.coeffs.items()))
-        return lhs, rhs
-
-    def t_via_act_elem(H, b):
-        lhs = H.antipode_circ(b)
-        rhs = _sum(H, ((cg, H.antipode_dot(H.act(H.basis(int(ti[g])),
-                                                 H.basis(g))))
-                       for g, cg in b.coeffs.items()))
-        return lhs, rhs
-
-    def act_unit_elem(H, a):
-        return H.act(a, H.one()), _one(H, H.counit(a))
-
-    def act_mult_elem(H, a, b, c):
-        lhs = H.act(a, H.dot(b, c))
-        rhs = _sum(H, ((cg, H.dot(H.act(H.basis(g), b),
-                                  H.act(H.basis(g), c)))
-                       for g, cg in a.coeffs.items()))
-        return lhs, rhs
-
-    def act_module_elem(H, a, b, c):
-        return H.act(H.circ(a, b), c), H.act(a, H.act(b, c))
-
-    def act_antipode_elem(H, a, b):
-        return H.antipode_dot(H.act(a, b)), H.act(a, H.antipode_dot(b))
-
-    def act_comult_elem(H, a, b):
-        f = H.field
-        lhs = H.comultiply(H.act(a, b))
-        parts = []
-        for g, cg in a.coeffs.items():
-            for h, ch in b.coeffs.items():
-                k = int(lam[g, h])
-                parts.append((f.mul(cg, ch), (k, k)))
-        return lhs, _tensor(H, parts)
-
-    def act_counit_elem(H, a, b):
-        return H.counit(H.act(a, b)), H.field.mul(H.counit(a), H.counit(b))
-
-    def star_comult_elem(H, a, b):
-        f = H.field
-        lhs = H.comultiply(H.star(a, b))
-        parts = []
-        for g, cg in a.coeffs.items():
-            for h, ch in b.coeffs.items():
-                k = int(st[g, h])
-                parts.append((f.mul(cg, ch), (k, k)))
-        return lhs, _tensor(H, parts)
-
-    def star_counit_elem(H, a, b):
-        return H.counit(H.star(a, b)), H.field.mul(H.counit(a), H.counit(b))
-
-    def star_via_act_elem(H, a, b):
-        lhs = H.star(a, b)
-        rhs = _sum(H, ((ch, H.dot(H.act(a, H.basis(h)),
-                                  H.basis(int(si[h]))))
-                       for h, ch in b.coeffs.items()))
-        return lhs, rhs
-
-    def star_full_elem(H, a, b):
-        f = H.field
-        lhs = H.star(a, b)
-        parts = []
-        for g, cg in a.coeffs.items():
-            sg, dg = H.basis(int(si[g])), H.basis(g)
-            for h, ch in b.coeffs.items():
-                val = H.dot(H.dot(sg, H.circ(dg, H.basis(h))),
-                            H.basis(int(si[h])))
-                parts.append((f.mul(cg, ch), val))
-        return lhs, _sum(H, parts)
-
-    axiom = [Identity("compatibility", 3, compat_set, compat_elem)]
-    lemma = {
-        1: Identity("star-lemma-1", 3, lemma1_set, lemma1_elem),
-        2: Identity("star-lemma-2", 3, lemma2_set, lemma2_elem),
-        3: Identity("star-lemma-3", 3, lemma3_set, lemma3_elem),
-        4: Identity("star-lemma-4", 2, lemma4_set, lemma4_elem),
-    }
-    structure = [
-        Identity("circ-via-action", 2,
-                 lambda a, b: (o[a, b], d[a, lam[a, b]]), circ_via_act_elem),
-        Identity("dot-via-action", 2,
-                 lambda a, b: (d[a, b], o[a, lam[ti[a], b]]), dot_via_act_elem),
-        Identity("antipode-via-action", 1,
-                 lambda a: (si[a], lam[a, ti[a]]), antipode_via_act_elem),
-        Identity("t-via-action", 1,
-                 lambda b: (ti[b], si[lam[ti[b], b]]), t_via_act_elem),
-        Identity("action-fixes-unit", 1,
-                 lambda a: (lam[a, np.full_like(a, e)], np.full_like(a, e)),
-                 act_unit_elem),
-        Identity("action-multiplicative", 3,
-                 lambda a, b, c: (lam[a, d[b, c]], d[lam[a, b], lam[a, c]]),
-                 act_mult_elem),
-        Identity("action-module", 3,
-                 lambda a, b, c: (lam[o[a, b], c], lam[a, lam[b, c]]),
-                 act_module_elem),
-        Identity("action-antipode-compat", 2,
-                 lambda a, b: (si[lam[a, b]], lam[a, si[b]]),
-                 act_antipode_elem),
-        Identity("action-comultiplicative", 2, None, act_comult_elem),
-        Identity("action-counit", 2, None, act_counit_elem),
-        Identity("star-comultiplicative", 2, None, star_comult_elem),
-        Identity("star-counit", 2, None, star_counit_elem),
-        Identity("star-via-action", 2,
-                 lambda a, b: (st[a, b], d[lam[a, b], si[b]]),
-                 star_via_act_elem),
-        Identity("star-via-antipodes", 2,
-                 lambda a, b: (st[a, b], d[d[si[a], o[a, b]], si[b]]),
-                 star_full_elem),
-    ]
-    return axiom, lemma, structure
+def _evaluate(side: Side, ops: dict, H: HopfBrace, args: dict):
+    """One side on elements.  Each repeated variable is expanded over its
+    support, with the side evaluated on basis legs and summed back."""
+    ns = {**ops, **args}
+    if not side.repeated:
+        return eval(side.code, ns)
+    f = H.field
+    add, mul, zero = f.add, f.mul, f.zero
+    out, kind = {}, Element
+    for legs in product(*(args[v].coeffs.items() for v in side.repeated)):
+        for v, (g, _) in zip(side.repeated, legs):
+            ns[v] = H.basis(g)
+        coeff = reduce(mul, (c for _, c in legs))
+        value = eval(side.code, ns)
+        kind = type(value)
+        terms = value.entries if kind is Tensor2 else value.coeffs
+        for key, c in terms.items():
+            c = mul(coeff, c)
+            out[key] = add(out[key], c) if key in out else c
+    return kind({k: c for k, c in out.items() if c != zero}, f, _clean=True)
 
 
 # ------------------------------------------------------------ check driver
 
 def _index_grids(n, arity):
-    grids = []
-    for pos in range(arity):
-        shape = [1] * arity
-        shape[pos] = n
-        grids.append(np.arange(n).reshape(shape))
-    return grids
+    return [np.arange(n).reshape([n if i == pos else 1 for i in range(arity)])
+            for pos in range(arity)]
 
 
 def _check_identity(H: HopfBrace, ident: Identity, rng, samples: int,
                     report: CheckReport) -> None:
     n = H.dim
-    if ident.set_eval is not None:
-        grids = _index_grids(n, ident.arity)
-        lhs, rhs = ident.set_eval(*grids)
+    if ident.basis:
+        ns = {**_basis_ops(H.base),
+              **dict(zip(ident.variables, _index_grids(n, ident.arity)))}
         full = (n,) * ident.arity
-        lhs = np.broadcast_to(lhs, full)
-        rhs = np.broadcast_to(rhs, full)
+        lhs = np.broadcast_to(eval(ident.lhs.code, ns), full)
+        rhs = np.broadcast_to(eval(ident.rhs.code, ns), full)
         report.basis_checks += lhs.size
         mism = lhs != rhs
         if mism.any():
             witness = tuple(int(v) for v in np.argwhere(mism)[0])
             report.violations.append(
                 Violation(ident.name, "basis", witness))
+    ops = _element_ops(H)
     for _ in range(samples):
         args = [random_element(H, rng) for _ in range(ident.arity)]
-        lhs, rhs = ident.elem_eval(H, *args)
+        bound = dict(zip(ident.variables, args))
         report.random_checks += 1
-        if lhs != rhs:
+        if (_evaluate(ident.lhs, ops, H, bound)
+                != _evaluate(ident.rhs, ops, H, bound)):
             report.violations.append(
                 Violation(ident.name, "random",
                           tuple(repr(a) for a in args)))
@@ -344,17 +239,22 @@ def _rng(seed):
     return random.Random(DEFAULT_SEED if seed is None else seed)
 
 
+def _run_suite(H: HopfBrace, suite: str, samples: int, seed: int | None,
+               label: str) -> CheckReport:
+    report = CheckReport(suite, label or repr(H))
+    rng = _rng(seed)
+    for ident in REGISTRY.values():
+        if ident.suite == suite:
+            _check_identity(H, ident, rng, samples, report)
+    return report
+
+
 def verify_hopf_brace_axiom(H: HopfBrace, samples: int = DEFAULT_SAMPLES,
                             seed: int | None = None,
                             label: str = "") -> CheckReport:
     """The two-products compatibility law, on all basis triples and on
     random rational combinations."""
-    report = CheckReport("axioms", label or repr(H))
-    axiom, _, _ = _identities(H.base)
-    rng = _rng(seed)
-    for ident in axiom:
-        _check_identity(H, ident, rng, samples, report)
-    return report
+    return _run_suite(H, "axioms", samples, seed, label)
 
 
 def verify_star_lemma(H: HopfBrace, clause: int,
@@ -364,8 +264,8 @@ def verify_star_lemma(H: HopfBrace, clause: int,
     if clause not in (1, 2, 3, 4):
         raise ValueError("clause must be 1, 2, 3 or 4")
     report = CheckReport("lemma", label or repr(H))
-    _, lemma, _ = _identities(H.base)
-    _check_identity(H, lemma[clause], _rng(seed), samples, report)
+    _check_identity(H, REGISTRY[f"star-lemma-{int(clause)}"], _rng(seed),
+                    samples, report)
     return report
 
 
@@ -375,12 +275,7 @@ def verify_structure_identities(H: HopfBrace, samples: int = DEFAULT_SAMPLES,
     """The derived structural equalities: both products through the
     action, both antipodes through the action, module-algebra laws and
     the coalgebra compatibility of action and star product."""
-    report = CheckReport("structure", label or repr(H))
-    _, _, structure = _identities(H.base)
-    rng = _rng(seed)
-    for ident in structure:
-        _check_identity(H, ident, rng, samples, report)
-    return report
+    return _run_suite(H, "structure", samples, seed, label)
 
 
 # ------------------------------------------------------ proposition checks

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +189,35 @@ def test_check_central_invalid_map(tmp_path, capsys):
     code, _, err = run(capsys, "check-central", "radical_c4",
                        "--map", str(path))
     assert code == 2 and "map" in err
+
+
+@pytest.mark.parametrize("field", ["source", "target"])
+@pytest.mark.parametrize("value", [1, 2, True, ["x"], {"a": 1}],
+                         ids=["one", "two", "true", "list", "object"])
+def test_check_central_map_names_must_be_strings(tmp_path, field, value):
+    """A non-string map source/target is a parse error.  Run in a child
+    process: an integer reaching open() would close that fd (1 or 2)."""
+    doc = {"source": "radical_c4", "target": "trivial:C2",
+           "images": [0, 1, 0, 1], field: value}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(hb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfbrace", "check-central", "radical_c4",
+         "--map", str(path)], capture_output=True, text=True, env=env,
+        timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert repr(field) in lines[0]
+
+
+def test_resolve_refuses_non_strings():
+    for value in (1, 2, None, ["x"]):
+        with pytest.raises(hb.BraceFileError):
+            hb.resolve(value)
 
 
 def test_verify_single_brace_propositions(capsys):

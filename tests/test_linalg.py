@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfbrace.linalg import (SparseVector, Subspace, common_nullspace,
-                              intersect, rref, span_of_indices)
+                              span_of_indices)
 
 
 def v(entries):
@@ -29,33 +29,33 @@ def test_sparse_vector_arithmetic():
 
 
 def test_rref_collapses_dependent_rows():
-    space = rref([v({0: 1, 1: 2}), v({0: 2, 1: 4})], 2)
+    space = Subspace.row_space([v({0: 1, 1: 2}), v({0: 2, 1: 4})], 2)
     assert space.dim == 1
     assert space.rows == (v({0: 1, 1: 2}),)
 
 
 def test_rref_empty_and_full():
-    assert rref([], 3).dim == 0
-    full = rref([v({0: 1}), v({1: 1})], 2)
+    assert Subspace.row_space([], 3).dim == 0
+    full = Subspace.row_space([v({0: 1}), v({1: 1})], 2)
     assert full.dim == 2
     assert full == Subspace.full(2)
 
 
 def test_rref_index_out_of_range():
     with pytest.raises(IndexError):
-        rref([v({5: 1})], 3)
+        Subspace.row_space([v({5: 1})], 3)
 
 
 def test_contains_scalar_multiple():
-    space = rref([v({0: 1, 1: 2})], 2)
+    space = Subspace.row_space([v({0: 1, 1: 2})], 2)
     assert space.contains(v({0: 3, 1: 6}))
     assert not space.contains(v({0: 1}))
-    assert rref([], 2).contains(v({}))
+    assert Subspace.row_space([], 2).contains(v({}))
 
 
 def test_contains_dimension_mismatch():
     with pytest.raises(IndexError):
-        rref([v({0: 1})], 2).contains(v({5: 1}))
+        Subspace.row_space([v({0: 1})], 2).contains(v({5: 1}))
 
 
 def test_nullspace_examples():
@@ -67,17 +67,18 @@ def test_nullspace_examples():
 
 def test_intersect_examples():
     full = Subspace.full(3)
-    b = rref([v({0: 1, 2: 4})], 3)
-    assert intersect(full, b) == b
-    assert intersect(rref([v({0: 1})], 2), rref([v({1: 1})], 2)).dim == 0
-    a = rref([v({0: 1, 1: 1}), v({1: 1})], 2)
-    c = rref([v({0: 1})], 2)
-    assert intersect(a, c) == c
+    b = Subspace.row_space([v({0: 1, 2: 4})], 3)
+    assert full.intersect(b) == b
+    x_axis = Subspace.row_space([v({0: 1})], 2)
+    assert x_axis.intersect(Subspace.row_space([v({1: 1})], 2)).dim == 0
+    a = Subspace.row_space([v({0: 1, 1: 1}), v({1: 1})], 2)
+    c = Subspace.row_space([v({0: 1})], 2)
+    assert a.intersect(c) == c
 
 
 def test_intersect_dimension_mismatch():
     with pytest.raises(ValueError):
-        intersect(Subspace.full(2), Subspace.full(3))
+        Subspace.full(2).intersect(Subspace.full(3))
 
 
 def test_span_of_indices():
@@ -102,32 +103,32 @@ vector_lists = st.lists(vectors, max_size=5)
 @settings(max_examples=60, deadline=None)
 @given(vector_lists)
 def test_rref_is_idempotent(rows):
-    space = rref(rows, AMBIENT)
-    assert rref(space.rows, AMBIENT) == space
+    space = Subspace.row_space(rows, AMBIENT)
+    assert Subspace.row_space(space.rows, AMBIENT) == space
 
 
 @settings(max_examples=60, deadline=None)
 @given(vector_lists, st.randoms(use_true_random=False))
 def test_rref_canonical_under_shuffling_and_scaling(rows, rnd):
-    space = rref(rows, AMBIENT)
+    space = Subspace.row_space(rows, AMBIENT)
     mangled = [r.scale(Fraction(rnd.choice([1, 2, 3, -1]),
                                 rnd.choice([1, 2]))) for r in rows]
     rnd.shuffle(mangled)
     extra = [a.add(b) for a, b in zip(rows, rows[1:])]
-    assert rref(mangled + extra, AMBIENT) == space
+    assert Subspace.row_space(mangled + extra, AMBIENT) == space
 
 
 @settings(max_examples=60, deadline=None)
 @given(vector_lists)
 def test_rref_contains_its_inputs(rows):
-    space = rref(rows, AMBIENT)
+    space = Subspace.row_space(rows, AMBIENT)
     assert all(space.contains(r) for r in rows)
 
 
 @settings(max_examples=60, deadline=None)
 @given(vector_lists)
 def test_nullspace_is_orthogonal_and_has_complementary_dim(rows):
-    constraints = rref(rows, AMBIENT)
+    constraints = Subspace.row_space(rows, AMBIENT)
     null = common_nullspace(rows, AMBIENT)
     assert null.dim == AMBIENT - constraints.dim
     for row in rows:
@@ -138,7 +139,8 @@ def test_nullspace_is_orthogonal_and_has_complementary_dim(rows):
 @settings(max_examples=40, deadline=None)
 @given(vector_lists, vector_lists)
 def test_intersection_is_contained_in_both(rows_a, rows_b):
-    a, b = rref(rows_a, AMBIENT), rref(rows_b, AMBIENT)
-    both = intersect(a, b)
+    a = Subspace.row_space(rows_a, AMBIENT)
+    b = Subspace.row_space(rows_b, AMBIENT)
+    both = a.intersect(b)
     assert a.contains_space(both) and b.contains_space(both)
     assert both.dim >= a.dim + b.dim - AMBIENT
