@@ -182,7 +182,13 @@ def load_brace(path) -> tuple[BraceDescriptor, SkewBrace]:
         if doc[fieldname] not in _INT64:
             raise BraceFileError(f"{path}: field {fieldname!r} is outside "
                                  f"the 64-bit range, got {doc[fieldname]}")
-    order = doc["order"]
+    order, name = doc["order"], doc.get("name", str(path))
+    if order < 1:
+        raise BraceFileError(f"{path}: field 'order' must be positive, "
+                             f"got {order}")
+    if not isinstance(name, str):
+        raise BraceFileError(f"{path}: field 'name' must be a string, "
+                             f"got {name!r}")
     for tname in ("dot_table", "circ_table"):
         t = doc[tname]
         if (not isinstance(t, list) or len(t) != order
@@ -197,7 +203,7 @@ def load_brace(path) -> tuple[BraceDescriptor, SkewBrace]:
                 f"{path}: field {tname!r} has {kind} entry {bad[0]!r}")
     brace = validate_skew_brace(doc["dot_table"], doc["circ_table"],
                                 identity=doc["identity"])
-    desc = BraceDescriptor(name=str(doc.get("name", path)), order=brace.order,
+    desc = BraceDescriptor(name=name, order=brace.order,
                            construction="file", notes=f"loaded from {path}")
     return desc, brace
 

@@ -39,10 +39,6 @@ class SparseVector:
     def get(self, idx: int) -> Fraction:
         return self.entries.get(idx, Fraction(0))
 
-    @property
-    def support(self):
-        return frozenset(self.entries)
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -61,13 +57,6 @@ class SparseVector:
 
     def sub(self, other: "SparseVector") -> "SparseVector":
         return self.add(other.scale(-1))
-
-    def inner(self, other: "SparseVector") -> Fraction:
-        small, big = self.entries, other.entries
-        if len(big) < len(small):
-            small, big = big, small
-        return sum((val * big[idx] for idx, val in small.items() if idx in big),
-                   Fraction(0))
 
     def __eq__(self, other):
         return isinstance(other, SparseVector) and self.entries == other.entries
@@ -96,8 +85,10 @@ def _reduce_rows(rows):
                 row = row.sub(b.scale(c))
         if row.is_zero():
             continue
-        row = row.scale(1 / row.get(row.leading_index()))
-        basis = [b.sub(row.scale(b.get(row.leading_index()))) for b in basis]
+        lead = row.leading_index()
+        row = row.scale(1 / row.entries[lead])
+        basis = [b.sub(row.scale(b.entries[lead])) if lead in b.entries else b
+                 for b in basis]
         basis.append(row)
         basis.sort(key=SparseVector.leading_index)
     return tuple(basis)
@@ -121,10 +112,6 @@ class Subspace:
         _check_indices(rows, ambient)
         return cls(ambient, _reduce_rows(rows))
 
-    @classmethod
-    def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, tuple(SparseVector({i: 1}) for i in range(ambient)))
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -139,22 +126,10 @@ class Subspace:
         return v.is_zero()
 
     def contains_space(self, other: "Subspace") -> bool:
-        self._match(other)
-        return all(self.contains(r) for r in other.rows)
-
-    def common_nullspace(self):
-        """Solutions x with <row, x> = 0 for every basis row, as a Subspace."""
-        return common_nullspace(self.rows, self.ambient)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._match(other)
-        constraints = self.common_nullspace().rows + other.common_nullspace().rows
-        return common_nullspace(constraints, self.ambient)
-
-    def _match(self, other):
         if self.ambient != other.ambient:
             raise ValueError(
                 f"ambient dimensions differ: {self.ambient} != {other.ambient}")
+        return all(self.contains(r) for r in other.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient == other.ambient

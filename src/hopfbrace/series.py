@@ -145,50 +145,64 @@ class SocleData:
         return self.annihilator_space.dim > self.annihilator.dim
 
 
-def _fiber_constraints(targets_for, domain, n, identity):
-    """Rows forcing, for each parameter value, every non-identity output
-    fiber of a star row/column to sum to zero."""
-    rows = []
-    for h in range(n):
-        fibers: dict[int, list[int]] = {}
-        for g in domain:
-            fibers.setdefault(targets_for(g, h), []).append(g)
-        for x, fiber in fibers.items():
-            if x != identity:
-                rows.append(SparseVector({g: 1 for g in fiber}))
-    return rows
+def _fiber_rows(table, domain: list[int], skip) -> list[SparseVector]:
+    """For each column h, one 0/1 row per fiber of g -> table[g, h] over
+    ``domain``, leaving out the fiber of value ``skip[h]``; the rows are
+    distinct and sorted."""
+    fibers = set()
+    for h, column in enumerate(table[domain].T.tolist()):
+        by_value: dict[int, list[int]] = {}
+        for g, x in zip(domain, column):
+            by_value.setdefault(x, []).append(g)
+        by_value.pop(skip[h], None)
+        fibers.update(map(tuple, by_value.values()))
+    return [SparseVector(dict.fromkeys(f, 1)) for f in sorted(fibers)]
+
+
+def _check_group_likes(data: SocleData) -> SocleData:
+    """The group-likes {g : e_g in space} of each solution space must be
+    exactly the carrier computed from the lambda table and the center."""
+    for name, sub, space in (
+            ("socle", data.socle, data.socle_space),
+            ("annihilator", data.annihilator, data.annihilator_space)):
+        found = tuple(g for g in range(space.ambient)
+                      if space.contains(SparseVector({g: 1})))
+        if found != sub.carrier:
+            raise CrossCheckError(
+                f"group-likes of the {name} space {found} differ from the "
+                f"{name} carrier {sub.carrier}")
+    return data
 
 
 def socle_annihilator(H: HopfBrace) -> SocleData:
     """Socle and annihilator, both as group-like carriers and as exact
     solution spaces of the defining linear systems.  The two computations
-    are independent; the span of each carrier must sit inside the matching
-    space, with any strict inclusion reported rather than asserted away."""
+    are independent and cross-checked: the group-likes of each space are
+    exactly the matching carrier, while a strict inclusion of the span is
+    reported rather than asserted away."""
     if H.field.characteristic != 0:
         raise PrimeFieldError(
             "socle/annihilator computation is defined over the rationals only")
     base = H.base
     n = H.dim
-    e = base.identity
-    center = base.dot.center()
-    in_center = set(center)
+    center = list(base.dot.center())
+    central = base.dot.mask(center)
     st = base.star_table
     fixed = base.lambda_table == np.arange(n)        # lambda_g(b) == b
-    soc_mask = base.dot.mask(center) & fixed.all(axis=1)
+    soc_mask = central & fixed.all(axis=1)
     ann_mask = soc_mask & fixed.all(axis=0)
 
-    outside = [SparseVector({g: 1}) for g in range(n) if g not in in_center]
-    soc_rows = outside + _fiber_constraints(
-        lambda g, h: int(st[g, h]), center, n, e)
-    ann_rows = soc_rows + _fiber_constraints(
-        lambda g, h: int(st[h, g]), center, n, e)
+    skip = [base.identity] * n
+    outside = [SparseVector({g: 1}) for g in np.flatnonzero(~central)]
+    soc_rows = outside + _fiber_rows(st, center, skip)
+    ann_rows = soc_rows + _fiber_rows(st.T, center, skip)
 
-    return SocleData(
+    return _check_group_likes(SocleData(
         socle=Subbrace(H, np.flatnonzero(soc_mask)),
         annihilator=Subbrace(H, np.flatnonzero(ann_mask)),
         socle_space=common_nullspace(soc_rows, n),
         annihilator_space=common_nullspace(ann_rows, n),
-    )
+    ))
 
 
 # ----------------------------------------------------------- abelianisation
@@ -281,35 +295,32 @@ class CoincidenceReport:
 
 
 def coincidence_report(H: HopfBrace) -> CoincidenceReport:
+    """The star-trivial space solves the fiber rows of lambda; the
+    coincidence space needs no elimination.  For fixed h and x both
+    tables are Latin squares, so exactly one g has g.h = x and exactly one
+    g' has g' o h = x: every coincidence row is e_g - e_g'.  A vector
+    solves them all iff it is constant on the orbits of the permutations
+    g -> g' (one per h), so the orbit indicators, sorted by least element,
+    are the space's canonical reduced echelon basis."""
     if H.field.characteristic != 0:
         raise PrimeFieldError("coincidence diagnostics need rationals")
     base = H.base
     n = H.dim
-    lam = base.lambda_table
-    d, o = base.dot.table, base.circ.table
+    domain = list(range(n))
+    star_space = common_nullspace(
+        _fiber_rows(base.lambda_table, domain, domain), n)
 
-    star_rows = []
-    for h in range(n):
-        fibers: dict[int, list[int]] = {}
-        for g in range(n):
-            fibers.setdefault(int(lam[g, h]), []).append(g)
-        for x, fiber in fibers.items():
-            if x != h:
-                star_rows.append(SparseVector({g: 1 for g in fiber}))
-    star_space = common_nullspace(star_rows, n)
-
-    coin_rows = []
-    for h in range(n):
-        for x in range(n):
-            entries: dict[int, int] = {}
-            for g in range(n):
-                if int(d[g, h]) == x:
-                    entries[g] = entries.get(g, 0) + 1
-                if int(o[g, h]) == x:
-                    entries[g] = entries.get(g, 0) - 1
-            if any(entries.values()):
-                coin_rows.append(SparseVector(entries))
-    coin_space = common_nullspace(coin_rows, n)
+    cols = np.arange(n)
+    # moves[g, h] = g' with g' o h = g.h (argsort inverts each column of
+    # the circ table); column e is the identity map, so each min-label
+    # step can only lower the labels
+    moves = np.argsort(base.circ.table, axis=0)[base.dot.table, cols]
+    label = cols
+    while (label != (nxt := label[moves].min(axis=1))).any():
+        label = nxt
+    coin_space = Subspace(n, tuple(
+        SparseVector(dict.fromkeys(np.flatnonzero(label == least), 1))
+        for least in np.unique(label)))
 
     sep_star = next((r for r in star_space.rows if not coin_space.contains(r)),
                     None)

@@ -10,6 +10,9 @@ import hopfbrace as hb
 from hopfbrace.cli import main
 
 
+INVARIANTS_GOLDEN = Path(__file__).parent / "data" / "invariants.json"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -201,17 +204,48 @@ def test_check_central_map_names_must_be_strings(tmp_path, field, value):
            "images": [0, 1, 0, 1], field: value}
     path = tmp_path / "map.json"
     path.write_text(json.dumps(doc))
+    line = parse_error_in_child("check-central", "radical_c4",
+                                "--map", str(path))
+    assert repr(field) in line
+
+
+def parse_error_in_child(*argv):
+    """Run the CLI in a child process, expect exit 2 with nothing on stdout
+    and one ``error:`` line on stderr, and return that line."""
     src = str(Path(hb.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-m", "hopfbrace", "check-central", "radical_c4",
-         "--map", str(path)], capture_output=True, text=True, env=env,
-        timeout=120)
+    proc = subprocess.run([sys.executable, "-m", "hopfbrace", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert repr(field) in lines[0]
+    return lines[0]
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_non_positive_order_is_a_parse_error(tmp_path, order):
+    path = tmp_path / "brace.json"
+    path.write_text(json.dumps({"name": "x", "order": order, "identity": 0,
+                                "dot_table": [], "circ_table": []}))
+    line = parse_error_in_child("validate", str(path))
+    assert f"field 'order' must be positive, got {order}" in line
+
+
+@pytest.mark.parametrize("name", [5, True, None], ids=["int", "true", "null"])
+def test_brace_name_must_be_a_string(tmp_path, radical_c4, name):
+    doc = {"name": name, "order": 4, "identity": 0,
+           "dot_table": radical_c4.dot.table.tolist(),
+           "circ_table": radical_c4.circ.table.tolist()}
+    path = tmp_path / "brace.json"
+    path.write_text(json.dumps(doc))
+    line = parse_error_in_child("invariants", str(path), "--json")
+    assert f"field 'name' must be a string, got {name!r}" in line
+    del doc["name"]
+    path.write_text(json.dumps(doc))
+    desc, _ = hb.load_brace(path)
+    assert desc.name == str(path)
 
 
 def test_resolve_refuses_non_strings():
@@ -258,6 +292,19 @@ def test_json_output_byte_identical(capsys):
     _, out3, _ = run(capsys, "series", "radical_c4", "--json")
     _, out4, _ = run(capsys, "series", "radical_c4", "--json")
     assert out3 == out4
+
+
+def test_invariants_json_matches_golden(capsys, catalog):
+    """`invariants NAME --json` on the 15 catalog braces, the documents
+    printed one after another, byte for byte against the output recorded
+    before the socle and coincidence systems were solved from their
+    structure."""
+    out = []
+    for desc, _ in catalog:
+        code, text, _ = run(capsys, "invariants", desc.name, "--json")
+        assert code == 0
+        out.append(text)
+    assert "".join(out) == INVARIANTS_GOLDEN.read_text(encoding="utf-8")
 
 
 def test_seed_env_override(capsys, monkeypatch):

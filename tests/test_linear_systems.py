@@ -1,0 +1,169 @@
+"""The socle, annihilator, star-trivial and coincidence systems against
+the constructions they replaced: per-h fiber loops that keep duplicate
+rows, and coincidence rows built by a triple loop over (h, x, g), all
+solved by elimination.  The order-96 braces run under ``pytest -m slow``.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import hopfbrace as hb
+import hopfbrace.series as series
+from hopfbrace.linalg import SparseVector, common_nullspace, span_of_indices
+from hopfbrace.skewbrace import validate_skew_brace
+
+
+def fiber_loop_rows(value, domain, n, skip):
+    """For each h, one row per fiber of g -> value(g, h) over ``domain``
+    except the fiber of value ``skip(h)``; duplicates are kept."""
+    rows = []
+    for h in range(n):
+        fibers = {}
+        for g in domain:
+            fibers.setdefault(value(g, h), []).append(g)
+        for x, fiber in fibers.items():
+            if x != skip(h):
+                rows.append(SparseVector({g: 1 for g in fiber}))
+    return rows
+
+
+def reference_socle_spaces(H):
+    base, n, e = H.base, H.dim, H.base.identity
+    center = base.dot.center()
+    st = base.star_table
+    outside = [SparseVector({g: 1}) for g in range(n) if g not in center]
+    soc_rows = outside + fiber_loop_rows(
+        lambda g, h: int(st[g, h]), center, n, lambda h: e)
+    ann_rows = soc_rows + fiber_loop_rows(
+        lambda g, h: int(st[h, g]), center, n, lambda h: e)
+    return common_nullspace(soc_rows, n), common_nullspace(ann_rows, n)
+
+
+def reference_coincidence(H):
+    """(star-trivial space, coincidence space, both separators)."""
+    base, n = H.base, H.dim
+    lam, d, o = base.lambda_table, base.dot.table, base.circ.table
+    star_space = common_nullspace(fiber_loop_rows(
+        lambda g, h: int(lam[g, h]), range(n), n, lambda h: h), n)
+    coin_rows = []
+    for h in range(n):
+        for x in range(n):
+            entries = {}
+            for g in range(n):
+                if int(d[g, h]) == x:
+                    entries[g] = entries.get(g, 0) + 1
+                if int(o[g, h]) == x:
+                    entries[g] = entries.get(g, 0) - 1
+            if any(entries.values()):
+                coin_rows.append(SparseVector(entries))
+    coin_space = common_nullspace(coin_rows, n)
+    sep_star = next((r for r in star_space.rows
+                     if not coin_space.contains(r)), None)
+    sep_coin = next((r for r in coin_space.rows
+                     if not star_space.contains(r)), None)
+    return star_space, coin_space, sep_star, sep_coin
+
+
+def assert_matches_reference(H):
+    soc = hb.socle_annihilator(H)
+    assert (soc.socle_space, soc.annihilator_space) \
+        == reference_socle_spaces(H)
+    rep = hb.coincidence_report(H)
+    assert (rep.star_trivial_space, rep.coincidence_space,
+            rep.separator_star_only, rep.separator_coincidence_only) \
+        == reference_coincidence(H)
+
+
+def test_spaces_and_separators_match_the_reference(catalog):
+    for desc, brace in catalog:
+        assert_matches_reference(hb.HopfBrace(brace))
+
+
+def factorization_brace(G, A, B):
+    """The skew brace of an exact factorization G = AB (A and B subgroups
+    meeting in the identity; Guarnieri-Vendramin 2017): x o y = a.y.b for
+    x = a.b."""
+    t = G.table
+    circ = np.empty_like(t)
+    for a in A:
+        for b in B:
+            circ[t[a, b]] = t[t[a], b]
+    return validate_skew_brace(t, circ, identity=G.identity)
+
+
+def test_exact_factorization_brace_matches_the_reference():
+    """S4 = S3.C4, with S3 the stabiliser of 0 (the first six permutations
+    in sorted order) and C4 generated by the 4-cycle 0->2->1->3->0.  Its
+    coincidence orbits take three min-label steps to settle, where every
+    catalog brace takes at most one."""
+    G = hb.symmetric_group(4)
+    c4 = G.subgroup_generated([17])           # 17 is (2, 3, 1, 0)
+    assert len(c4) == 4
+    assert_matches_reference(hb.HopfBrace(
+        factorization_brace(G, range(6), c4)))
+
+
+def test_brace_with_a_smaller_annihilator_matches_the_reference():
+    """Every catalog brace has Ann = Soc.  Here (G, .) = C2^3 = <u, v, w>
+    with elements u + 2v + 4w, a o b = a + lambda_a(b), and lambda_a the
+    transvection v -> v + u when a has a w-component, else the identity:
+    Soc = <u, v>, but v is moved, so Ann = <u>."""
+    g = np.arange(8)
+    transvection = g ^ ((g >> 1) & 1)
+    lam = np.where((g >> 2)[:, None] & 1, transvection, g)
+    brace = validate_skew_brace(g[:, None] ^ g, g[:, None] ^ lam, identity=0)
+    H = hb.HopfBrace(brace)
+    soc = hb.socle_annihilator(H)
+    assert (soc.socle.carrier, soc.annihilator.carrier) == ((0, 1, 2, 3),
+                                                           (0, 1))
+    assert soc.socle_space != soc.annihilator_space
+    assert_matches_reference(H)
+
+
+ORDER_96 = {
+    "opposite:D48": lambda: hb.opposite_brace(hb.dihedral_group(48)),
+    "opposite:S4*trivial:C4": lambda: hb.direct_product(
+        hb.opposite_brace(hb.symmetric_group(4)),
+        hb.trivial_brace(hb.cyclic_group(4))),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(ORDER_96))
+def test_order_96_spaces_match_the_reference(name):
+    assert_matches_reference(hb.HopfBrace(ORDER_96[name]()))
+
+
+def test_fiber_rows_are_the_distinct_loop_rows_sorted(catalog):
+    for desc, brace in catalog:
+        n, lam = brace.order, brace.lambda_table
+        domain = list(range(n))
+        rows = [tuple(sorted(r.entries))
+                for r in series._fiber_rows(lam, domain, domain)]
+        loop = fiber_loop_rows(lambda g, h: int(lam[g, h]), domain, n,
+                               lambda h: h)
+        assert rows == sorted(set(rows))
+        assert set(rows) == {tuple(sorted(r.entries)) for r in loop}
+
+
+# ------------------------------------------------- group-like cross-check
+
+def test_tampered_socle_data_is_refused(radical_c4):
+    H = hb.HopfBrace(radical_c4)
+    soc = hb.socle_annihilator(H)
+    assert soc.socle.carrier == (0, 2)
+    with pytest.raises(hb.CrossCheckError, match="socle"):
+        series._check_group_likes(replace(soc, socle=hb.Subbrace(H, [0])))
+    with pytest.raises(hb.CrossCheckError, match="annihilator"):
+        series._check_group_likes(
+            replace(soc, annihilator_space=span_of_indices(range(4), 4)))
+
+
+def test_dropped_fiber_rows_are_caught(radical_c4, monkeypatch):
+    """Without its fiber rows the socle space is the span of the center,
+    whose group-likes are all of C4, not the socle carrier (0, 2)."""
+    monkeypatch.setattr(series, "_fiber_rows", lambda *args: [])
+    with pytest.raises(hb.CrossCheckError, match="socle"):
+        hb.socle_annihilator(hb.HopfBrace(radical_c4))
