@@ -402,9 +402,6 @@ class BraceMap:
         e = self.target.identity
         return tuple(g for g in range(self.source.order) if self.images[g] == e)
 
-    def image_set(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.images)))
-
     def is_surjective(self) -> bool:
         return len(set(self.images)) == self.target.order
 

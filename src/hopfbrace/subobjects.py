@@ -47,9 +47,6 @@ class Subbrace:
     def is_trivial(self) -> bool:
         return len(self.carrier) == 1
 
-    def is_whole(self) -> bool:
-        return len(self.carrier) == self.parent.dim
-
     def is_strong(self) -> bool:
         """Stable under the lambda action of every element."""
         if self._strong is None:

@@ -1,7 +1,8 @@
 """The socle, annihilator, star-trivial and coincidence systems against
 the constructions they replaced: per-h fiber loops that keep duplicate
 rows, and coincidence rows built by a triple loop over (h, x, g), all
-solved by elimination.  The order-96 braces run under ``pytest -m slow``.
+solved by the dict-of-Fraction reference solver in ``reference_linalg``.
+The order-96 braces run under ``pytest -m slow``.
 """
 
 from dataclasses import replace
@@ -11,7 +12,8 @@ import pytest
 
 import hopfbrace as hb
 import hopfbrace.series as series
-from hopfbrace.linalg import SparseVector, common_nullspace, span_of_indices
+import reference_linalg as ref
+from hopfbrace.linalg import SparseVector, span_of_indices
 from hopfbrace.skewbrace import validate_skew_brace
 
 
@@ -38,14 +40,14 @@ def reference_socle_spaces(H):
         lambda g, h: int(st[g, h]), center, n, lambda h: e)
     ann_rows = soc_rows + fiber_loop_rows(
         lambda g, h: int(st[h, g]), center, n, lambda h: e)
-    return common_nullspace(soc_rows, n), common_nullspace(ann_rows, n)
+    return ref.common_nullspace(soc_rows, n), ref.common_nullspace(ann_rows, n)
 
 
 def reference_coincidence(H):
     """(star-trivial space, coincidence space, both separators)."""
     base, n = H.base, H.dim
     lam, d, o = base.lambda_table, base.dot.table, base.circ.table
-    star_space = common_nullspace(fiber_loop_rows(
+    star_space = ref.common_nullspace(fiber_loop_rows(
         lambda g, h: int(lam[g, h]), range(n), n, lambda h: h), n)
     coin_rows = []
     for h in range(n):
@@ -58,11 +60,11 @@ def reference_coincidence(H):
                     entries[g] = entries.get(g, 0) - 1
             if any(entries.values()):
                 coin_rows.append(SparseVector(entries))
-    coin_space = common_nullspace(coin_rows, n)
+    coin_space = ref.common_nullspace(coin_rows, n)
     sep_star = next((r for r in star_space.rows
-                     if not coin_space.contains(r)), None)
+                     if not ref.contains(coin_space, r)), None)
     sep_coin = next((r for r in coin_space.rows
-                     if not star_space.contains(r)), None)
+                     if not ref.contains(star_space, r)), None)
     return star_space, coin_space, sep_star, sep_coin
 
 
