@@ -11,15 +11,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
 from .errors import BraceFileError, ValidationError
-from .skewbrace import (FiniteGroup, SkewBrace, cyclic_group, dihedral_group,
-                        direct_product, opposite_brace, product_group,
-                        radical_c4_brace, symmetric_group, trivial_brace,
-                        validate_skew_brace)
+from .skewbrace import (ORDER_CAP, FiniteGroup, SkewBrace, cyclic_group,
+                        dihedral_group, direct_product, opposite_brace,
+                        product_group, radical_c4_brace, symmetric_group,
+                        trivial_brace, validate_skew_brace)
 
 
 @dataclass
@@ -159,17 +159,24 @@ def save_brace(brace: SkewBrace, path, name: str = "brace") -> None:
 _INT64 = range(-2**63, 2**63)
 
 
-def load_brace(path) -> tuple[BraceDescriptor, SkewBrace]:
-    """Load and fully revalidate a brace file; parse problems raise
-    BraceFileError with a line/field diagnostic, axiom problems raise the
-    validation error with its witness."""
+def _read_json(path):
+    """The file's JSON document; any failure to read it is a BraceFileError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise BraceFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise BraceFileError(f"{path}: cannot read: {exc}") from exc
+
+
+def load_brace(path) -> tuple[BraceDescriptor, SkewBrace]:
+    """Load and fully revalidate a brace file; parse problems raise
+    BraceFileError with a line/field diagnostic, axiom problems raise the
+    validation error with its witness."""
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise BraceFileError(f"{path}: top level must be an object")
     for fieldname in ("order", "identity", "dot_table", "circ_table"):
@@ -186,6 +193,12 @@ def load_brace(path) -> tuple[BraceDescriptor, SkewBrace]:
     if order < 1:
         raise BraceFileError(f"{path}: field 'order' must be positive, "
                              f"got {order}")
+    if order > ORDER_CAP:
+        raise BraceFileError(f"{path}: field 'order' {order} exceeds the "
+                             f"cap {ORDER_CAP}")
+    if not 0 <= doc["identity"] < order:
+        raise BraceFileError(f"{path}: field 'identity' must be in "
+                             f"[0, {order}), got {doc['identity']}")
     if not isinstance(name, str):
         raise BraceFileError(f"{path}: field 'name' must be a string, "
                              f"got {name!r}")
@@ -195,12 +208,13 @@ def load_brace(path) -> tuple[BraceDescriptor, SkewBrace]:
                 or any(not isinstance(r, list) or len(r) != order for r in t)):
             raise BraceFileError(
                 f"{path}: field {tname!r} is not an {order}x{order} matrix")
-        bad = [x for row in t for x in row
-               if type(x) is not int or x not in _INT64]
-        if bad:
-            kind = "an out-of-range" if type(bad[0]) is int else "a non-integer"
+        flat = list(chain.from_iterable(t))
+        if (set(map(type, flat)) != {int} or min(flat) < _INT64.start
+                or max(flat) >= _INT64.stop):
+            bad = next(x for x in flat if type(x) is not int or x not in _INT64)
+            kind = "an out-of-range" if type(bad) is int else "a non-integer"
             raise BraceFileError(
-                f"{path}: field {tname!r} has {kind} entry {bad[0]!r}")
+                f"{path}: field {tname!r} has {kind} entry {bad!r}")
     brace = validate_skew_brace(doc["dot_table"], doc["circ_table"],
                                 identity=doc["identity"])
     desc = BraceDescriptor(name=name, order=brace.order,
@@ -217,13 +231,7 @@ def save_map(images, path, source: str = "", target: str = "") -> None:
 
 
 def load_map(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise BraceFileError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "images" not in doc:
         raise BraceFileError(f"{path}: map file needs an 'images' field")
     if (not isinstance(doc["images"], list)

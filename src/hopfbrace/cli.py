@@ -4,11 +4,14 @@ verify.
 Exit codes: 0 success, 1 verification failure, 2 input/parse error.
 The --json form is deterministic and byte-identical for a fixed seed
 (wall-clock timing is only ever printed on the human-readable path).
+The argument parser is built on the first ``main`` call and reused for
+the rest of the process, and each call loads each distinct input once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,7 +33,7 @@ SEED_ENV = "HOPFBRACE_SEED"
 
 def _error(message) -> int:
     """Report a bad input on one stderr line; exit code 2."""
-    print(f"error: {message}", file=sys.stderr)
+    print("error:", " ".join(str(message).splitlines()), file=sys.stderr)
     return 2
 
 
@@ -185,16 +188,14 @@ def cmd_invariants(args) -> int:
 
 def cmd_check_central(args) -> int:
     started = time.perf_counter()
+    load = functools.cache(resolve)     # a map may name the input again
     try:
-        desc, brace = resolve(args.input)
+        desc, brace = load(args.input)
         map_doc = load_map(args.map)
-        if map_doc.get("source"):
-            src_desc, src_brace = resolve(map_doc["source"])
-            if src_brace != brace:
-                raise BraceFileError(
-                    f"map source {map_doc['source']!r} is not the input brace")
-        target_name = map_doc.get("target") or args.input
-        tdesc, tbrace = resolve(target_name)
+        if map_doc.get("source") and load(map_doc["source"])[1] != brace:
+            raise BraceFileError(
+                f"map source {map_doc['source']!r} is not the input brace")
+        tdesc, tbrace = load(map_doc.get("target") or args.input)
     except (BraceFileError, ValidationError) as exc:
         return _error(exc)
     H, T = HopfBrace(brace), HopfBrace(tbrace)
@@ -283,7 +284,10 @@ def cmd_verify(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process.  Reusing it is safe: every parse
+    starts from a fresh Namespace, and no default is mutable."""
     parser = argparse.ArgumentParser(
         prog="hopfbrace",
         description="Exact engine for finite skew braces and their "
@@ -299,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate a brace file or catalog name")
     p.add_argument("input")
     common(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("series", help="compute a central series")
     p.add_argument("input")
@@ -307,13 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default="right")
     p.add_argument("--max", type=int, default=10)
     common(p)
-    p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("invariants",
                        help="socle, annihilator, center, abelianisations")
     p.add_argument("input")
     common(p)
-    p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("check-central",
                        help="central-extension verdicts for a morphism")
@@ -321,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True,
                    help="JSON file {source, target, images}")
     common(p)
-    p.set_defaults(func=cmd_check_central)
 
     p = sub.add_parser("verify", help="run identity/proposition suites")
     p.add_argument("input", nargs="?")
@@ -335,13 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, default=10,
                    help="series depth for the propositions suite")
     common(p)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # Looked up on each call rather than kept in the parser, so that a
+    # handler replaced on this module (a tracing span) is the one that runs.
+    return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":

@@ -114,6 +114,28 @@ def test_load_rejects_non_integers_instead_of_coercing(tmp_path, radical_c4,
     assert repr(value) in str(info.value)
 
 
+def test_load_names_the_first_bad_entry_in_row_major_order(tmp_path,
+                                                           radical_c4):
+    """The whole-table check only says that some entry is bad; the message
+    still names the first one, here an out-of-range int before a float."""
+    doc = {"name": "two-bad", "order": 4, "identity": 0,
+           "dot_table": radical_c4.dot.table.tolist(),
+           "circ_table": radical_c4.circ.table.tolist()}
+    doc["dot_table"][1][2] = 2**63
+    doc["dot_table"][1][3] = 1.5
+    doc["dot_table"][3][0] = "x"
+    path = tmp_path / "two-bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(hb.BraceFileError) as info:
+        hb.load_brace(path)
+    assert f"an out-of-range entry {2**63}" in str(info.value)
+    doc["dot_table"][1][2] = 2
+    path.write_text(json.dumps(doc))
+    with pytest.raises(hb.BraceFileError) as info:
+        hb.load_brace(path)
+    assert "a non-integer entry 1.5" in str(info.value)
+
+
 def test_resolve(tmp_path, radical_c4):
     desc, brace = hb.resolve("radical_c4")
     assert brace == radical_c4

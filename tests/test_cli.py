@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import hopfbrace as hb
+from hopfbrace import catalog, cli
+from hopfbrace.skewbrace import ORDER_CAP
 from hopfbrace.cli import main
 
 
@@ -79,6 +82,22 @@ def test_integers_beyond_int64_exit_2_with_one_line(tmp_path, capsys,
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2 and len(err.strip().splitlines()) == 1, (stem, err)
         assert "range" in err
+
+
+def test_unreadable_files_exit_2_with_one_line(tmp_path, capsys):
+    """Files the fuzz test found ending in a traceback: missing, a
+    directory, not UTF-8, nested past the JSON parser's limit; and a path
+    with a line break, which must not split the diagnostic."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "latin1.json").write_bytes(b'{"name": "\xe9"}')
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    for stem in ("missing", "dir", "latin1.json", "deep.json", "a\nb"):
+        path = str(tmp_path / stem)
+        for argv in (["validate", path],
+                     ["check-central", "radical_c4", "--map", path]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", (argv, err)
+            assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -233,6 +252,27 @@ def test_non_positive_order_is_a_parse_error(tmp_path, order):
     assert f"field 'order' must be positive, got {order}" in line
 
 
+@pytest.mark.parametrize("identity", [5, 4, -1])
+def test_identity_outside_the_carrier_is_a_parse_error(tmp_path, radical_c4,
+                                                       identity):
+    path = tmp_path / "brace.json"
+    path.write_text(json.dumps({"name": "x", "order": 4, "identity": identity,
+                                "dot_table": radical_c4.dot.table.tolist(),
+                                "circ_table": radical_c4.circ.table.tolist()}))
+    line = parse_error_in_child("validate", str(path))
+    assert f"field 'identity' must be in [0, 4), got {identity}" in line
+
+
+def test_order_above_the_cap_is_a_parse_error(tmp_path):
+    n = ORDER_CAP + 50
+    cyclic = [[(a + b) % n for b in range(n)] for a in range(n)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"name": "C250", "order": n, "identity": 0,
+                                "dot_table": cyclic, "circ_table": cyclic}))
+    line = parse_error_in_child("validate", str(path))
+    assert f"field 'order' {n} exceeds the cap {ORDER_CAP}" in line
+
+
 @pytest.mark.parametrize("name", [5, True, None], ids=["int", "true", "null"])
 def test_brace_name_must_be_a_string(tmp_path, radical_c4, name):
     doc = {"name": name, "order": 4, "identity": 0,
@@ -316,3 +356,117 @@ def test_seed_env_override(capsys, monkeypatch):
 def test_exit_code_1_on_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         main(["verify", "radical_c4", "--suite", "bogus"])
+
+
+# The parser is built once per process and reused by every ``main`` call;
+# these pin that nothing of one call leaks into the next.
+
+def test_reused_parser_restores_series_defaults(capsys):
+    _, out, _ = run(capsys, "series", "radical_c4", "--kind", "gamma",
+                    "--max", "2", "--json")
+    assert json.loads(out)["results"]["kind"] == "gamma"
+    _, out, _ = run(capsys, "series", "radical_c4", "--json")
+    doc = json.loads(out)["results"]
+    assert doc["kind"] == "right"
+    assert [t["size"] for t in doc["terms"]] == [4, 2, 1]
+
+
+def test_reused_parser_restores_the_seed_default(capsys, monkeypatch):
+    argv = ("verify", "radical_c4", "--suite", "axioms", "--samples", "1",
+            "--json")
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    assert json.loads(run(capsys, *argv, "--seed", "5")[1])["seed"] == 5
+    assert json.loads(run(capsys, *argv)[1])["seed"] == cli.DEFAULT_SEED
+    monkeypatch.setenv(cli.SEED_ENV, "77")
+    assert json.loads(run(capsys, *argv, "--seed", "5")[1])["seed"] == 5
+    assert json.loads(run(capsys, *argv)[1])["seed"] == 77
+
+
+def test_parse_error_leaves_no_trace_on_the_next_call(capsys):
+    argv = ("verify", "radical_c4", "--suite", "lemma", "--json")
+    _, alone, _ = run(capsys, *argv)
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "radical_c4", "--seed", "3", "--samples", "0",
+              "--suite", "bogus"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    code, after, _ = run(capsys, *argv)
+    assert code == 0 and after == alone
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    run(capsys, "validate", "trivial:C2")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["validate", "trivial:C2"], ["series", "trivial:C2"],
+                 ["invariants", "trivial:C2"]):
+        assert run(capsys, *argv)[0] == 0
+    assert built == [] and cli.build_parser() is cli.build_parser()
+
+
+def test_handler_replaced_after_the_parser_is_built_runs(capsys,
+                                                        monkeypatch):
+    """A span installed on ``hopfbrace.cli.cmd_*`` by a tracer must see
+    the calls, although the parser was built before it."""
+    run(capsys, "validate", "trivial:C2")
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check_central",
+                        lambda args: seen.append(args.input) or 0)
+    assert run(capsys, "check-central", "x", "--map", "m")[0] == 0
+    assert seen == ["x"]
+
+
+def count_loads(monkeypatch):
+    calls = []
+    load_brace = catalog.load_brace
+
+    def counting(path):
+        calls.append(path)
+        return load_brace(path)
+
+    monkeypatch.setattr(catalog, "load_brace", counting)
+    return calls
+
+
+def test_check_central_loads_an_input_named_again_once(tmp_path, capsys,
+                                                       monkeypatch,
+                                                       radical_c4):
+    brace = tmp_path / "rc4.json"
+    hb.save_brace(radical_c4, brace, name="rc4")
+    to_c2, ident = tmp_path / "c2.map.json", tmp_path / "id.map.json"
+    hb.save_map([0, 1, 0, 1], to_c2, source=str(brace), target="trivial:C2")
+    hb.save_map(range(4), ident, source=str(brace), target=str(brace))
+    calls = count_loads(monkeypatch)
+    for map_path in (to_c2, ident):
+        calls.clear()
+        code, out, _ = run(capsys, "check-central", str(brace),
+                           "--map", str(map_path), "--json")
+        assert code == 0 and json.loads(out)["results"]["central_huq"]
+        assert calls == [str(brace)]
+
+
+def test_check_central_source_naming_another_file(tmp_path, capsys,
+                                                  monkeypatch, radical_c4):
+    brace, copy, other = (tmp_path / f"{stem}.json"
+                          for stem in ("rc4", "copy", "c4"))
+    hb.save_brace(radical_c4, brace)
+    hb.save_brace(radical_c4, copy)
+    hb.save_brace(hb.trivial_brace(hb.cyclic_group(4)), other)
+    calls = count_loads(monkeypatch)
+    for source, code in ((copy, 0), (other, 2)):
+        calls.clear()
+        map_path = tmp_path / "map.json"
+        hb.save_map([0, 1, 0, 1], map_path, source=str(source),
+                    target="trivial:C2")
+        got, out, err = run(capsys, "check-central", str(brace),
+                            "--map", str(map_path))
+        assert got == code and calls == [str(brace), str(source)]
+    assert out == ""
+    assert err == (f"error: map source {str(other)!r} is not the input "
+                   f"brace\n")
