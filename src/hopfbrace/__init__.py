@@ -11,8 +11,7 @@ from .skewbrace import (BraceMap, FiniteGroup, SkewBrace, cyclic_group,
                         dihedral_group, direct_product, opposite_brace,
                         radical_c4_brace, symmetric_group, trivial_brace,
                         validate_skew_brace)
-from .hopf import (Element, HopfBrace, PrimeField, RATIONALS, Tensor2,
-                   random_element)
+from .hopf import Element, HopfBrace, Tensor2, random_element
 from .subobjects import (HopfMorphism, Subbrace, generated_subbrace,
                          hopf_kernel, normal_agreement, quotient,
                          trivial_subbrace, whole_subbrace)

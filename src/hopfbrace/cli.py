@@ -78,13 +78,7 @@ def _vector_str(vec) -> str:
 
 def cmd_validate(args) -> int:
     started = time.perf_counter()
-    try:
-        desc, brace = resolve(args.input)
-    except BraceFileError as exc:
-        return _error(exc)
-    except ValidationError as exc:
-        print(f"invalid brace: {exc} (witness: {exc.witness})", file=sys.stderr)
-        return 1
+    desc, brace = resolve(args.input)
     doc = {"engine": _engine(), "command": "validate",
            "brace": _brace_doc(desc), "results": {"valid": True}}
     _emit(doc, args.json,
@@ -96,10 +90,7 @@ def cmd_series(args) -> int:
     started = time.perf_counter()
     if args.max < 1:
         return _error(f"--max must be at least 1, got {args.max}")
-    try:
-        desc, brace = resolve(args.input)
-    except (BraceFileError, ValidationError) as exc:
-        return _error(exc)
+    desc, brace = resolve(args.input)
     H = HopfBrace(brace)
     runner = {"left": left_series, "right": right_series,
               "gamma": gamma_series}[args.kind]
@@ -128,10 +119,7 @@ def cmd_series(args) -> int:
 
 def cmd_invariants(args) -> int:
     started = time.perf_counter()
-    try:
-        desc, brace = resolve(args.input)
-    except (BraceFileError, ValidationError) as exc:
-        return _error(exc)
+    desc, brace = resolve(args.input)
     H = HopfBrace(brace)
     soc = socle_annihilator(H)
     hz = hopf_center(H)
@@ -189,15 +177,12 @@ def cmd_invariants(args) -> int:
 def cmd_check_central(args) -> int:
     started = time.perf_counter()
     load = functools.cache(resolve)     # a map may name the input again
-    try:
-        desc, brace = load(args.input)
-        map_doc = load_map(args.map)
-        if map_doc.get("source") and load(map_doc["source"])[1] != brace:
-            raise BraceFileError(
-                f"map source {map_doc['source']!r} is not the input brace")
-        tdesc, tbrace = load(map_doc.get("target") or args.input)
-    except (BraceFileError, ValidationError) as exc:
-        return _error(exc)
+    desc, brace = load(args.input)
+    map_doc = load_map(args.map)
+    if map_doc.get("source") and load(map_doc["source"])[1] != brace:
+        raise BraceFileError(
+            f"map source {map_doc['source']!r} is not the input brace")
+    tdesc, tbrace = load(map_doc.get("target") or args.input)
     H, T = HopfBrace(brace), HopfBrace(tbrace)
     try:
         f = HopfMorphism(H, T, map_doc["images"])
@@ -245,15 +230,9 @@ def cmd_verify(args) -> int:
         return _error(f"--max must be at least 1, got {args.max}")
     if args.samples < 0:
         return _error(f"--samples must be non-negative, got {args.samples}")
-    if args.all:
-        targets = builtin_catalog()
-    else:
-        if not args.input:
-            return _error("give a brace or --all")
-        try:
-            targets = [resolve(args.input)]
-        except (BraceFileError, ValidationError) as exc:
-            return _error(exc)
+    if not (args.all or args.input):
+        return _error("give a brace or --all")
+    targets = builtin_catalog() if args.all else [resolve(args.input)]
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     lines = [f"seed: {seed}   samples: {args.samples}"]
     entries = []
@@ -339,10 +318,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  An input that fails to load ends here, the same
+    way for every command: a parse error exits 2 with one ``error:``
+    line, a brace that fails validation exits 1 with its witness."""
     args = build_parser().parse_args(argv)
     # Looked up on each call rather than kept in the parser, so that a
     # handler replaced on this module (a tracing span) is the one that runs.
-    return globals()["cmd_" + args.command.replace("-", "_")](args)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
+    try:
+        return handler(args)
+    except BraceFileError as exc:
+        return _error(exc)
+    except ValidationError as exc:
+        print(f"invalid brace: {exc} (witness: {exc.witness})", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

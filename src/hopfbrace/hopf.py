@@ -2,194 +2,153 @@
 
 The coalgebra structure is the group-like one (diagonal comultiplication),
 so every Sweedler leg of a basis element is that element and all identity
-checks can be evaluated basis-wise and extended bilinearly.  Scalars are
-exact rationals by default; an optional prime-field mode exists for
-element arithmetic and identity verification only.
+checks can be evaluated basis-wise and extended bilinearly.  Scalars lie
+in the rationals (characteristic 0, the default) or, for element
+arithmetic and identity verification only, in GF(p).  An element keeps
+int numerators over one positive int denominator (the layout of FLINT's
+``fmpq_poly``), normalized once per result, so the bilinear products are
+integer multiply-adds and equality compares dicts and ints.  Scalars must
+be ints or other exact rationals; floats, decimals and strings are refused.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
+from numbers import Rational
+from operator import index
 
 from .errors import PrimeFieldError
 from .skewbrace import SkewBrace
 
 
-class RationalField:
-    """Exact rationals; scalars are fractions.Fraction."""
-
-    name = "QQ"
-    characteristic = 0
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, value) -> Fraction:
-        return value if isinstance(value, Fraction) else Fraction(value)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def __repr__(self):
-        return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
+def _field_name(p: int) -> str:
+    return f"GF({p})" if p else "QQ"
 
 
-class PrimeField:
-    """GF(p); scalars are ints in [0, p)."""
-
-    def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.name = f"GF({p})"
-        self.characteristic = p
-        self.zero = 0
-        self.one = 1
-
-    def coerce(self, value):
-        if isinstance(value, Fraction):
-            den = value.denominator % self.p
-            if den == 0:
-                raise PrimeFieldError(
-                    f"denominator {value.denominator} not invertible mod {self.p}")
-            return value.numerator * pow(den, -1, self.p) % self.p
-        return int(value) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def __repr__(self):
-        return self.name
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
+def _scalar(c, p: int) -> tuple[int, int]:
+    """An exact scalar as (numerator, positive denominator) in
+    characteristic ``p``; in GF(p) the denominator is inverted, so it is 1."""
+    if type(c) is int:
+        num, den = c, 1
+    elif isinstance(c, Rational):
+        num, den = int(c.numerator), int(c.denominator)
+    else:
+        raise TypeError(f"scalars must be exact rationals, "
+                        f"got {type(c).__name__} {c!r}")
+    if not p or den == 1:
+        return num, den
+    if den % p == 0:
+        raise PrimeFieldError(f"denominator {den} not invertible mod {p}")
+    return num * pow(den, -1, p), 1
 
 
-RATIONALS = RationalField()
+def _normal(nums: dict, den: int, p: int) -> tuple[dict, int]:
+    """Canonical form: no zero numerator; gcd(den, *nums) == 1 over QQ,
+    numerators in [0, p) over den == 1 in GF(p)."""
+    if p:
+        return {k: r for k, n in nums.items() if (r := n % p)}, 1
+    nums = {k: n for k, n in nums.items() if n}
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {k: n // g for k, n in nums.items()}, den // g
 
 
-class Element:
-    """Sparse linear combination of group-like basis elements."""
+class _Combination:
+    """Immutable linear combination: integer numerators over one positive
+    denominator, in characteristic ``p``, always in canonical form."""
 
-    __slots__ = ("coeffs", "field")
+    __slots__ = ("nums", "den", "p")
 
-    def __init__(self, coeffs, field=RATIONALS, _clean=False):
-        if not _clean:
-            out = {}
-            for g, c in (coeffs.items() if hasattr(coeffs, "items") else coeffs):
-                out[int(g)] = field.add(out.get(int(g), field.zero),
-                                        field.coerce(c))
-            coeffs = {g: c for g, c in out.items() if c != field.zero}
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "field", field)
+    def __init__(self, terms=(), characteristic: int = 0):
+        items = terms.items() if hasattr(terms, "items") else terms
+        pairs = [(self._key(k), _scalar(c, characteristic)) for k, c in items]
+        den = lcm(*(d for _, (_, d) in pairs))
+        nums = {}
+        for k, (n, d) in pairs:
+            nums[k] = nums.get(k, 0) + n * (den // d)
+        self._fill(*_normal(nums, den, characteristic), characteristic)
+
+    def _fill(self, nums, den, p):
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "p", p)
+
+    @classmethod
+    def _make(cls, nums: dict, den: int, p: int):
+        """From raw int numerators over ``den > 0``: normalize once."""
+        out = object.__new__(cls)
+        out._fill(*_normal(nums, den, p), p)
+        return out
 
     def __setattr__(self, *_):
-        raise AttributeError("Element is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def coeffs(self) -> dict:
+        """Key -> nonzero exact scalar (``Fraction``, or int in GF(p))."""
+        if self.p:
+            return dict(self.nums)
+        return {k: Fraction(n, self.den) for k, n in self.nums.items()}
 
     def items(self):
         return sorted(self.coeffs.items())
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def support(self):
-        return frozenset(self.coeffs)
-
-    def __add__(self, other: "Element") -> "Element":
-        f = self.field
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            s = f.add(out.get(g, f.zero), c)
-            if s == f.zero:
-                out.pop(g, None)
-            else:
-                out[g] = s
-        return Element(out, f, _clean=True)
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + other.scale(self.field.neg(self.field.one))
-
-    def __neg__(self):
-        return self.scale(self.field.neg(self.field.one))
-
-    def scale(self, c) -> "Element":
-        f = self.field
-        c = f.coerce(c)
-        if c == f.zero:
-            return Element({}, f, _clean=True)
-        return Element({g: f.mul(c, v) for g, v in self.coeffs.items()},
-                       f, _clean=True)
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
     def __eq__(self, other):
-        return (isinstance(other, Element) and self.field == other.field
-                and self.coeffs == other.coeffs)
+        return (type(other) is type(self) and self.p == other.p
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.field, tuple(self.items())))
+        return hash((self.p, self.den, frozenset(self.nums.items())))
+
+
+class Element(_Combination):
+    """Sparse linear combination of group-like basis elements."""
+
+    __slots__ = ()
+    _key = staticmethod(index)
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def __add__(self, other: "Element") -> "Element":
+        if other.p != self.p:
+            raise ValueError("elements of different characteristics")
+        a, b = self.den, other.den
+        out = {k: n * b for k, n in self.nums.items()}
+        for k, n in other.nums.items():
+            out[k] = out.get(k, 0) + n * a
+        return Element._make(out, a * b, self.p)
+
+    def __sub__(self, other: "Element") -> "Element":
+        return self + other.scale(-1)
+
+    def scale(self, c) -> "Element":
+        num, den = _scalar(c, self.p)
+        return Element._make({k: num * n for k, n in self.nums.items()},
+                             den * self.den, self.p)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "0"
-        bits = []
-        for g, c in self.items():
-            bits.append(f"{c}*g{g}" if c != self.field.one else f"g{g}")
-        return " + ".join(bits)
+        return " + ".join(f"{c}*g{g}" if c != 1 else f"g{g}"
+                          for g, c in self.items())
 
 
-class Tensor2:
+class Tensor2(_Combination):
     """Element of H (x) H: ordered basis pairs -> nonzero scalars."""
 
-    __slots__ = ("entries", "field")
+    __slots__ = ()
 
-    def __init__(self, entries, field=RATIONALS, _clean=False):
-        if not _clean:
-            out = {}
-            for key, c in (entries.items() if hasattr(entries, "items") else entries):
-                key = (int(key[0]), int(key[1]))
-                s = field.add(out.get(key, field.zero), field.coerce(c))
-                out[key] = s
-            entries = {k: v for k, v in out.items() if v != field.zero}
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "field", field)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Tensor2 is immutable")
-
-    def items(self):
-        return sorted(self.entries.items())
+    @staticmethod
+    def _key(key) -> tuple[int, int]:
+        i, j = key
+        return index(i), index(j)
 
     def flip(self) -> "Tensor2":
-        return Tensor2({(j, i): c for (i, j), c in self.entries.items()},
-                       self.field, _clean=True)
-
-    def __eq__(self, other):
-        return (isinstance(other, Tensor2) and self.field == other.field
-                and self.entries == other.entries)
+        return Tensor2._make({(j, i): n for (i, j), n in self.nums.items()},
+                             self.den, self.p)
 
     def __repr__(self):
         return f"Tensor2({dict(self.items())})"
@@ -197,66 +156,66 @@ class Tensor2:
 
 class HopfBrace:
     """The linearization k[G] of a skew brace, carrying both products,
-    the diagonal comultiplication, the counit and both antipodes."""
+    the diagonal comultiplication, the counit and both antipodes, over
+    the rationals (``characteristic=0``) or over GF(p)."""
 
-    __slots__ = ("base", "field", "dim")
+    __slots__ = ("base", "characteristic", "dim")
 
-    def __init__(self, base: SkewBrace, field=RATIONALS):
-        if isinstance(field, PrimeField) and base.order % field.p == 0:
+    def __init__(self, base: SkewBrace, characteristic: int = 0):
+        p = characteristic
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise TypeError(f"characteristic must be an int, got "
+                            f"{type(p).__name__} {p!r}")
+        if p and (p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1))):
+            raise ValueError(f"{p} is not prime")
+        if p and base.order % p == 0:
             raise PrimeFieldError(
-                f"characteristic {field.p} divides the carrier order "
+                f"characteristic {p} divides the carrier order "
                 f"{base.order}; this degenerate case is refused")
         self.base = base
-        self.field = field
+        self.characteristic = p
         self.dim = base.order
 
     # ------------------------------------------------------ constructors
 
     def basis(self, g: int) -> Element:
+        g = index(g)
         if not 0 <= g < self.dim:
             raise IndexError(f"basis index {g} out of range")
-        return Element({g: self.field.one}, self.field, _clean=True)
+        return Element._make({g: 1}, 1, self.characteristic)
 
     def one(self) -> Element:
         return self.basis(self.base.identity)
 
     def zero(self) -> Element:
-        return Element({}, self.field, _clean=True)
+        return Element._make({}, 1, self.characteristic)
 
     def element(self, coeffs) -> Element:
-        el = Element(coeffs, self.field)
-        if any(not 0 <= g < self.dim for g in el.coeffs):
+        el = Element(coeffs, self.characteristic)
+        if any(not 0 <= g < self.dim for g in el.nums):
             raise IndexError("coefficient index out of range")
         return el
 
     def _own(self, *elements):
         for x in elements:
-            if x.field != self.field:
+            if x.p != self.characteristic:
                 raise ValueError(
-                    f"element over {x.field!r} does not match {self.field!r}")
-            if x.coeffs and max(x.coeffs) >= self.dim:
+                    f"element over {_field_name(x.p)} does not match "
+                    f"{_field_name(self.characteristic)}")
+            if x.nums and max(x.nums) >= self.dim:
                 raise ValueError("element index outside this basis")
 
     # -------------------------------------------------------- bilinear ops
 
     def _bilinear(self, table, x: Element, y: Element) -> Element:
         self._own(x, y)
-        f = self.field
         out = {}
-        for g, cg in x.coeffs.items():
+        for g, a in x.nums.items():
             row = table[g]
-            for h, ch in y.coeffs.items():
+            for h, b in y.nums.items():
                 k = int(row[h])
-                p = f.mul(cg, ch)
-                if k not in out:
-                    out[k] = p          # nonzero: a field has no zero divisors
-                    continue
-                s = f.add(out[k], p)
-                if s == f.zero:
-                    del out[k]
-                else:
-                    out[k] = s
-        return Element(out, f, _clean=True)
+                out[k] = out.get(k, 0) + a * b
+        return Element._make(out, x.den * y.den, self.characteristic)
 
     def dot(self, x: Element, y: Element) -> Element:
         return self._bilinear(self.base.dot.table, x, y)
@@ -276,9 +235,13 @@ class HopfBrace:
     # ---------------------------------------------------------- linear ops
 
     def _relabel(self, mapping, x: Element) -> Element:
+        """The linear extension of the basis map g -> mapping[g]."""
         self._own(x)
-        return Element({int(mapping[g]): c for g, c in x.coeffs.items()},
-                       self.field, _clean=True)
+        out = {}
+        for g, n in x.nums.items():
+            h = int(mapping[g])
+            out[h] = out.get(h, 0) + n
+        return Element._make(out, x.den, x.p)
 
     def antipode_dot(self, x: Element) -> Element:
         """S: basis element to its dot-inverse, extended linearly."""
@@ -290,23 +253,22 @@ class HopfBrace:
 
     def counit(self, x: Element):
         self._own(x)
-        f = self.field
-        total = f.zero
-        for c in x.coeffs.values():
-            total = f.add(total, c)
-        return total
+        if x.p:
+            return sum(x.nums.values()) % x.p
+        return Fraction(sum(x.nums.values()), x.den)
 
     def comultiply(self, x: Element) -> Tensor2:
         self._own(x)
-        return Tensor2({(g, g): c for g, c in x.coeffs.items()},
-                       self.field, _clean=True)
+        return Tensor2._make({(g, g): n for g, n in x.nums.items()},
+                             x.den, x.p)
 
     def __eq__(self, other):
         return (isinstance(other, HopfBrace) and self.base == other.base
-                and self.field == other.field)
+                and self.characteristic == other.characteristic)
 
     def __repr__(self):
-        return f"HopfBrace(dim={self.dim}, field={self.field!r})"
+        return (f"HopfBrace(dim={self.dim}, "
+                f"field={_field_name(self.characteristic)})")
 
 
 def random_element(H: HopfBrace, rng, terms: int = 2) -> Element:
@@ -314,9 +276,9 @@ def random_element(H: HopfBrace, rng, terms: int = 2) -> Element:
     support = rng.sample(range(H.dim), min(terms, H.dim))
     coeffs = {}
     for g in support:
-        if H.field.characteristic == 0:
+        if H.characteristic == 0:
             num = rng.choice([k for k in range(-9, 10) if k])
             coeffs[g] = Fraction(num, rng.randint(1, 4))
         else:
-            coeffs[g] = rng.randint(1, H.field.characteristic - 1)
+            coeffs[g] = rng.randint(1, H.characteristic - 1)
     return H.element(coeffs)

@@ -180,7 +180,7 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
     are independent and cross-checked: the group-likes of each space are
     exactly the matching carrier, while a strict inclusion of the span is
     reported rather than asserted away."""
-    if H.field.characteristic != 0:
+    if H.characteristic:
         raise PrimeFieldError(
             "socle/annihilator computation is defined over the rationals only")
     base = H.base
@@ -302,7 +302,7 @@ def coincidence_report(H: HopfBrace) -> CoincidenceReport:
     solves them all iff it is constant on the orbits of the permutations
     g -> g' (one per h), so the orbit indicators, sorted by least element,
     are the space's canonical reduced echelon basis."""
-    if H.field.characteristic != 0:
+    if H.characteristic:
         raise PrimeFieldError("coincidence diagnostics need rationals")
     base = H.base
     n = H.dim

@@ -9,6 +9,8 @@ is idempotent and safe under concurrent duplicate computation.
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
 from .errors import CrossCheckError, NormalityError
@@ -106,17 +108,21 @@ class HopfMorphism:
     __slots__ = ("map", "source", "target")
 
     def __init__(self, source: HopfBrace, target: HopfBrace, images):
-        if source.field != target.field:
-            raise ValueError("source and target live over different fields")
+        if source.characteristic != target.characteristic:
+            raise ValueError("source and target have different "
+                             "characteristics")
         self.map = BraceMap(source.base, target.base, images)
         self.source = source
         self.target = target
 
     def __call__(self, x: Element | int):
-        if isinstance(x, int):
-            return self.map(x)
-        return Element(((self.map(g), c) for g, c in x.coeffs.items()),
-                       self.target.field)
+        """The image of a basis index, or of an element of the source."""
+        if not isinstance(x, Element):
+            g = index(x)
+            if not 0 <= g < self.source.dim:
+                raise IndexError(f"basis index {g} out of range")
+            return self.map(g)
+        return self.source._relabel(self.map.images, x)
 
     def is_surjective(self) -> bool:
         return self.map.is_surjective()
@@ -151,7 +157,7 @@ def quotient(H: HopfBrace, B: Subbrace) -> tuple[HopfBrace, HopfMorphism]:
     _, reps = np.unique(proj, return_index=True)     # least element per coset
     qcirc = np.asarray(proj)[H.base.circ.table[np.ix_(reps, reps)]]
     qbase = SkewBrace(qdot, FiniteGroup(qcirc))
-    Q = HopfBrace(qbase, H.field)
+    Q = HopfBrace(qbase, H.characteristic)
     pi = HopfMorphism(H, Q, proj)
     if hopf_kernel(pi).carrier != B.carrier:
         raise CrossCheckError("projection kernel does not recover the subbrace")

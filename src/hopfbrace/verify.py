@@ -30,8 +30,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import product
+from math import lcm, prod
+from operator import mul
 from types import CodeType
 from typing import NamedTuple
 
@@ -166,39 +167,42 @@ def _basis_ops(base) -> dict:
 
 def _element_ops(H: HopfBrace) -> dict:
     """The operations on elements: the HopfBrace arithmetic."""
-    f = H.field
+    p = H.characteristic
 
     def pair(x, y):
-        return Tensor2({(g, h): f.mul(cg, ch) for g, cg in x.coeffs.items()
-                        for h, ch in y.coeffs.items()}, f, _clean=True)
+        return Tensor2._make({(g, h): a * b for g, a in x.nums.items()
+                              for h, b in y.nums.items()}, x.den * y.den, p)
 
     return {"__builtins__": {},
             "dot": H.dot, "circ": H.circ, "act": H.act, "star": H.star,
             "S": H.antipode_dot, "T": H.antipode_circ, "one": H.one,
-            "eps": H.counit, "scale": lambda x, c: x.scale(c), "mul": f.mul,
+            "eps": H.counit, "scale": lambda x, c: x.scale(c),
+            "mul": (lambda a, b: a * b % p) if p else mul,
             "comul": H.comultiply, "pair": pair}
 
 
 def _evaluate(side: Side, ops: dict, H: HopfBrace, args: dict):
     """One side on elements.  Each repeated variable is expanded over its
-    support, with the side evaluated on basis legs and summed back."""
+    support, with the side evaluated on basis legs and summed back in
+    integers over a common denominator."""
     ns = {**ops, **args}
     if not side.repeated:
         return eval(side.code, ns)
-    f = H.field
-    add, mul, zero = f.add, f.mul, f.zero
-    out, kind = {}, Element
-    for legs in product(*(args[v].coeffs.items() for v in side.repeated)):
+    out, den, kind = {}, 1, Element
+    for legs in product(*(args[v].nums.items() for v in side.repeated)):
         for v, (g, _) in zip(side.repeated, legs):
             ns[v] = H.basis(g)
-        coeff = reduce(mul, (c for _, c in legs))
+        coeff = prod(n for _, n in legs)
         value = eval(side.code, ns)
         kind = type(value)
-        terms = value.entries if kind is Tensor2 else value.coeffs
-        for key, c in terms.items():
-            c = mul(coeff, c)
-            out[key] = add(out[key], c) if key in out else c
-    return kind({k: c for k, c in out.items() if c != zero}, f, _clean=True)
+        if value.den != den:           # bring out and value to one den
+            common = lcm(den, value.den)
+            out = {k: n * (common // den) for k, n in out.items()}
+            coeff, den = coeff * (common // value.den), common
+        for key, n in value.nums.items():
+            out[key] = out.get(key, 0) + coeff * n
+    legs_den = prod(args[v].den for v in side.repeated)
+    return kind._make(out, den * legs_den, H.characteristic)
 
 
 # ------------------------------------------------------------ check driver
@@ -330,7 +334,7 @@ def verify_propositions(H: HopfBrace, max_n: int = 10,
           all(base.dot.mul(g, x) == base.dot.mul(x, g)
               for g in hz.carrier for x in range(H.dim)), hz.carrier)
 
-    if H.field.characteristic == 0:
+    if not H.characteristic:
         soc = socle_annihilator(H)
         _prop(report, "socle-normal", soc.socle.is_normal(),
               soc.socle.carrier)

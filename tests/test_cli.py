@@ -50,6 +50,38 @@ def test_validate_corrupted_file(tmp_path, capsys, radical_c4):
     assert "witness" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["validate"], ["series"], ["invariants"], ["verify", "--suite", "axioms"],
+    ["check-central", "--map", "MAP"], ["check-central", "radical_c4",
+                                        "--map", "TARGET_MAP"]],
+    ids=["validate", "series", "invariants", "verify", "check-central",
+         "check-central-target"])
+def test_invalid_brace_exits_1_with_the_witness(tmp_path, capsys, radical_c4,
+                                                command):
+    """Every command reports a brace that fails validation as `validate`
+    does: exit 1, nothing on stdout, one stderr line with the witness."""
+    doc = {"name": "bad", "order": 4, "identity": 0,
+           "dot_table": radical_c4.dot.table.tolist(),
+           "circ_table": radical_c4.circ.table.tolist()}
+    row = doc["circ_table"][1]
+    row[1], row[3] = row[3], row[1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    (tmp_path / "map.json").write_text(json.dumps(
+        {"target": "trivial:C2", "images": [0, 1, 0, 1]}))
+    (tmp_path / "target_map.json").write_text(json.dumps(
+        {"target": str(bad), "images": [0, 1, 2, 3]}))
+    maps = {"MAP": str(tmp_path / "map.json"),
+            "TARGET_MAP": str(tmp_path / "target_map.json")}
+    argv = [maps.get(a, a) for a in command]
+    if "TARGET_MAP" not in command:
+        argv.insert(1, str(bad))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["invalid brace: column 1 is not a permutation "
+                                "(not a Latin square) (witness: (1,))"]
+
+
 def test_non_integer_inputs_exit_2_with_one_line(tmp_path, capsys,
                                                   radical_c4):
     doc = {"name": "float", "order": 4, "identity": 0,

@@ -1,10 +1,12 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import hopfbrace as hb
-from hopfbrace.hopf import PrimeField, random_element
+from hopfbrace.hopf import random_element
 
 
 @pytest.fixture(scope="module")
@@ -124,14 +126,13 @@ def test_basis_mismatch_rejected(H):
     other = hb.HopfBrace(hb.trivial_brace(hb.symmetric_group(3)))
     with pytest.raises(ValueError):
         H.dot(H.basis(1), other.basis(5))
-    gf5 = hb.HopfBrace(hb.radical_c4_brace(), PrimeField(5))
+    gf5 = hb.HopfBrace(hb.radical_c4_brace(), 5)
     with pytest.raises(ValueError):
         H.star(H.basis(1), gf5.basis(1))
 
 
 def test_prime_field_mode(radical_c4):
-    gf5 = PrimeField(5)
-    H5 = hb.HopfBrace(radical_c4, gf5)
+    H5 = hb.HopfBrace(radical_c4, 5)
     x = H5.element({1: 3, 3: 4})
     assert H5.counit(x) == 2
     assert H5.dot(H5.basis(1), H5.basis(1)) == H5.basis(2)
@@ -146,15 +147,106 @@ def test_prime_field_mode(radical_c4):
 
 def test_prime_field_rejects_p_dividing_order(radical_c4):
     with pytest.raises(hb.PrimeFieldError):
-        hb.HopfBrace(radical_c4, PrimeField(2))
+        hb.HopfBrace(radical_c4, 2)
 
 
 def test_prime_field_refuses_socle(radical_c4):
-    H5 = hb.HopfBrace(radical_c4, PrimeField(5))
+    H5 = hb.HopfBrace(radical_c4, 5)
     with pytest.raises(hb.PrimeFieldError):
         hb.socle_annihilator(H5)
 
 
 def test_prime_field_must_be_prime():
     with pytest.raises(ValueError):
-        PrimeField(6)
+        hb.HopfBrace(hb.trivial_brace(hb.cyclic_group(7)), 6)
+
+
+NON_RATIONALS = [0.1, 2.9, Decimal("0.5"), "3/7", "3", 1 + 0j, None]
+
+
+@pytest.mark.parametrize("p", [0, 5])
+@pytest.mark.parametrize("value", NON_RATIONALS, ids=repr)
+def test_non_rational_scalars_are_refused(radical_c4, p, value):
+    H = hb.HopfBrace(radical_c4, p)
+    with pytest.raises(TypeError):
+        H.element({1: value})
+    with pytest.raises(TypeError):
+        H.basis(1).scale(value)
+    with pytest.raises(TypeError):
+        hb.Tensor2({(1, 1): value}, p)
+
+
+@pytest.mark.parametrize("key", [1.7, 1.0, "1", None])
+def test_non_integer_indices_are_refused(H, key):
+    with pytest.raises(TypeError):
+        H.element({key: 1})
+    with pytest.raises(TypeError):
+        H.basis(key)
+    with pytest.raises(TypeError):
+        hb.Tensor2({(key, 1): 1})
+    with pytest.raises(TypeError):
+        hb.HopfMorphism.identity(H)(key)
+
+
+def test_integer_like_scalars_and_indices_are_exact(H):
+    x = H.element({np.int64(1): np.int64(3), 2: Fraction(6, 4), 3: True})
+    assert x == H.element({1: 3, 2: Fraction(3, 2), 3: 1})
+    assert all(type(n) is int for n in x.nums.values())
+    assert x.coeffs == {1: 3, 2: Fraction(3, 2), 3: 1}
+    assert all(type(c) is Fraction for c in x.coeffs.values())
+    assert hb.HopfMorphism.identity(H)(np.int64(2)) == 2
+
+
+def test_morphism_refuses_indices_outside_the_source(H):
+    f = hb.HopfMorphism.identity(H)
+    for g in (-1, 4):
+        with pytest.raises(IndexError):
+            f(g)
+    gf5 = hb.HopfBrace(hb.radical_c4_brace(), 5)
+    with pytest.raises(ValueError):
+        f(gf5.basis(1))
+
+
+def test_prime_field_scalars(radical_c4):
+    H5 = hb.HopfBrace(radical_c4, 5)
+    x = H5.element({1: Fraction(1, 2), 2: -1, 3: 7})
+    assert x.coeffs == {1: 3, 2: 4, 3: 2}
+    assert (x.nums, x.den) == ({1: 3, 2: 4, 3: 2}, 1)
+    assert repr(x) == "3*g1 + 4*g2 + 2*g3"
+    with pytest.raises(hb.PrimeFieldError):
+        H5.element({1: Fraction(1, 10)})
+    with pytest.raises(hb.PrimeFieldError):
+        x.scale(Fraction(2, 5))
+
+
+def test_rational_elements_keep_one_reduced_denominator(H):
+    x = H.element([(1, Fraction(1, 6)), (2, Fraction(1, 4)), (1, Fraction(1, 6))])
+    assert (x.nums, x.den) == ({1: 4, 2: 3}, 12)
+    assert repr(x) == "1/3*g1 + 1/4*g2"
+    assert repr(H.element({1: Fraction(3, 2), 2: 1, 3: -1})) \
+        == "3/2*g1 + g2 + -1*g3"
+    assert repr(H.comultiply(H.basis(3))) == "Tensor2({(3, 3): Fraction(1, 1)})"
+    y = x.scale(12)
+    assert (y.nums, y.den) == ({1: 4, 2: 3}, 1)
+    assert (H.basis(1).scale(0).nums, H.zero().den) == ({}, 1)
+    with pytest.raises(AttributeError):
+        x.den = 2
+
+
+@pytest.mark.parametrize("p", [5.0, True, "5", Fraction(5), None])
+def test_characteristic_must_be_an_int(radical_c4, p):
+    with pytest.raises(TypeError):
+        hb.HopfBrace(radical_c4, p)
+
+
+@pytest.mark.parametrize("p", [1, -3, 4, 9, 25, 49, 121, 65521 ** 2])
+def test_characteristic_must_be_prime(p):
+    with pytest.raises(ValueError, match="is not prime"):
+        hb.HopfBrace(hb.trivial_brace(hb.cyclic_group(7)), p)
+
+
+def test_characteristic_accepts_primes(radical_c4):
+    for p in (3, 5, 7, 11, 2 ** 31 - 1):
+        assert hb.HopfBrace(radical_c4, p).characteristic == p
+    assert repr(hb.HopfBrace(radical_c4, 3)) == "HopfBrace(dim=4, field=GF(3))"
+    assert repr(hb.HopfBrace(radical_c4)) == "HopfBrace(dim=4, field=QQ)"

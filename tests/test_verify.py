@@ -5,12 +5,12 @@ import pytest
 
 import hopfbrace as hb
 from hopfbrace.cli import main
-from hopfbrace.hopf import PrimeField
 from hopfbrace.verify import (REGISTRY, CheckReport, _basis_ops,
                               _check_identity, _element_ops, _evaluate,
                               _identity)
 
 GOLDEN = Path(__file__).parent / "data" / "verify_all.json"
+GOLDEN_SEED_99 = Path(__file__).parent / "data" / "verify_all_seed99.json"
 
 
 def test_axiom_suite_passes_on_catalog(catalog):
@@ -110,6 +110,14 @@ def test_verify_all_json_matches_golden(capsys, monkeypatch):
     assert capsys.readouterr().out == GOLDEN.read_text(encoding="utf-8")
 
 
+def test_verify_all_json_seed_99_matches_golden(capsys):
+    """`verify --all --json --seed 99`, byte for byte against the output
+    recorded before elements moved to integer numerators."""
+    assert main(["verify", "--all", "--json", "--seed", "99"]) == 0
+    assert capsys.readouterr().out == GOLDEN_SEED_99.read_text(
+        encoding="utf-8")
+
+
 def test_registry_defines_every_identity_once():
     assert len(REGISTRY) == 19
     suites = [ident.suite for ident in REGISTRY.values()]
@@ -128,7 +136,7 @@ def test_identity_suites_over_gf5(catalog):
     """All three identity suites in characteristic 5 on every catalog
     brace (no catalog order is divisible by 5)."""
     for desc, brace in catalog:
-        H = hb.HopfBrace(brace, PrimeField(5))
+        H = hb.HopfBrace(brace, 5)
         for suite in ("axioms", "lemma", "structure"):
             report = hb.verify_suite(H, suite, samples=4, seed=5)
             assert report.ok, (desc.name, suite,
