@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import MorphismError
 from .subobjects import HopfMorphism, Subbrace, hopf_kernel
 
@@ -31,22 +33,21 @@ def _require_surjective(f: HopfMorphism) -> Subbrace:
     return hopf_kernel(f)
 
 
+def _first_pair(carrier: tuple[int, ...], bad) -> tuple[int, int] | None:
+    """The first (k, x) in carrier order, then x order, with bad[i, x]
+    for k = carrier[i]; None when no pair is bad."""
+    hits = np.argwhere(bad)
+    return (carrier[hits[0, 0]], int(hits[0, 1])) if len(hits) else None
+
+
 def check_central_hopfcoc(f: HopfMorphism) -> ExtensionReport:
     """Central for the plain-Hopf-algebra adjunction: every star product
     between the kernel and the source is trivial (the conjugation
     generators of the relative commutator are then trivial as well)."""
     kernel = _require_surjective(f)
     base = f.source.base
-    st = base.star_table
-    e = base.identity
-    witness = None
-    for i in kernel.carrier:
-        for h in range(f.source.dim):
-            if int(st[i, h]) != e or int(st[h, i]) != e:
-                witness = (i, h)
-                break
-        if witness:
-            break
+    st, c, e = base.star_table, kernel.elements, base.identity
+    witness = _first_pair(kernel.carrier, (st[c] != e) | (st[:, c].T != e))
     return ExtensionReport(
         morphism=f, surjective=True, kernel=kernel,
         central_hopfcoc=witness is None, witness_hopfcoc=witness)
@@ -57,15 +58,10 @@ def check_central_huq(f: HopfMorphism) -> ExtensionReport:
     products, and all four products agree on such pairs."""
     kernel = _require_surjective(f)
     base = f.source.base
-    d, o = base.dot.table, base.circ.table
-    witness = None
-    for k in kernel.carrier:
-        for a in range(f.source.dim):
-            if not (d[a, k] == d[k, a] == o[a, k] == o[k, a]):
-                witness = (k, a)
-                break
-        if witness:
-            break
+    d, o, c = base.dot.table, base.circ.table, kernel.elements
+    ka, ak = d[c], d[:, c].T            # k.a and a.k, row k, column a
+    bad = (ak != ka) | (ka != o[:, c].T) | (ka != o[c])
+    witness = _first_pair(kernel.carrier, bad)
     return ExtensionReport(
         morphism=f, surjective=True, kernel=kernel,
         central_huq=witness is None, witness_huq=witness)
@@ -79,13 +75,10 @@ def centrality_consequences(f: HopfMorphism) -> list[tuple[int, int]]:
     if not report.central_hopfcoc:
         raise ValueError("morphism is not a hopfcoc-central extension")
     base = f.source.base
-    d, o = base.dot.table, base.circ.table
-    bad = []
-    for h in report.kernel.carrier:
-        for x in range(f.source.dim):
-            if d[x, h] != o[x, h] or d[h, x] != o[h, x]:
-                bad.append((h, x))
-    return bad
+    d, o, c = base.dot.table, base.circ.table, report.kernel.elements
+    bad = (d[:, c] != o[:, c]).T | (d[c] != o[c])
+    carrier = report.kernel.carrier
+    return [(carrier[i], int(x)) for i, x in np.argwhere(bad)]
 
 
 def analyze_extension(f: HopfMorphism) -> ExtensionReport:

@@ -9,6 +9,8 @@ int numerators over one positive int denominator (the layout of FLINT's
 ``fmpq_poly``), normalized once per result, so the bilinear products are
 integer multiply-adds and equality compares dicts and ints.  Scalars must
 be ints or other exact rationals; floats, decimals and strings are refused.
+Characteristic-0 elements are also the vectors of ``linalg``: the socle,
+annihilator and coincidence spaces are subspaces of H itself.
 """
 
 from __future__ import annotations
@@ -271,13 +273,16 @@ class HopfBrace:
                 f"field={_field_name(self.characteristic)})")
 
 
+_NONZERO_NUMERATORS = tuple(k for k in range(-9, 10) if k)
+
+
 def random_element(H: HopfBrace, rng, terms: int = 2) -> Element:
     """Random sparse element with the given number of nonzero terms."""
     support = rng.sample(range(H.dim), min(terms, H.dim))
     coeffs = {}
     for g in support:
         if H.characteristic == 0:
-            num = rng.choice([k for k in range(-9, 10) if k])
+            num = rng.choice(_NONZERO_NUMERATORS)
             coeffs[g] = Fraction(num, rng.randint(1, 4))
         else:
             coeffs[g] = rng.randint(1, H.characteristic - 1)

@@ -1,55 +1,37 @@
-"""Exact rational sparse vectors and subspaces in reduced echelon form.
+"""Exact rational subspaces of a Hopf brace, in reduced echelon form.
 
-Vectors hold nonzero ``fractions.Fraction`` entries (floats and other
-non-rationals are refused) and subspaces keep their canonical RREF basis,
-so equality of values is equality of spaces.  Inside, elimination is
-fraction-free Gauss-Jordan over sparse Python-int rows; ``Fraction``
-objects are made only for the entries of the vectors returned."""
+Vectors are characteristic-0 ``hopf.Element``s: the socle, annihilator,
+star-trivial and coincidence spaces are subspaces of H = k[G] itself.
+Subspaces keep their canonical RREF basis, so equality of values is
+equality of spaces.  Elimination is fraction-free Gauss-Jordan over the
+elements' int numerators (a row's denominator does not change its span);
+each reduced row is returned as its primitive numerators over its pivot
+entry, which is already the element's canonical form."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
 from operator import index
-from typing import Iterable, Mapping
+from typing import Iterable
+
+from .errors import PrimeFieldError
+from .hopf import Element
 
 
-class SparseVector:
-    """Immutable sparse vector: basis index -> nonzero Fraction."""
+def indicator(indices: Iterable[int]) -> Element:
+    """The 0/1 element with a one at each of ``indices`` (Python ints)."""
+    return Element._make(dict.fromkeys(indices, 1), 1, 0)
 
-    __slots__ = ("entries",)
 
-    def __init__(self, entries: Mapping[int, object] | Iterable[tuple[int, object]] = ()):
-        items = getattr(entries, "items", None)
-        clean = {}
-        for idx, val in (entries if items is None else items()):
-            if type(val) is not Fraction:
-                if not (type(val) is int or isinstance(val, Rational)):
-                    raise TypeError(f"vector entries must be exact rationals, "
-                                    f"got {type(val).__name__} {val!r}")
-                val = Fraction(int(val.numerator), int(val.denominator))
-            if val:
-                clean[index(idx)] = val
-        object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("SparseVector is immutable")
-
-    def items(self):
-        return sorted(self.entries.items())
-
-    def leading_index(self) -> int:
-        return min(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, SparseVector) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(tuple(self.items()))
-
-    def __repr__(self):
-        return f"SparseVector({dict(self.items())})"
+def _check(vec: Element, ambient: int) -> Element:
+    """Refuse a vector over GF(p) or with an index outside the space."""
+    if vec.p:
+        raise PrimeFieldError(
+            f"linear systems are solved over the rationals only, "
+            f"got a vector over GF({vec.p})")
+    if any(not 0 <= i < ambient for i in vec.nums):
+        raise IndexError(f"{vec} outside ambient dimension {ambient}")
+    return vec
 
 
 def _primitive(row: dict[int, int], pivot: int) -> None:
@@ -73,18 +55,14 @@ def _cancel(row: dict[int, int], p: int, src: dict[int, int]) -> None:
             del row[i]
 
 
-def _eliminate(rows: Iterable[SparseVector], ambient: int,
+def _eliminate(rows: Iterable[Element], ambient: int,
                pick) -> dict[int, dict[int, int]]:
     """Fraction-free Gauss-Jordan: pivot -> primitive int row (gcd 1,
     positive at its pivot), zero at every other pivot.  ``pick`` (``min``
     or ``max``) chooses the pivot column of each new row."""
     basis: dict[int, dict[int, int]] = {}
     for vec in rows:
-        if any(not 0 <= i < ambient for i in vec.entries):
-            raise IndexError(f"{vec} outside ambient dimension {ambient}")
-        den = lcm(*(x.denominator for x in vec.entries.values()))
-        row = {i: x.numerator * (den // x.denominator)
-               for i, x in vec.entries.items()}
+        row = dict(_check(vec, ambient).nums)
         # basis rows are zero at each other's pivots: no pivot is refilled
         for p in [i for i in row if i in basis]:
             _cancel(row, p, basis[p])
@@ -104,36 +82,39 @@ class Subspace:
 
     __slots__ = ("ambient", "rows", "_by_pivot")
 
-    def __init__(self, ambient: int, rows: tuple[SparseVector, ...] = ()):
+    def __init__(self, ambient: int, rows: tuple[Element, ...] = ()):
         object.__setattr__(self, "ambient", int(ambient))
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "_by_pivot",
-                           {r.leading_index(): r for r in self.rows})
+                           {min(r.nums): r for r in self.rows})
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def row_space(cls, rows: Iterable[SparseVector], ambient: int) -> "Subspace":
+    def row_space(cls, rows: Iterable[Element], ambient: int) -> "Subspace":
         basis = _eliminate(rows, ambient, min)
-        return cls(ambient, tuple(
-            SparseVector({i: Fraction(x, row[p]) for i, x in row.items()})
-            for p, row in sorted(basis.items())))
+        return cls(ambient, tuple(Element._make(row, row[p], 0)
+                                  for p, row in sorted(basis.items())))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains(self, v: SparseVector) -> bool:
-        """v is in the space iff v = sum over pivots p of v[p] * row_p."""
-        if any(not 0 <= i < self.ambient for i in v.entries):
-            raise IndexError(f"{v} outside ambient dimension {self.ambient}")
-        total: dict[int, Fraction] = {}
-        for p, c in v.entries.items():
-            if (row := self._by_pivot.get(p)) is not None:
-                for i, x in row.entries.items():
-                    total[i] = total.get(i, 0) + c * x
-        return {i: x for i, x in total.items() if x} == v.entries
+    def contains(self, v: Element) -> bool:
+        """v is in the space iff v = sum over pivots p of v[p] * row_p;
+        both sides are compared as int numerators over v.den * den."""
+        _check(v, self.ambient)
+        used = [(c, row) for p, c in v.nums.items()
+                if (row := self._by_pivot.get(p)) is not None]
+        den = lcm(*(row.den for _, row in used))
+        total: dict[int, int] = {}
+        for c, row in used:
+            c *= den // row.den
+            for i, x in row.nums.items():
+                total[i] = total.get(i, 0) + c * x
+        return ({i: x for i, x in total.items() if x}
+                == {i: x * den for i, x in v.nums.items()})
 
     def contains_space(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
@@ -152,21 +133,28 @@ class Subspace:
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
-def common_nullspace(constraint_rows: Iterable[SparseVector], ambient: int) -> Subspace:
+def common_nullspace(constraint_rows: Iterable[Element], ambient: int) -> Subspace:
     """{x : <row, x> = 0 for every constraint row}.  With greatest-index
     pivots every other entry of a reduced row r_p lies on a free column
     f < p, so the kernel vectors e_f - sum_p (r_p[f] / r_p[p]) e_p, in order
     of f, are already the canonical RREF basis."""
     basis = _eliminate(constraint_rows, ambient, max)
-    kernel = {f: {f: 1} for f in range(ambient) if f not in basis}
+    kernel = {f: {} for f in range(ambient) if f not in basis}
     for p, row in basis.items():
         for f, x in row.items():
             if f != p:
-                kernel[f][p] = Fraction(-x, row[p])
-    return Subspace(ambient, tuple(map(SparseVector, kernel.values())))
+                kernel[f][p] = x
+    rows = []
+    for f, terms in kernel.items():
+        den = lcm(*(basis[p][p] for p in terms))
+        nums = {p: -x * (den // basis[p][p]) for p, x in terms.items()}
+        nums[f] = den
+        rows.append(Element._make(nums, den, 0))
+    return Subspace(ambient, tuple(rows))
 
 
 def span_of_indices(indices: Iterable[int], ambient: int) -> Subspace:
-    """Coordinate subspace spanned by the given basis indices."""
-    return Subspace.row_space(
-        [SparseVector({i: 1}) for i in indices], ambient)
+    """Coordinate subspace spanned by the given basis indices: its unit
+    vectors, sorted and distinct, are already the canonical RREF basis."""
+    return Subspace(ambient, tuple(_check(indicator([g]), ambient)
+                                   for g in sorted(set(map(index, indices)))))

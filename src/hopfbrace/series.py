@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CrossCheckError, NormalityError, PrimeFieldError
-from .hopf import HopfBrace
-from .linalg import SparseVector, Subspace, common_nullspace, span_of_indices
+from .hopf import Element, HopfBrace
+from .linalg import Subspace, common_nullspace, indicator, span_of_indices
 from .subobjects import (HopfMorphism, Subbrace, generated_subbrace, quotient,
                          whole_subbrace)
 
@@ -145,7 +145,7 @@ class SocleData:
         return self.annihilator_space.dim > self.annihilator.dim
 
 
-def _fiber_rows(table, domain: list[int], skip) -> list[SparseVector]:
+def _fiber_rows(table, domain: list[int], skip) -> list[Element]:
     """For each column h, one 0/1 row per fiber of g -> table[g, h] over
     ``domain``, leaving out the fiber of value ``skip[h]``; the rows are
     distinct and sorted."""
@@ -156,7 +156,7 @@ def _fiber_rows(table, domain: list[int], skip) -> list[SparseVector]:
             by_value.setdefault(x, []).append(g)
         by_value.pop(skip[h], None)
         fibers.update(map(tuple, by_value.values()))
-    return [SparseVector(dict.fromkeys(f, 1)) for f in sorted(fibers)]
+    return [indicator(f) for f in sorted(fibers)]
 
 
 def _check_group_likes(data: SocleData) -> SocleData:
@@ -166,7 +166,7 @@ def _check_group_likes(data: SocleData) -> SocleData:
             ("socle", data.socle, data.socle_space),
             ("annihilator", data.annihilator, data.annihilator_space)):
         found = tuple(g for g in range(space.ambient)
-                      if space.contains(SparseVector({g: 1})))
+                      if space.contains(indicator([g])))
         if found != sub.carrier:
             raise CrossCheckError(
                 f"group-likes of the {name} space {found} differ from the "
@@ -193,7 +193,7 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
     ann_mask = soc_mask & fixed.all(axis=0)
 
     skip = [base.identity] * n
-    outside = [SparseVector({g: 1}) for g in np.flatnonzero(~central)]
+    outside = [indicator([g]) for g in np.flatnonzero(~central).tolist()]
     soc_rows = outside + _fiber_rows(st, center, skip)
     ann_rows = soc_rows + _fiber_rows(st.T, center, skip)
 
@@ -285,8 +285,8 @@ class CoincidenceReport:
     Separators witness that neither condition implies the other."""
     star_trivial_space: Subspace
     coincidence_space: Subspace
-    separator_star_only: SparseVector | None = field(default=None)
-    separator_coincidence_only: SparseVector | None = field(default=None)
+    separator_star_only: Element | None = field(default=None)
+    separator_coincidence_only: Element | None = field(default=None)
 
     @property
     def equivalent(self) -> bool:
@@ -319,7 +319,7 @@ def coincidence_report(H: HopfBrace) -> CoincidenceReport:
     while (label != (nxt := label[moves].min(axis=1))).any():
         label = nxt
     coin_space = Subspace(n, tuple(
-        SparseVector(dict.fromkeys(np.flatnonzero(label == least), 1))
+        indicator(np.flatnonzero(label == least).tolist())
         for least in np.unique(label)))
 
     sep_star = next((r for r in star_space.rows if not coin_space.contains(r)),

@@ -3,54 +3,60 @@
 This is the elimination ``hopfbrace.linalg`` used before its integer
 rows.  It normalises every pivot to 1 as it goes, then finds a null space
 by writing one kernel vector per free column and reducing those vectors
-again.  It shares only the ``SparseVector`` and ``Subspace`` containers
-with the library, so the tests can compare two solvers.
+again.  It shares only the ``Element`` and ``Subspace`` containers with
+the library, and does its own dict-of-``Fraction`` arithmetic over
+``Element.coeffs``, so the tests can compare two solvers.
 """
 
 from fractions import Fraction
 
-from hopfbrace.linalg import SparseVector, Subspace
+from hopfbrace.hopf import Element
+from hopfbrace.linalg import Subspace
 
 
-def add(x: SparseVector, y: SparseVector) -> SparseVector:
-    out = dict(x.entries)
-    for idx, val in y.entries.items():
+def add(x: Element, y: Element) -> Element:
+    out = x.coeffs
+    for idx, val in y.coeffs.items():
         out[idx] = out.get(idx, Fraction(0)) + val
-    return SparseVector(out)
+    return Element(out)
 
 
-def scale(x: SparseVector, c) -> SparseVector:
+def scale(x: Element, c) -> Element:
     c = Fraction(c)
-    return SparseVector({i: c * v for i, v in x.entries.items()})
+    return Element({i: c * v for i, v in x.coeffs.items()})
 
 
-def sub(x: SparseVector, y: SparseVector) -> SparseVector:
+def sub(x: Element, y: Element) -> Element:
     return add(x, scale(y, -1))
 
 
-def reduce_rows(rows) -> tuple[SparseVector, ...]:
+def lead(x: Element) -> int:
+    return min(x.coeffs)
+
+
+def reduce_rows(rows) -> tuple[Element, ...]:
     """Canonical RREF rows of the span of ``rows``."""
-    basis: list[SparseVector] = []  # kept sorted by leading index
+    basis: list[Element] = []  # kept sorted by leading index
     for row in rows:
         for b in basis:
-            c = row.entries.get(b.leading_index())
+            c = row.coeffs.get(lead(b))
             if c:
                 row = sub(row, scale(b, c))
-        if not row.entries:
+        if not row.coeffs:
             continue
-        lead = row.leading_index()
-        row = scale(row, 1 / row.entries[lead])
-        basis = [sub(b, scale(row, b.entries[lead])) if lead in b.entries
+        i = lead(row)
+        row = scale(row, 1 / row.coeffs[i])
+        basis = [sub(b, scale(row, b.coeffs[i])) if i in b.coeffs
                  else b for b in basis]
         basis.append(row)
-        basis.sort(key=SparseVector.leading_index)
+        basis.sort(key=lead)
     return tuple(basis)
 
 
 def row_space(rows, ambient: int) -> Subspace:
     rows = list(rows)
     for row in rows:
-        for idx in row.entries:
+        for idx in row.coeffs:
             if not 0 <= idx < ambient:
                 raise IndexError(
                     f"index {idx} outside ambient dimension {ambient}")
@@ -62,24 +68,24 @@ def common_nullspace(rows, ambient: int) -> Subspace:
     e_f - sum r[f] e_lead(r) read off the RREF of the rows, then their
     own RREF."""
     reduced = row_space(rows, ambient)
-    pivots = {r.leading_index() for r in reduced.rows}
+    pivots = {lead(r) for r in reduced.rows}
     basis = []
     for free in range(ambient):
         if free in pivots:
             continue
         vec = {free: Fraction(1)}
         for row in reduced.rows:
-            c = row.entries.get(free)
+            c = row.coeffs.get(free)
             if c:
-                vec[row.leading_index()] = -c
-        basis.append(SparseVector(vec))
+                vec[lead(row)] = -c
+        basis.append(Element(vec))
     return row_space(basis, ambient)
 
 
-def contains(space: Subspace, v: SparseVector) -> bool:
+def contains(space: Subspace, v: Element) -> bool:
     """Reduce v by the space's RREF rows and test for zero."""
     for b in space.rows:
-        c = v.entries.get(b.leading_index())
+        c = v.coeffs.get(lead(b))
         if c:
             v = sub(v, scale(b, c))
-    return not v.entries
+    return not v.coeffs

@@ -118,7 +118,12 @@ def test_verdicts_match_oracle(catalog):
             if not B.is_normal():
                 continue
             Q, pi = hb.quotient(H, B)
-            want_cc, _ = oracle.central_hopfcoc(dot, circ, set(carrier))
-            want_huq, _ = oracle.central_huq(dot, circ, set(carrier))
-            assert hb.check_central_hopfcoc(pi).central_hopfcoc == want_cc
-            assert hb.check_central_huq(pi).central_huq == want_huq
+            want_cc, want_cc_witness = oracle.central_hopfcoc(
+                dot, circ, set(carrier))
+            want_huq, want_huq_witness = oracle.central_huq(
+                dot, circ, set(carrier))
+            cc, huq = hb.check_central_hopfcoc(pi), hb.check_central_huq(pi)
+            assert cc.central_hopfcoc == want_cc
+            assert cc.witness_hopfcoc == want_cc_witness
+            assert huq.central_huq == want_huq
+            assert huq.witness_huq == want_huq_witness

@@ -9,20 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_linalg as ref
-from hopfbrace import linalg
-from hopfbrace.linalg import (SparseVector, Subspace, common_nullspace,
-                              span_of_indices)
+from hopfbrace import PrimeFieldError, linalg
+from hopfbrace.hopf import Element
+from hopfbrace.linalg import Subspace, common_nullspace, span_of_indices
 
 
 def v(entries):
-    return SparseVector(entries)
+    return Element(entries)
 
 
 def test_sparse_vector_prunes_zeros_and_normalizes():
     x = v({0: Fraction(2, 4), 1: 0, 2: -1})
-    assert x.entries == {0: Fraction(1, 2), 2: Fraction(-1)}
-    assert 1 not in x.entries
-    assert v({}).entries == {}
+    assert x.coeffs == {0: Fraction(1, 2), 2: Fraction(-1)}
+    assert 1 not in x.coeffs
+    assert v({}).coeffs == {}
 
 
 def test_sparse_vector_arithmetic():
@@ -40,8 +40,8 @@ def test_sparse_vector_takes_pairs_and_any_mapping():
 
 def test_sparse_vector_entries_are_fractions_of_ints():
     x = v({np.int64(1): np.int64(3), 2: True})
-    assert x.entries == {1: 3, 2: 1}
-    for idx, val in x.entries.items():
+    assert x.coeffs == {1: 3, 2: 1}
+    for idx, val in x.coeffs.items():
         assert type(idx) is int and type(val) is Fraction
         assert type(val.numerator) is int
 
@@ -109,6 +109,27 @@ def test_span_of_indices():
     assert s.dim == 2
     assert s.contains(v({0: 5, 2: -1}))
     assert not s.contains(v({1: 1}))
+    for indices in ([0, 2], [2, 0], [2, 0, 2, 2], [np.int64(3), 1, 3], []):
+        assert span_of_indices(indices, 4) == Subspace.row_space(
+            [v({i: 1}) for i in indices], 4)
+    with pytest.raises(IndexError):
+        span_of_indices([1, 4], 4)
+    with pytest.raises(IndexError):
+        span_of_indices([-1], 4)
+
+
+GF5 = Element({0: 1, 1: 2}, 5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Subspace.row_space([v({0: 1}), GF5], 2),
+    lambda: common_nullspace([GF5], 2),
+    lambda: span_of_indices(range(2), 2).contains(GF5),
+    lambda: span_of_indices(range(2), 2).contains_space(Subspace(2, (GF5,))),
+], ids=["row_space", "common_nullspace", "contains", "contains_space"])
+def test_prime_field_vectors_are_refused(call):
+    with pytest.raises(PrimeFieldError, match="GF\\(5\\)"):
+        call()
 
 
 # ------------------------------------------------------- property checks
@@ -119,7 +140,7 @@ fractions = st.builds(Fraction,
                       st.integers(min_value=-6, max_value=6),
                       st.integers(min_value=1, max_value=4))
 vectors = st.dictionaries(st.integers(min_value=0, max_value=AMBIENT - 1),
-                          fractions, max_size=AMBIENT).map(SparseVector)
+                          fractions, max_size=AMBIENT).map(Element)
 vector_lists = st.lists(vectors, max_size=5)
 
 
@@ -156,7 +177,7 @@ def test_nullspace_is_orthogonal_and_has_complementary_dim(rows):
     assert null.dim == AMBIENT - constraints.dim
     for row in rows:
         for basis_vec in null.rows:
-            assert sum(c * basis_vec.entries.get(i, 0)
+            assert sum(c * basis_vec.coeffs.get(i, 0)
                        for i, c in row.items()) == 0
 
 
@@ -175,7 +196,7 @@ def systems(draw, max_ambient=16):
     if rows:
         rows += draw(st.lists(st.sampled_from(rows), max_size=4))
     rows = draw(st.permutations(rows))
-    return n, [SparseVector(r) for r in rows]
+    return n, [Element(r) for r in rows]
 
 
 @settings(max_examples=150, deadline=None)

@@ -13,7 +13,8 @@ import pytest
 import hopfbrace as hb
 import hopfbrace.series as series
 import reference_linalg as ref
-from hopfbrace.linalg import SparseVector, span_of_indices
+from hopfbrace.hopf import Element
+from hopfbrace.linalg import span_of_indices
 from hopfbrace.skewbrace import validate_skew_brace
 
 
@@ -27,7 +28,7 @@ def fiber_loop_rows(value, domain, n, skip):
             fibers.setdefault(value(g, h), []).append(g)
         for x, fiber in fibers.items():
             if x != skip(h):
-                rows.append(SparseVector({g: 1 for g in fiber}))
+                rows.append(Element({g: 1 for g in fiber}))
     return rows
 
 
@@ -35,7 +36,7 @@ def reference_socle_spaces(H):
     base, n, e = H.base, H.dim, H.base.identity
     center = base.dot.center()
     st = base.star_table
-    outside = [SparseVector({g: 1}) for g in range(n) if g not in center]
+    outside = [Element({g: 1}) for g in range(n) if g not in center]
     soc_rows = outside + fiber_loop_rows(
         lambda g, h: int(st[g, h]), center, n, lambda h: e)
     ann_rows = soc_rows + fiber_loop_rows(
@@ -59,7 +60,7 @@ def reference_coincidence(H):
                 if int(o[g, h]) == x:
                     entries[g] = entries.get(g, 0) - 1
             if any(entries.values()):
-                coin_rows.append(SparseVector(entries))
+                coin_rows.append(Element(entries))
     coin_space = ref.common_nullspace(coin_rows, n)
     sep_star = next((r for r in star_space.rows
                      if not ref.contains(coin_space, r)), None)
@@ -142,12 +143,12 @@ def test_fiber_rows_are_the_distinct_loop_rows_sorted(catalog):
     for desc, brace in catalog:
         n, lam = brace.order, brace.lambda_table
         domain = list(range(n))
-        rows = [tuple(sorted(r.entries))
+        rows = [tuple(sorted(r.coeffs))
                 for r in series._fiber_rows(lam, domain, domain)]
         loop = fiber_loop_rows(lambda g, h: int(lam[g, h]), domain, n,
                                lambda h: h)
         assert rows == sorted(set(rows))
-        assert set(rows) == {tuple(sorted(r.entries)) for r in loop}
+        assert set(rows) == {tuple(sorted(r.coeffs)) for r in loop}
 
 
 # ------------------------------------------------- group-like cross-check

@@ -3,7 +3,7 @@ import pytest
 
 import hopfbrace as hb
 import oracle
-from hopfbrace.linalg import SparseVector
+from hopfbrace.hopf import Element
 
 
 def H_of(brace):
@@ -151,7 +151,7 @@ def test_socle_values(radical_c4, opp_s3):
     # larger than the group-like span, and that is reported, not hidden
     assert soc.socle_space.dim == 3 and soc.socle_strict
     assert soc.annihilator_space.dim == 3 and soc.annihilator_strict
-    assert soc.socle_space.contains(SparseVector({1: 1, 3: -1}))
+    assert soc.socle_space.contains(Element({1: 1, 3: -1}))
     soc2 = hb.socle_annihilator(H_of(opp_s3))
     assert soc2.socle.carrier == (0,)
     assert soc2.annihilator.carrier == (0,)
@@ -274,8 +274,8 @@ def test_coincidence_separators_in_radical_c4(radical_c4):
     assert rep.separator_star_only is not None
     assert rep.separator_coincidence_only is not None
     # the two hand-picked separators lie where they should
-    e1me3 = SparseVector({1: 1, 3: -1})
-    e1pe3 = SparseVector({1: 1, 3: 1})
+    e1me3 = Element({1: 1, 3: -1})
+    e1pe3 = Element({1: 1, 3: 1})
     assert rep.star_trivial_space.contains(e1me3)
     assert not rep.coincidence_space.contains(e1me3)
     assert rep.coincidence_space.contains(e1pe3)
@@ -305,6 +305,6 @@ def test_star_trivial_space_matches_star_formulation(catalog):
                 fibers.setdefault(brace.star_set(g, h), []).append(g)
             for x, fib in fibers.items():
                 if x != e:
-                    rows.append(SparseVector({g: 1 for g in fib}))
+                    rows.append(Element({g: 1 for g in fib}))
         from hopfbrace.linalg import common_nullspace
         assert common_nullspace(rows, n) == rep.star_trivial_space
