@@ -80,8 +80,13 @@ class _Combination:
     @classmethod
     def _make(cls, nums: dict, den: int, p: int):
         """From raw int numerators over ``den > 0``: normalize once."""
+        return cls._canonical(*_normal(nums, den, p), p)
+
+    @classmethod
+    def _canonical(cls, nums: dict, den: int, p: int):
+        """From numerators already in ``_normal``'s canonical form."""
         out = object.__new__(cls)
-        out._fill(*_normal(nums, den, p), p)
+        out._fill(nums, den, p)
         return out
 
     def __setattr__(self, *_):
@@ -265,8 +270,9 @@ class HopfBrace:
                              x.den, x.p)
 
     def __eq__(self, other):
-        return (isinstance(other, HopfBrace) and self.base == other.base
-                and self.characteristic == other.characteristic)
+        return self is other or (
+            isinstance(other, HopfBrace) and self.base == other.base
+            and self.characteristic == other.characteristic)
 
     def __repr__(self):
         return (f"HopfBrace(dim={self.dim}, "

@@ -20,7 +20,7 @@ from .hopf import Element
 
 def indicator(indices: Iterable[int]) -> Element:
     """The 0/1 element with a one at each of ``indices`` (Python ints)."""
-    return Element._make(dict.fromkeys(indices, 1), 1, 0)
+    return Element._canonical(dict.fromkeys(indices, 1), 1, 0)
 
 
 def _check(vec: Element, ambient: int) -> Element:
@@ -94,7 +94,7 @@ class Subspace:
     @classmethod
     def row_space(cls, rows: Iterable[Element], ambient: int) -> "Subspace":
         basis = _eliminate(rows, ambient, min)
-        return cls(ambient, tuple(Element._make(row, row[p], 0)
+        return cls(ambient, tuple(Element._canonical(row, row[p], 0)
                                   for p, row in sorted(basis.items())))
 
     @property
@@ -149,7 +149,7 @@ def common_nullspace(constraint_rows: Iterable[Element], ambient: int) -> Subspa
         den = lcm(*(basis[p][p] for p in terms))
         nums = {p: -x * (den // basis[p][p]) for p, x in terms.items()}
         nums[f] = den
-        rows.append(Element._make(nums, den, 0))
+        rows.append(Element._make(nums, den, 0) if terms else indicator([f]))
     return Subspace(ambient, tuple(rows))
 
 

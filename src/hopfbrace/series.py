@@ -147,26 +147,27 @@ class SocleData:
 
 def _fiber_rows(table, domain: list[int], skip) -> list[Element]:
     """For each column h, one 0/1 row per fiber of g -> table[g, h] over
-    ``domain``, leaving out the fiber of value ``skip[h]``; the rows are
-    distinct and sorted."""
-    fibers = set()
-    for h, column in enumerate(table[domain].T.tolist()):
-        by_value: dict[int, list[int]] = {}
-        for g, x in zip(domain, column):
-            by_value.setdefault(x, []).append(g)
-        by_value.pop(skip[h], None)
-        fibers.update(map(tuple, by_value.values()))
-    return [indicator(f) for f in sorted(fibers)]
+    ``domain`` except the fiber of value ``skip[h]``, g given by its place
+    in ``domain``; distinct and sorted, cut from one stable key sort."""
+    sub = table[domain]
+    pos, h = (sub != np.asarray(skip)).nonzero()
+    keys = h * sub.shape[1] + sub[pos, h]
+    order = keys.argsort(kind="stable")
+    keys, pos = keys[order], pos[order].tolist()
+    cuts = [0, *((keys[1:] != keys[:-1]).nonzero()[0] + 1).tolist(), len(pos)]
+    return [indicator(f) for f in sorted(
+        {tuple(pos[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b})]
 
 
 def _check_group_likes(data: SocleData) -> SocleData:
-    """The group-likes {g : e_g in space} of each solution space must be
-    exactly the carrier computed from the lambda table and the center."""
+    """The group-likes of each solution space must be exactly the carrier
+    from the lambda table and the center.  A space holds e_g iff its
+    canonical row at pivot g is e_g: each v in it is sum_p v[p] * row_p."""
     for name, sub, space in (
             ("socle", data.socle, data.socle_space),
             ("annihilator", data.annihilator, data.annihilator_space)):
-        found = tuple(g for g in range(space.ambient)
-                      if space.contains(indicator([g])))
+        found = tuple(min(r.nums) for r in space.rows
+                      if r.den == 1 and list(r.nums.values()) == [1])
         if found != sub.carrier:
             raise CrossCheckError(
                 f"group-likes of the {name} space {found} differ from the "
@@ -179,7 +180,9 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
     solution spaces of the defining linear systems.  The two computations
     are independent and cross-checked: the group-likes of each space are
     exactly the matching carrier, while a strict inclusion of the span is
-    reported rather than asserted away."""
+    reported rather than asserted away.  Both spaces lie in span{e_z : z
+    central}, so they are solved in the sorted center's coordinates; the
+    embedding back keeps index order, so the bases stay canonical."""
     if H.characteristic:
         raise PrimeFieldError(
             "socle/annihilator computation is defined over the rationals only")
@@ -193,15 +196,19 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
     ann_mask = soc_mask & fixed.all(axis=0)
 
     skip = [base.identity] * n
-    outside = [indicator([g]) for g in np.flatnonzero(~central).tolist()]
-    soc_rows = outside + _fiber_rows(st, center, skip)
+    soc_rows = _fiber_rows(st, center, skip)
     ann_rows = soc_rows + _fiber_rows(st.T, center, skip)
+
+    def solve(rows):            # over the center, then e_i -> e_center[i]
+        return Subspace(n, tuple(Element._canonical(
+            {center[i]: x for i, x in r.nums.items()}, r.den, 0)
+            for r in common_nullspace(rows, len(center)).rows))
 
     return _check_group_likes(SocleData(
         socle=Subbrace(H, np.flatnonzero(soc_mask)),
         annihilator=Subbrace(H, np.flatnonzero(ann_mask)),
-        socle_space=common_nullspace(soc_rows, n),
-        annihilator_space=common_nullspace(ann_rows, n),
+        socle_space=solve(soc_rows),
+        annihilator_space=solve(ann_rows),
     ))
 
 
@@ -301,7 +308,8 @@ def coincidence_report(H: HopfBrace) -> CoincidenceReport:
     g' has g' o h = x: every coincidence row is e_g - e_g'.  A vector
     solves them all iff it is constant on the orbits of the permutations
     g -> g' (one per h), so the orbit indicators, sorted by least element,
-    are the space's canonical reduced echelon basis."""
+    are the space's canonical reduced echelon basis.  Equal canonical
+    bases mean equal spaces, with no separators to search for."""
     if H.characteristic:
         raise PrimeFieldError("coincidence diagnostics need rationals")
     base = H.base
@@ -322,8 +330,9 @@ def coincidence_report(H: HopfBrace) -> CoincidenceReport:
         indicator(np.flatnonzero(label == least).tolist())
         for least in np.unique(label)))
 
-    sep_star = next((r for r in star_space.rows if not coin_space.contains(r)),
-                    None)
-    sep_coin = next((r for r in coin_space.rows if not star_space.contains(r)),
-                    None)
+    differ = star_space != coin_space
+    sep_star = next((r for r in star_space.rows
+                     if differ and not coin_space.contains(r)), None)
+    sep_coin = next((r for r in coin_space.rows
+                     if differ and not star_space.contains(r)), None)
     return CoincidenceReport(star_space, coin_space, sep_star, sep_coin)

@@ -122,6 +122,22 @@ def test_element_construction_and_equality(H):
         H.basis(4)
 
 
+def test_hopf_brace_equality(radical_c4, monkeypatch):
+    """Equal tables and characteristic make equal Hopf braces, and a brace
+    equals itself without comparing its tables."""
+    H = hb.HopfBrace(radical_c4)
+    twin = hb.HopfBrace(hb.radical_c4_brace())
+    assert twin.base is not radical_c4 and twin == H
+    assert hb.HopfBrace(radical_c4, 5) != H
+    assert H != hb.HopfBrace(hb.trivial_brace(hb.cyclic_group(4)))
+
+    def no_table_comparison(*_):
+        raise AssertionError("tables compared")
+
+    monkeypatch.setattr(hb.SkewBrace, "__eq__", no_table_comparison)
+    assert H == H and not H != H
+
+
 def test_basis_mismatch_rejected(H):
     other = hb.HopfBrace(hb.trivial_brace(hb.symmetric_group(3)))
     with pytest.raises(ValueError):

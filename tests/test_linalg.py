@@ -240,3 +240,33 @@ def test_eliminated_rows_are_primitive_and_reduced(system, pick):
         assert gcd(*row.values()) == 1
         assert all(type(x) is int and x for x in row.values())
         assert not any(q in row for q in basis if q != p)
+
+
+# ------------------------------------------- canonical vectors built directly
+
+def renormalized(vec):
+    """The same numerators through ``Element._make``'s normalisation."""
+    return Element._make(dict(vec.nums), vec.den, vec.p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=40), max_size=12))
+def test_indicator_is_built_canonical(indices):
+    vec = linalg.indicator(indices)
+    assert vec == Element._make(dict.fromkeys(indices, 1), 1, 0)
+    assert vec == Element(dict.fromkeys(indices, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_basis_rows_are_built_canonical(system):
+    """The row-space and null-space rows, filled in without normalising,
+    equal their normalised numerators."""
+    n, rows = system
+    ints = [Element({i: c.numerator for i, c in r.coeffs.items()})
+            for r in rows]
+    for system_rows in (rows, ints):
+        for space in (Subspace.row_space(system_rows, n),
+                      common_nullspace(system_rows, n)):
+            for r in space.rows:
+                assert r == renormalized(r)

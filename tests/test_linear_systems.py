@@ -6,15 +6,20 @@ The order-96 braces run under ``pytest -m slow``.
 """
 
 from dataclasses import replace
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfbrace as hb
 import hopfbrace.series as series
 import reference_linalg as ref
 from hopfbrace.hopf import Element
-from hopfbrace.linalg import span_of_indices
+from hopfbrace.linalg import (Subspace, common_nullspace, indicator,
+                              span_of_indices)
 from hopfbrace.skewbrace import validate_skew_brace
 
 
@@ -69,14 +74,38 @@ def reference_coincidence(H):
     return star_space, coin_space, sep_star, sep_coin
 
 
+def probed_group_likes(space):
+    """{g : e_g in space}, one ``contains`` probe per g."""
+    return tuple(g for g in range(space.ambient)
+                 if space.contains(indicator([g])))
+
+
+def assert_read_off_matches_probes(*spaces):
+    """``_check_group_likes`` reads the group-likes off each space's rows;
+    it must accept the probed ones as the carriers."""
+    for space in spaces:
+        carrier = SimpleNamespace(carrier=probed_group_likes(space))
+        series._check_group_likes(SimpleNamespace(
+            socle=carrier, socle_space=space,
+            annihilator=carrier, annihilator_space=space))
+
+
 def assert_matches_reference(H):
     soc = hb.socle_annihilator(H)
     assert (soc.socle_space, soc.annihilator_space) \
         == reference_socle_spaces(H)
+    assert soc.socle.carrier == probed_group_likes(soc.socle_space)
+    assert soc.annihilator.carrier \
+        == probed_group_likes(soc.annihilator_space)
+    # the embedded rows are filled in without normalising
+    for r in soc.socle_space.rows + soc.annihilator_space.rows:
+        assert r == Element._make(dict(r.nums), r.den, 0)
     rep = hb.coincidence_report(H)
     assert (rep.star_trivial_space, rep.coincidence_space,
             rep.separator_star_only, rep.separator_coincidence_only) \
         == reference_coincidence(H)
+    assert_read_off_matches_probes(rep.star_trivial_space,
+                                   rep.coincidence_space)
 
 
 def test_spaces_and_separators_match_the_reference(catalog):
@@ -152,6 +181,44 @@ def test_fiber_rows_are_the_distinct_loop_rows_sorted(catalog):
 
 
 # ------------------------------------------------- group-like cross-check
+
+def test_equal_dimensions_still_get_separators(by_name):
+    """The star-trivial and coincidence spaces of these braces have equal
+    dimensions but differ, so each has a separator."""
+    for name in ("opposite:D4", "radical_c4"):
+        rep = hb.coincidence_report(hb.HopfBrace(by_name[name][1]))
+        assert rep.star_trivial_space.dim == rep.coincidence_space.dim
+        assert rep.star_trivial_space != rep.coincidence_space
+        assert rep.separator_star_only is not None
+        assert rep.separator_coincidence_only is not None
+        assert not rep.equivalent
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.dictionaries(
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=-2, max_value=2), max_size=3), max_size=6))))
+def test_read_off_group_likes_match_probes(system):
+    """On the row space and the null space of small integer systems, whose
+    rows are often unit vectors."""
+    n, rows = system
+    rows = [Element(r) for r in rows]
+    assert_read_off_matches_probes(Subspace.row_space(rows, n),
+                                   common_nullspace(rows, n))
+
+
+def test_read_off_takes_only_exact_unit_rows(radical_c4):
+    """A row 2 e_g or e_g / 2 is not e_g: the read-off, like ``contains``,
+    takes the rows as the canonical basis, so it finds no group-like in a
+    space given by such rows."""
+    scaled = Subspace(4, (Element({0: 2}), Element({2: Fraction(1, 2)})))
+    assert probed_group_likes(scaled) == ()
+    assert_read_off_matches_probes(scaled)
+    soc = hb.socle_annihilator(hb.HopfBrace(radical_c4))
+    with pytest.raises(hb.CrossCheckError, match="socle"):
+        series._check_group_likes(replace(soc, socle_space=scaled))
+
 
 def test_tampered_socle_data_is_refused(radical_c4):
     H = hb.HopfBrace(radical_c4)
