@@ -13,7 +13,7 @@ from .skewbrace import (BraceMap, FiniteGroup, SkewBrace, cyclic_group,
                         validate_skew_brace)
 from .hopf import Element, HopfBrace, Tensor2, random_element
 from .subobjects import (HopfMorphism, Subbrace, generated_subbrace,
-                         hopf_kernel, normal_agreement, quotient,
+                         hopf_kernel, quotient,
                          trivial_subbrace, whole_subbrace)
 from .series import (CoincidenceReport, NilpotencyReport, SeriesResult,
                      SocleData, coincidence_report, full_abelianization,

@@ -15,7 +15,7 @@ from itertools import chain, permutations
 
 import numpy as np
 
-from .errors import BraceFileError, ValidationError
+from .errors import BraceFileError
 from .skewbrace import (ORDER_CAP, FiniteGroup, SkewBrace, cyclic_group,
                         dihedral_group, direct_product, opposite_brace,
                         product_group, radical_c4_brace, symmetric_group,
@@ -260,12 +260,3 @@ def resolve(name_or_path: str) -> tuple[BraceDescriptor, SkewBrace]:
         f"{name_or_path!r} is neither a catalog name nor an existing file; "
         f"catalog: {', '.join(catalog_names())}")
 
-
-def verify_catalog_validates() -> None:
-    """Every catalog entry must pass full validation (it already did at
-    construction; this re-runs the public validator on raw tables)."""
-    for desc, brace in builtin_catalog():
-        revalidated = validate_skew_brace(brace.dot.table, brace.circ.table,
-                                          identity=brace.identity)
-        if revalidated != brace:
-            raise ValidationError(f"catalog entry {desc.name} failed revalidation")

@@ -116,9 +116,6 @@ class Element(_Combination):
     __slots__ = ()
     _key = staticmethod(index)
 
-    def is_zero(self) -> bool:
-        return not self.nums
-
     def __add__(self, other: "Element") -> "Element":
         if other.p != self.p:
             raise ValueError("elements of different characteristics")
@@ -152,10 +149,6 @@ class Tensor2(_Combination):
     def _key(key) -> tuple[int, int]:
         i, j = key
         return index(i), index(j)
-
-    def flip(self) -> "Tensor2":
-        return Tensor2._make({(j, i): n for (i, j), n in self.nums.items()},
-                             self.den, self.p)
 
     def __repr__(self):
         return f"Tensor2({dict(self.items())})"
@@ -193,9 +186,6 @@ class HopfBrace:
 
     def one(self) -> Element:
         return self.basis(self.base.identity)
-
-    def zero(self) -> Element:
-        return Element._make({}, 1, self.characteristic)
 
     def element(self, coeffs) -> Element:
         el = Element(coeffs, self.characteristic)

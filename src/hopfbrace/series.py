@@ -259,11 +259,6 @@ class NilpotencyReport:
     gamma_class: int | None
     adjunction_class: int | None   # least n with [H^(n), H] trivial
 
-    def is_nilpotent_any(self) -> bool:
-        return any(c is not None for c in
-                   (self.left_class, self.right_class,
-                    self.gamma_class, self.adjunction_class))
-
 
 def nilpotency_report(H: HopfBrace, max_n: int = 10) -> NilpotencyReport:
     if max_n < 1:

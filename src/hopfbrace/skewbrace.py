@@ -1,9 +1,14 @@
 """Finite groups and skew braces as validated Cayley tables.
 
 Carrier elements are plain indices 0..n-1.  Tables are read-only numpy
-integer arrays.  Validation is eager and exact: no constructor hands out
-an unvalidated value.  The two cubic laws are checked on the n^2 * |S|
-triples with one entry in a greedy generating set S, and still exactly:
+integer arrays.  Validation is eager and exact, with one private
+exception: ``FiniteGroup._image``, the table on the cosets of a normal
+subbrace, which ``subobjects.quotient`` hands out only once its
+projection is checked to be a homomorphism for both products (a
+multiplicative surjection from a group makes its image a group, with the
+images of the identity and inverses).  The two cubic laws are checked on
+the n^2 * |S| triples with one entry in a greedy generating set S, and
+still exactly:
 
 - associativity by Light's test: the g with (x.g).y == x.(g.y) for all
   x, y are closed under products, so it suffices that every g in S passes;
@@ -208,13 +213,17 @@ class FiniteGroup:
             frontier = nxt
         return sorted(found.values(), key=lambda s: (len(s), s))
 
-    def quotient(self, carrier) -> tuple["FiniteGroup", list[int]]:
-        """Quotient by a normal subgroup; returns (group, projection)."""
-        if not self.is_normal(carrier):
-            raise ValidationError(f"subgroup {tuple(carrier)} is not normal")
-        rep = self.table[:, _indices(carrier)].min(axis=1)   # min of g N
-        reps, proj = np.unique(rep, return_inverse=True)
-        return FiniteGroup(proj[self.table[np.ix_(reps, reps)]]), proj.tolist()
+    def _image(self, proj, reps) -> "FiniteGroup":
+        """The unvalidated group on the classes of a partition, with class
+        map ``proj`` and least elements ``reps``; for ``quotient`` only."""
+        image = object.__new__(FiniteGroup)
+        image.table = proj[self.table[np.ix_(reps, reps)]]
+        image.inverses = proj[self.inverses[reps]]
+        image.table.setflags(write=False)
+        image.inverses.setflags(write=False)
+        image.order, image.identity = len(reps), int(proj[self.identity])
+        image._conj = None
+        return image
 
     def __eq__(self, other):
         return (isinstance(other, FiniteGroup)
@@ -344,7 +353,7 @@ def validate_skew_brace(dot_table, circ_table, identity: int | None = None) -> S
 
 
 def trivial_brace(g: FiniteGroup) -> SkewBrace:
-    return SkewBrace(g, FiniteGroup(g.table.copy()))
+    return SkewBrace(g, g)
 
 
 def opposite_brace(g: FiniteGroup) -> SkewBrace:

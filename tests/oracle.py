@@ -310,6 +310,17 @@ def is_normal_via_star(dot, circ, carrier):
     return True
 
 
+def quotient_by_cosets(table, carrier):
+    """Left cosets g N listed by least element, the class of each element,
+    and the product table of the representatives' classes."""
+    cosets = sorted({frozenset(table[a][x] for x in carrier)
+                     for a in range(len(table))}, key=min)
+    proj = [next(i for i, c in enumerate(cosets) if a in c)
+            for a in range(len(table))]
+    reps = [min(c) for c in cosets]
+    return [[proj[table[a][b]] for b in reps] for a in reps], proj
+
+
 def all_subgroups(table):
     """Every subgroup of the table's group, by closure BFS."""
     n = len(table)

@@ -28,8 +28,6 @@ def test_catalog_contains_required_entries(by_name):
 
 
 def test_every_entry_revalidates(catalog):
-    from hopfbrace.catalog import verify_catalog_validates
-    verify_catalog_validates()
     for desc, brace in catalog:
         assert desc.order == brace.order
         rebuilt = hb.validate_skew_brace(brace.dot.table, brace.circ.table,

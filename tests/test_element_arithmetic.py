@@ -126,19 +126,20 @@ def test_morphism_images_agree_with_the_reference(case, data):
 def test_equal_elements_built_by_different_routes_hash_equal(case):
     _, H, (xs, ys, zs) = case
     x, y, z = (H.element(t) for t in (xs, ys, zs))
-    by_terms = H.zero()
+    by_terms = H.element({})
     for g, c in xs:
         by_terms = by_terms + H.basis(g).scale(c)
     routes = [
         (x, by_terms),
         (x + y, y + x),
         ((x + y) + z, x + (y + z)),
-        (x - x, H.zero()),
+        (x - x, H.element({})),
         (x.scale(2).scale(Fraction(1, 2)), x),
         (H.dot(x + y, z), H.dot(x, z) + H.dot(y, z)),
         (H.star(z, x + y), H.star(z, x) + H.star(z, y)),
         (H.element(list(reversed(xs))), x),
-        (H.comultiply(x).flip(), H.comultiply(x)),
+        (hb.Tensor2({(j, i): c for (i, j), c in H.comultiply(x).items()},
+                    H.characteristic), H.comultiply(x)),
     ]
     for left, right in routes:
         assert left == right

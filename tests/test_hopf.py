@@ -35,7 +35,7 @@ def test_comultiply_counit(H):
     rng = random.Random(11)
     for _ in range(20):
         x = random_element(H, rng)
-        total = H.zero()
+        total = H.element({})
         for (i, j), c in H.comultiply(x).items():
             total = total + H.basis(j).scale(c)   # eps(g_i) = 1
         assert total == x
@@ -46,7 +46,7 @@ def test_cocommutativity(H):
     for _ in range(20):
         x = random_element(H, rng, terms=3)
         t = H.comultiply(x)
-        assert t.flip() == t
+        assert hb.Tensor2({(j, i): c for (i, j), c in t.items()}) == t
 
 
 def test_antipodes(H):
@@ -67,8 +67,8 @@ def test_antipode_laws(H):
     for _ in range(20):
         x = random_element(H, rng)
         for mul, anti in ((H.dot, H.antipode_dot), (H.circ, H.antipode_circ)):
-            left = H.zero()
-            right = H.zero()
+            left = H.element({})
+            right = H.element({})
             for g, c in x.coeffs.items():
                 left = left + mul(anti(H.basis(g)), H.basis(g)).scale(c)
                 right = right + mul(H.basis(g), anti(H.basis(g))).scale(c)
@@ -114,8 +114,8 @@ def test_bilinearity_random(H):
 
 def test_element_construction_and_equality(H):
     assert H.element({1: Fraction(1, 2), 2: 0}) == H.basis(1).scale(Fraction(1, 2))
-    assert H.element({}) == H.zero()
-    assert (H.basis(1) - H.basis(1)).is_zero()
+    assert H.element({}) == H.basis(1).scale(0)
+    assert not (H.basis(1) - H.basis(1)).nums
     with pytest.raises(IndexError):
         H.element({9: 1})
     with pytest.raises(IndexError):
@@ -154,7 +154,7 @@ def test_prime_field_mode(radical_c4):
     assert H5.dot(H5.basis(1), H5.basis(1)) == H5.basis(2)
     # 3 + 2 = 0 mod 5: zero coefficients must be pruned
     y = H5.element({1: 3}) + H5.element({1: 2})
-    assert y.is_zero()
+    assert not y.nums
     report = hb.verify_hopf_brace_axiom(H5, samples=8)
     assert report.ok
     report = hb.verify_star_lemma(H5, 2, samples=8)
@@ -244,7 +244,7 @@ def test_rational_elements_keep_one_reduced_denominator(H):
     assert repr(H.comultiply(H.basis(3))) == "Tensor2({(3, 3): Fraction(1, 1)})"
     y = x.scale(12)
     assert (y.nums, y.den) == ({1: 4, 2: 3}, 1)
-    assert (H.basis(1).scale(0).nums, H.zero().den) == ({}, 1)
+    assert (H.basis(1).scale(0).nums, H.element({}).den) == ({}, 1)
     with pytest.raises(AttributeError):
         x.den = 2
 

@@ -37,7 +37,8 @@ def test_nilpotency_report_sizes(ladder):
     assert report.right.sizes() == sizes
     assert report.gamma.sizes() == sizes
     assert report.left.stabilized and report.right.stabilized
-    assert not report.is_nilpotent_any()
+    assert (report.left_class, report.right_class, report.gamma_class,
+            report.adjunction_class) == (None, None, None, None)
 
 
 def test_propositions_suite_passes(ladder):

@@ -248,7 +248,8 @@ def test_nilpotency_report_values(radical_c4, opp_s3):
     assert (rep.left_class, rep.right_class, rep.gamma_class,
             rep.adjunction_class) == (3, 3, 3, 2)
     rep = hb.nilpotency_report(H_of(opp_s3), max_n=10)
-    assert not rep.is_nilpotent_any()
+    assert (rep.left_class, rep.right_class, rep.gamma_class,
+            rep.adjunction_class) == (None, None, None, None)
     triv_ab = hb.trivial_brace(hb.cyclic_group(4))
     rep = hb.nilpotency_report(H_of(triv_ab))
     assert (rep.left_class, rep.right_class, rep.gamma_class,

@@ -49,7 +49,6 @@ def test_normality_characterizations_agree_on_all_subgroups(catalog):
         for carrier in brace.dot.all_subgroups():
             B = hb.Subbrace(HH, carrier)
             assert B.is_normal() == B.is_normal_via_star(), (desc.name, carrier)
-            assert hb.normal_agreement(B) in (True, False)
 
 
 def test_every_normal_subbrace_is_strong(catalog):
@@ -156,3 +155,75 @@ def test_oracle_agreement_on_normality(catalog):
             assert B.is_normal() == oracle.is_normal_subbrace(dot, circ, carrier)
             assert B.is_normal_via_star() == oracle.is_normal_via_star(
                 dot, circ, carrier)
+
+
+# ------------------------------------- certified quotients, differential
+
+LADDER_96 = {
+    "opposite:D48": lambda: hb.opposite_brace(hb.dihedral_group(48)),
+    "opposite:S4*trivial:C4": lambda: hb.direct_product(
+        hb.opposite_brace(hb.symmetric_group(4)),
+        hb.trivial_brace(hb.cyclic_group(4))),
+}
+
+
+def normal_subbraces(H):
+    subs = (hb.Subbrace(H, c) for c in H.base.dot.all_subgroups())
+    return [B for B in subs if B.is_normal()]
+
+
+@pytest.mark.parametrize("name", [
+    *hb.catalog_names(),
+    *(pytest.param(name, marks=pytest.mark.slow) for name in LADDER_96)])
+def test_certified_quotients_match_validation_and_cosets(name):
+    """Every quotient by a normal subbrace equals the fully validated
+    brace on its tables, and both tables equal the loop-built coset
+    construction."""
+    brace = LADDER_96[name]() if name in LADDER_96 else hb.lookup(name)[1]
+    H = hb.HopfBrace(brace)
+    dot, circ = brace.dot.table.tolist(), brace.circ.table.tolist()
+    for B in normal_subbraces(H):
+        Q, pi = hb.quotient(H, B)
+        q = Q.base
+        full = hb.validate_skew_brace(q.dot.table, q.circ.table)
+        assert full == q, B.carrier
+        for ours, theirs in ((q.dot, full.dot), (q.circ, full.circ)):
+            assert ours.identity == theirs.identity
+            assert ours.inverses.tolist() == theirs.inverses.tolist()
+            assert not ours.table.flags.writeable
+            assert not ours.inverses.flags.writeable
+        dot_q, proj = oracle.quotient_by_cosets(dot, B.carrier)
+        circ_q, circ_proj = oracle.quotient_by_cosets(circ, B.carrier)
+        assert circ_proj == proj == list(pi.map.images), B.carrier
+        assert q.dot.table.tolist() == dot_q, B.carrier
+        assert q.circ.table.tolist() == circ_q, B.carrier
+
+
+@pytest.mark.parametrize("part", ["dot", "circ"])
+def test_certificate_refuses_a_tampered_quotient_table(catalog, monkeypatch,
+                                                       part):
+    """Swap two entries of one quotient table: the projection check (or
+    compatibility) refuses it with a witness."""
+    image = hb.FiniteGroup._image
+    for desc, brace in catalog:
+        if desc.order > 24:
+            continue
+        target = getattr(brace, part)
+
+        def tampered(self, proj, reps):
+            q = image(self, proj, reps)
+            if self is target:
+                table = q.table.copy()
+                table[1, [0, 1]] = table[1, [1, 0]]
+                table.setflags(write=False)
+                q.table = table
+            return q
+
+        monkeypatch.setattr(hb.FiniteGroup, "_image", tampered)
+        H = hb.HopfBrace(brace)
+        for B in normal_subbraces(H):
+            if B.dim == brace.order:
+                continue
+            with pytest.raises(hb.ValidationError) as refused:
+                hb.quotient(H, B)
+            assert refused.value.witness is not None, (desc.name, B.carrier)
