@@ -4,9 +4,9 @@ Vectors are characteristic-0 ``hopf.Element``s: the socle, annihilator,
 star-trivial and coincidence spaces are subspaces of H = k[G] itself.
 Subspaces keep their canonical RREF basis, so equality of values is
 equality of spaces.  Elimination is fraction-free Gauss-Jordan over the
-elements' int numerators (a row's denominator does not change its span);
-each reduced row is returned as its primitive numerators over its pivot
-entry, which is already the element's canonical form."""
+elements' int numerators (a row's denominator does not change its span),
+always pivoting on a row's greatest index; a row space is the null space
+of its null space, so one elimination makes every canonical basis."""
 
 from __future__ import annotations
 
@@ -55,11 +55,10 @@ def _cancel(row: dict[int, int], p: int, src: dict[int, int]) -> None:
             del row[i]
 
 
-def _eliminate(rows: Iterable[Element], ambient: int,
-               pick) -> dict[int, dict[int, int]]:
+def _eliminate(rows: Iterable[Element], ambient: int) -> dict[int, dict[int, int]]:
     """Fraction-free Gauss-Jordan: pivot -> primitive int row (gcd 1,
-    positive at its pivot), zero at every other pivot.  ``pick`` (``min``
-    or ``max``) chooses the pivot column of each new row."""
+    positive at its pivot), zero at every other pivot.  Each new row
+    pivots on its greatest index."""
     basis: dict[int, dict[int, int]] = {}
     for vec in rows:
         row = dict(_check(vec, ambient).nums)
@@ -67,7 +66,7 @@ def _eliminate(rows: Iterable[Element], ambient: int,
         for p in [i for i in row if i in basis]:
             _cancel(row, p, basis[p])
         if row:
-            q = pick(row)
+            q = max(row)
             _primitive(row, q)
             for p, b in basis.items():
                 if q in b:
@@ -93,9 +92,7 @@ class Subspace:
 
     @classmethod
     def row_space(cls, rows: Iterable[Element], ambient: int) -> "Subspace":
-        basis = _eliminate(rows, ambient, min)
-        return cls(ambient, tuple(Element._canonical(row, row[p], 0)
-                                  for p, row in sorted(basis.items())))
+        return common_nullspace(common_nullspace(rows, ambient).rows, ambient)
 
     @property
     def dim(self) -> int:
@@ -138,7 +135,7 @@ def common_nullspace(constraint_rows: Iterable[Element], ambient: int) -> Subspa
     pivots every other entry of a reduced row r_p lies on a free column
     f < p, so the kernel vectors e_f - sum_p (r_p[f] / r_p[p]) e_p, in order
     of f, are already the canonical RREF basis."""
-    basis = _eliminate(constraint_rows, ambient, max)
+    basis = _eliminate(constraint_rows, ambient)
     kernel = {f: {} for f in range(ambient) if f not in basis}
     for p, row in basis.items():
         for f, x in row.items():

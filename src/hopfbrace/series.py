@@ -3,7 +3,9 @@
 Series terms are generated from group-like generator images only, which
 is sound here because every Hopf subalgebra of a group algebra in
 characteristic zero is a subgroup algebra.  The gamma series carries an
-enforced per-step cross-check against the Huq commutator.
+enforced per-step cross-check against the Huq commutator.  The
+abelianisations are quotients by generated subbraces; ``quotient``
+checks, rather than assumes, that these are normal.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CrossCheckError, NormalityError, PrimeFieldError
+from .errors import CrossCheckError, PrimeFieldError
 from .hopf import Element, HopfBrace
 from .linalg import Subspace, common_nullspace, indicator, span_of_indices
-from .subobjects import (HopfMorphism, Subbrace, generated_subbrace, quotient,
-                         whole_subbrace)
+from .subobjects import (HopfMorphism, Subbrace, _require_normal,
+                         generated_subbrace, quotient, whole_subbrace)
 
 
 @dataclass
@@ -85,10 +87,7 @@ def gamma_series(H: HopfBrace, max_n: int = 10) -> SeriesResult:
 def relative_commutator(I: Subbrace, H: HopfBrace) -> Subbrace:
     """Commutator relative to the plain-Hopf-algebra adjunction: generated
     by i*h, h*i and all dot-conjugates of the h*i family."""
-    if I.parent != H:
-        raise ValueError("subbrace does not belong to this Hopf brace")
-    if not I.is_normal():
-        raise NormalityError(f"carrier {I.carrier} is not normal")
+    _require_normal(I, H)
     st, dot, c = H.base.star_table, H.base.dot, I.elements
     hi = np.flatnonzero(dot.mask(st[:, c]))
     gens = dot.mask(st[c]) | dot.mask(dot.conj_table[:, hi])
@@ -98,23 +97,20 @@ def relative_commutator(I: Subbrace, H: HopfBrace) -> Subbrace:
 def huq_commutator(I: Subbrace, H: HopfBrace) -> Subbrace:
     """Huq commutator [I, H]: normal closure of both kinds of commutators
     together with the one-sided star values."""
-    if I.parent != H:
-        raise ValueError("subbrace does not belong to this Hopf brace")
-    if not I.is_normal():
-        raise NormalityError(f"carrier {I.carrier} is not normal")
+    _require_normal(I, H)
     base, c = H.base, I.elements
     dot, circ = base.dot, base.circ
     gens = (dot.mask(dot.table[dot.conj_table[c], dot.inverses])
             | dot.mask(circ.table[circ.conj_table[c], circ.inverses])
             | dot.mask(base.star_table[c]))
-    return Subbrace(H, dot.normal_closure(np.flatnonzero(gens)))
+    return Subbrace(H, np.array(dot.normal_closure(np.flatnonzero(gens))))
 
 
 def hopf_center(H: HopfBrace) -> Subbrace:
     """The Hopf center of the dot-structure: for a group algebra with
     diagonal comultiplication this is the subgroup algebra of the
     group-theoretic center."""
-    return Subbrace(H, H.base.dot.center())
+    return Subbrace(H, np.array(H.base.dot.center()))
 
 
 # ------------------------------------------------------- socle/annihilator
@@ -189,7 +185,7 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
     base = H.base
     n = H.dim
     center = list(base.dot.center())
-    central = base.dot.mask(center)
+    central = base.dot.mask(np.array(center))
     st = base.star_table
     fixed = base.lambda_table == np.arange(n)        # lambda_g(b) == b
     soc_mask = central & fixed.all(axis=1)
@@ -217,28 +213,26 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
 def star_closure_subbrace(H: HopfBrace) -> Subbrace:
     """The subobject generated by all star values (the second right-series
     term)."""
-    return generated_subbrace(H, H.base.star_image())
+    return generated_subbrace(H, H.base.star_table)
 
 
 def star_abelianization(H: HopfBrace) -> tuple[HopfBrace, HopfMorphism]:
     """Universal quotient on which the two products coincide: quotient by
-    the star closure.  The generated subgroup is provably normal already;
-    the normal closure below is a defensive no-op."""
-    carrier = H.base.dot.normal_closure(H.base.star_image())
-    Q, pi = quotient(H, Subbrace(H, carrier))
+    the star closure H*H, an ideal."""
+    Q, pi = quotient(H, star_closure_subbrace(H))
     if not Q.base.is_trivial():
         raise CrossCheckError("star-abelianization is not a trivial brace")
     return Q, pi
 
 
 def full_abelianization(H: HopfBrace) -> tuple[HopfBrace, HopfMorphism]:
-    """Universal commutative quotient: divide out star values and
-    dot-commutators."""
+    """Universal commutative quotient by the subbrace generated by star
+    values and dot-commutators: the ideal H*H joined with the dot-normal
+    [G, G], so dot-normal."""
     base, dot = H.base, H.base.dot
     gens = (dot.mask(base.star_table)
             | dot.mask(dot.table[dot.conj_table, dot.inverses]))
-    carrier = dot.normal_closure(np.flatnonzero(gens))
-    Q, pi = quotient(H, Subbrace(H, carrier))
+    Q, pi = quotient(H, generated_subbrace(H, np.flatnonzero(gens)))
     qt = Q.base.dot.table
     if not Q.base.is_trivial() or not (qt == qt.T).all():
         raise CrossCheckError(
@@ -261,8 +255,6 @@ class NilpotencyReport:
 
 
 def nilpotency_report(H: HopfBrace, max_n: int = 10) -> NilpotencyReport:
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
     left = left_series(H, max_n)
     right = right_series(H, max_n)
     gamma = gamma_series(H, max_n)

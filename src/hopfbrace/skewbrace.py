@@ -13,7 +13,8 @@ still exactly:
 - associativity by Light's test: the g with (x.g).y == x.(g.y) for all
   x, y are closed under products, so it suffices that every g in S passes;
 - compatibility says lambda_a = a^-1 . (a o -) is a dot-endomorphism,
-  and an endomorphism is fixed by its values on generators.
+  and an endomorphism is fixed by its values on generators; the law
+  a o (b.c) = (a o b) . a^-1 . (a o c) is a times it, on the same triples.
 
 Only a rejected pair pays for the full sweep that finds the witness, the
 lexicographically first failing triple.
@@ -29,6 +30,7 @@ conj_table[a, x] = a x a^-1.
 from __future__ import annotations
 
 from itertools import permutations
+from operator import index
 
 import numpy as np
 
@@ -65,11 +67,19 @@ def _generating_set(table) -> list[int]:
     return gens
 
 
-def _indices(elems) -> np.ndarray:
-    """Carrier indices from an iterable or an index array of any shape."""
+def _indices(elems, n: int) -> np.ndarray:
+    """Carrier indices from an index array of any shape, taken as it is
+    (the package passes its own indices as arrays), or from an iterable of
+    user indices, which must be integers in [0, n)."""
     if isinstance(elems, np.ndarray):
         return elems.ravel()
-    return np.fromiter(elems, dtype=np.int64)
+    arr = np.array(list(elems))
+    if arr.ndim != 1 or arr.size and arr.dtype.kind not in "iu":
+        raise TypeError(f"carrier indices must be integers, got {arr.tolist()}")
+    arr = arr.astype(np.int64, copy=False)
+    if arr.size and arr.view(np.uint64).max() >= n:     # negatives read huge
+        raise IndexError(f"carrier index out of range [0, {n}): {arr.tolist()}")
+    return arr
 
 
 def _carrier(mask) -> tuple[int, ...]:
@@ -146,7 +156,7 @@ class FiniteGroup:
     def mask(self, elems) -> np.ndarray:
         """The boolean carrier mask of an iterable or index array."""
         mask = np.zeros(self.order, dtype=bool)
-        mask[_indices(elems)] = True
+        mask[_indices(elems, self.order)] = True
         return mask
 
     def _close(self, mask, gens) -> np.ndarray:
@@ -163,11 +173,12 @@ class FiniteGroup:
 
     def subgroup_generated(self, gens) -> tuple[int, ...]:
         gens = np.flatnonzero(self.mask(gens))
-        return _carrier(self._close(self.mask([self.identity]), gens))
+        return _carrier(self._close(np.arange(self.order) == self.identity, gens))
 
     def normal_closure(self, gens) -> tuple[int, ...]:
         """A conjugation-closed set generates a normal subgroup."""
-        return self.subgroup_generated(self.conj_table[:, _indices(gens)])
+        gens = _indices(gens, self.order)
+        return self.subgroup_generated(self.conj_table[:, gens])
 
     def center(self) -> tuple[int, ...]:
         t = self.table
@@ -176,12 +187,12 @@ class FiniteGroup:
 
     def is_subgroup(self, carrier) -> bool:
         """Nonempty and closed under products, which suffices when finite."""
-        c = _indices(carrier)
+        c = _indices(carrier, self.order)
         return c.size > 0 and bool(
             self.mask(c)[self.table[c[:, None], c]].all())
 
     def is_normal(self, carrier) -> bool:
-        c = _indices(carrier)
+        c = _indices(carrier, self.order)
         return self.is_subgroup(c) and bool(
             self.mask(c)[self.conj_table[:, c]].all())
 
@@ -197,7 +208,7 @@ class FiniteGroup:
             cyclic[rng, power] = True
             power = self.table[power, rng]
         _, cyclic_gens = np.unique(cyclic, axis=0, return_index=True)
-        trivial = self.mask([self.identity])
+        trivial = rng == self.identity
         found = {np.packbits(trivial).tobytes(): (self.identity,)}
         frontier = [trivial]
         while frontier:
@@ -297,16 +308,15 @@ class SkewBrace:
         n = dot.order
         d, o = dot.table, circ.table
         dinv = dot.inverses
-        u = d[o, dinv[:, None]]                          # (a o b) . a^-1
+        lam = d[dinv[:, None], o]                        # a^-1 . (a o b)
         gens = _generating_set(d)                # lambda_a on generators
-        lhs = o[:, d[:, gens]]                           # a o (b.g)
-        rhs = d[u[:, :, None], o[:, None, gens]]         # ... . (a o g)
+        lhs = lam[:, d[:, gens]]                         # lambda_a(b.g)
+        rhs = d[lam[:, :, None], lam[:, None, gens]]     # ... . lambda_a(g)
         if (lhs != rhs).any():
             triple = _first_bad_triple(
-                n, lambda a: o[a, d] != d[u[a][:, None], o[a]])
+                n, lambda a: lam[a, d] != d[lam[a][:, None], lam[a]])
             raise CompatibilityError(f"compatibility fails at triple {triple}",
                                      witness=triple)
-        lam = d[dinv[:, None], o]                        # a^-1 . (a o b)
         star = d[lam, dinv[None, :]]                     # lambda_a(b) . b^-1
         lam.setflags(write=False)
         star.setflags(write=False)
@@ -382,7 +392,10 @@ class BraceMap:
     __slots__ = ("source", "target", "images")
 
     def __init__(self, source: SkewBrace, target: SkewBrace, images):
-        images = tuple(int(i) for i in images)
+        try:
+            images = tuple(map(index, images))
+        except TypeError:
+            raise MorphismError("image indices must be integers") from None
         if len(images) != source.order:
             raise MorphismError(
                 f"image array has length {len(images)}, carrier has {source.order}")

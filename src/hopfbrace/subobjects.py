@@ -4,8 +4,8 @@ certified by their projection (one construction, see ``quotient``).
 In characteristic zero every Hopf subalgebra of a group algebra is a
 subgroup algebra, and all generators arising here (star values,
 commutators, conjugates) are group-like, so subobjects are represented
-by subgroups of the dot-group.  Predicate results are cached; the cache
-is idempotent and safe under concurrent duplicate computation.
+by subgroups of the dot-group.  The predicates are uncached gathers over
+the carrier mask; ``_require_normal`` is the one normality guard.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from .skewbrace import BraceMap, SkewBrace
 class Subbrace:
     """A subobject of a Hopf brace, backed by a subgroup of the dot-group."""
 
-    __slots__ = ("parent", "carrier", "mask", "_strong", "_normal",
-                 "_normal_star")
+    __slots__ = ("parent", "carrier", "mask")
 
     def __init__(self, parent: HopfBrace, carrier):
         mask = parent.base.dot.mask(carrier)
@@ -35,9 +34,6 @@ class Subbrace:
         self.parent = parent
         self.carrier = carrier
         self.mask = mask
-        self._strong = None
-        self._normal = None
-        self._normal_star = None
 
     @property
     def elements(self) -> np.ndarray:
@@ -52,29 +48,22 @@ class Subbrace:
 
     def is_strong(self) -> bool:
         """Stable under the lambda action of every element."""
-        if self._strong is None:
-            lam = self.parent.base.lambda_table
-            self._strong = bool(self.mask[lam[:, self.elements]].all())
-        return self._strong
+        lam = self.parent.base.lambda_table
+        return bool(self.mask[lam[:, self.elements]].all())
 
     def is_normal(self) -> bool:
         """Definition-based: dot-normal, circ-normal and lambda-stable."""
-        if self._normal is None:
-            base, c, mask = self.parent.base, self.elements, self.mask
-            self._normal = bool(mask[base.dot.conj_table[:, c]].all()
-                                and mask[base.circ.conj_table[:, c]].all()
-                                and mask[base.lambda_table[:, c]].all())
-        return self._normal
+        base, c, mask = self.parent.base, self.elements, self.mask
+        return bool(mask[base.dot.conj_table[:, c]].all()
+                    and mask[base.circ.conj_table[:, c]].all()
+                    and mask[base.lambda_table[:, c]].all())
 
     def is_normal_via_star(self) -> bool:
         """Equivalent characterization: dot-normal plus two-sided star absorption."""
-        if self._normal_star is None:
-            base, c, mask = self.parent.base, self.elements, self.mask
-            st = base.star_table
-            self._normal_star = bool(mask[base.dot.conj_table[:, c]].all()
-                                     and mask[st[:, c]].all()
-                                     and mask[st[c]].all())
-        return self._normal_star
+        base, c, mask = self.parent.base, self.elements, self.mask
+        st = base.star_table
+        return bool(mask[base.dot.conj_table[:, c]].all()
+                    and mask[st[:, c]].all() and mask[st[c]].all())
 
     def contains(self, other: "Subbrace") -> bool:
         return bool((other.mask <= self.mask).all())
@@ -92,7 +81,7 @@ class Subbrace:
 
 def generated_subbrace(H: HopfBrace, gens) -> Subbrace:
     """Smallest subgroup-algebra subobject containing the given group-likes."""
-    return Subbrace(H, H.base.dot.subgroup_generated(gens))
+    return Subbrace(H, np.array(H.base.dot.subgroup_generated(gens)))
 
 
 def trivial_subbrace(H: HopfBrace) -> Subbrace:
@@ -100,7 +89,7 @@ def trivial_subbrace(H: HopfBrace) -> Subbrace:
 
 
 def whole_subbrace(H: HopfBrace) -> Subbrace:
-    return Subbrace(H, range(H.dim))
+    return Subbrace(H, np.arange(H.dim))
 
 
 class HopfMorphism:
@@ -133,15 +122,23 @@ class HopfMorphism:
         return cls(H, H, tuple(range(H.dim)))
 
     def __eq__(self, other):
-        return isinstance(other, HopfMorphism) and self.map == other.map
+        return (isinstance(other, HopfMorphism) and self.source == other.source
+                and self.target == other.target and self.map == other.map)
 
     def __repr__(self):
         return f"HopfMorphism(dim {self.source.dim} -> {self.target.dim})"
 
 
+def _require_normal(B: Subbrace, H: HopfBrace) -> None:
+    if B.parent != H:
+        raise ValueError("subbrace does not belong to this Hopf brace")
+    if not B.is_normal():
+        raise NormalityError(f"carrier {B.carrier} is not a normal subbrace")
+
+
 def hopf_kernel(f: HopfMorphism) -> Subbrace:
     """Kernel subobject: group-likes sent to the target identity."""
-    return Subbrace(f.source, f.map.kernel_set())
+    return Subbrace(f.source, np.array(f.map.kernel_set()))
 
 
 def quotient(H: HopfBrace, B: Subbrace) -> tuple[HopfBrace, HopfMorphism]:
@@ -153,10 +150,7 @@ def quotient(H: HopfBrace, B: Subbrace) -> tuple[HopfBrace, HopfMorphism]:
     surjection from a brace that is multiplicative for both products
     makes its image a brace.  The kernel cross-check follows.
     """
-    if B.parent != H:
-        raise ValueError("subbrace does not belong to this Hopf brace")
-    if not B.is_normal():
-        raise NormalityError(f"carrier {B.carrier} is not a normal subbrace")
+    _require_normal(B, H)
     dot, circ = H.base.dot, H.base.circ
     rep = dot.table[:, B.elements].min(axis=1)          # min of g N
     reps, proj = np.unique(rep, return_inverse=True)

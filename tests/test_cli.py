@@ -14,6 +14,7 @@ from hopfbrace.cli import main
 
 
 INVARIANTS_GOLDEN = Path(__file__).parent / "data" / "invariants.json"
+SERIES_GOLDEN = Path(__file__).parent / "data" / "series_all.json"
 
 
 def run(capsys, *argv):
@@ -377,6 +378,21 @@ def test_invariants_json_matches_golden(capsys, catalog):
         assert code == 0
         out.append(text)
     assert "".join(out) == INVARIANTS_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_series_json_matches_golden(capsys, catalog):
+    """`series NAME --kind KIND --json` for the 15 catalog braces and the
+    three kinds, name by name, byte for byte against the output recorded
+    before the normality guard, the subbrace predicates and the
+    compatibility check were rewritten."""
+    out = []
+    for desc, _ in catalog:
+        for kind in ("left", "right", "gamma"):
+            code, text, _ = run(capsys, "series", desc.name, "--kind", kind,
+                                "--json")
+            assert code == 0
+            out.append(text)
+    assert "".join(out) == SERIES_GOLDEN.read_text(encoding="utf-8")
 
 
 def test_seed_env_override(capsys, monkeypatch):

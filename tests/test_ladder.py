@@ -9,6 +9,7 @@ import pytest
 
 import hopfbrace as hb
 import oracle
+from test_series import assert_abelianization_kernels_match_the_oracle
 
 LADDER = {
     "opposite:D48": (
@@ -81,3 +82,9 @@ def test_series_and_commutators_agree_with_the_oracle(fast_oracle, name):
                 == oracle.relative_commutator(dot, circ, term.carrier)
             assert set(hb.huq_commutator(term, H).carrier) \
                 == oracle.huq_commutator(dot, circ, term.carrier)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_abelianization_kernels_agree_with_the_oracle(fast_oracle, name):
+    assert_abelianization_kernels_match_the_oracle(LADDER[name][0]())

@@ -133,6 +133,22 @@ def test_normal_closure():
     assert s3.normal_closure([]) == (0,)
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: g.subgroup_generated([-1]),
+    lambda g: g.subgroup_generated([1.0]),
+    lambda g: g.is_subgroup([0, 6]),
+    lambda g: g.is_subgroup([0, "3"]),
+    lambda g: g.normal_closure([-5]),
+    lambda g: g.normal_closure([3.5]),
+    lambda g: g.mask([0, 2.9]),
+], ids=["generated-negative", "generated-float", "subgroup-too-large",
+        "subgroup-str", "closure-negative", "closure-float", "mask-float"])
+def test_user_indices_are_refused_not_coerced(call):
+    """A negative index would wrap and a float would be truncated."""
+    with pytest.raises((TypeError, IndexError)):
+        call(hb.symmetric_group(3))
+
+
 def test_center():
     assert hb.symmetric_group(3).center() == (0,)
     assert hb.cyclic_group(5).center() == (0, 1, 2, 3, 4)
@@ -316,8 +332,30 @@ def group_failure(t):
     return f"associativity fails at triple {triple}", triple
 
 
+SMALL_BRACES = [
+    (oracle.cyclic_table(4), oracle.cyclic_table(4)),
+    oracle.radical_c4_tables(),
+    oracle.opposite_tables(oracle.symmetric_table(3)[0]),
+    oracle.trivial_tables(oracle.symmetric_table(3)[0]),
+    oracle.opposite_tables(oracle.dihedral_table(4)),
+    oracle.product_brace(*oracle.radical_c4_tables(),
+                         *oracle.trivial_tables(oracle.cyclic_table(2))),
+]
+
+
+@st.composite
+def tampered_circ(draw):
+    """A small valid brace whose circ table is relabelled by a permutation
+    fixing the identity: still a group with the dot's identity, and
+    mostly incompatible with the dot."""
+    dot, circ = draw(st.sampled_from(SMALL_BRACES))
+    n = len(dot)
+    q = [0, *draw(st.permutations(range(1, n)))]
+    return dot, relabel(circ, q)
+
+
 @settings(max_examples=500, deadline=None)
-@given(table_pairs())
+@given(st.one_of(table_pairs(), tampered_circ()))
 def test_validator_agrees_with_oracle_and_plain_sweep(pair):
     dot, circ = pair
     valid = oracle.is_skew_brace(dot, circ)

@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 import hopfbrace as hb
@@ -141,6 +144,33 @@ def test_morphism_application_is_linear(H):
 def test_subbrace_requires_subgroup(H):
     with pytest.raises(ValueError):
         hb.Subbrace(H, (0, 1))   # {0,1} is not dot-closed in Z/4
+
+
+@pytest.mark.parametrize("carrier", [[0, 2.9], [0, 2.0], [0, "2"], [-4, 2],
+                                     [0, 4]])
+def test_subbrace_carrier_indices_are_refused_not_coerced(H, carrier):
+    """Coerced, the first four would give the carrier (0, 2): a float
+    truncated, a string parsed, a negative index wrapped; 4 is out of
+    range."""
+    with pytest.raises((TypeError, IndexError)):
+        hb.Subbrace(H, carrier)
+
+
+@pytest.mark.parametrize("bad", [1.7, "1", Fraction(3, 2)])
+def test_morphism_images_are_refused_not_coerced(H, bad):
+    c2 = hb.HopfBrace(hb.trivial_brace(hb.cyclic_group(2)))
+    with pytest.raises(hb.MorphismError):
+        hb.HopfMorphism(H, c2, [0, bad, 0, 1])
+    assert hb.HopfMorphism(H, c2, [0, np.int64(1), 0, 1]).map.images \
+        == (0, 1, 0, 1)
+
+
+def test_morphism_equality_sees_the_characteristic(triv_s3):
+    rational, mod5 = hb.HopfBrace(triv_s3), hb.HopfBrace(triv_s3, 5)
+    assert rational != mod5
+    assert hb.HopfMorphism.identity(rational) != hb.HopfMorphism.identity(mod5)
+    assert hb.HopfMorphism.identity(rational) \
+        == hb.HopfMorphism.identity(hb.HopfBrace(triv_s3))
 
 
 def test_oracle_agreement_on_normality(catalog):
