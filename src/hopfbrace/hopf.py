@@ -21,7 +21,7 @@ from numbers import Rational
 from operator import index
 
 from .errors import PrimeFieldError
-from .skewbrace import SkewBrace
+from .skewbrace import SkewBrace, _index
 
 
 def _field_name(p: int) -> str:
@@ -179,10 +179,7 @@ class HopfBrace:
     # ------------------------------------------------------ constructors
 
     def basis(self, g: int) -> Element:
-        g = index(g)
-        if not 0 <= g < self.dim:
-            raise IndexError(f"basis index {g} out of range")
-        return Element._make({g: 1}, 1, self.characteristic)
+        return Element._make({_index(g, self.dim): 1}, 1, self.characteristic)
 
     def one(self) -> Element:
         return self.basis(self.base.identity)
@@ -273,13 +270,15 @@ _NONZERO_NUMERATORS = tuple(k for k in range(-9, 10) if k)
 
 
 def random_element(H: HopfBrace, rng, terms: int = 2) -> Element:
-    """Random sparse element with the given number of nonzero terms."""
+    """Random sparse element with the given number of nonzero terms.  Over
+    QQ each coefficient is a nonzero numerator in [-9, 9] over a
+    denominator in [1, 4], brought to the lcm of the drawn denominators."""
     support = rng.sample(range(H.dim), min(terms, H.dim))
-    coeffs = {}
-    for g in support:
-        if H.characteristic == 0:
-            num = rng.choice(_NONZERO_NUMERATORS)
-            coeffs[g] = Fraction(num, rng.randint(1, 4))
-        else:
-            coeffs[g] = rng.randint(1, H.characteristic - 1)
-    return H.element(coeffs)
+    p = H.characteristic
+    if p:
+        return Element._make({g: rng.randint(1, p - 1) for g in support},
+                             1, p)
+    drawn = [(g, rng.choice(_NONZERO_NUMERATORS), rng.randint(1, 4))
+             for g in support]
+    den = lcm(*(d for _, _, d in drawn))
+    return Element._make({g: num * (den // d) for g, num, d in drawn}, den, 0)

@@ -56,13 +56,13 @@ def _run_series(H: HopfBrace, kind: str, max_n: int, step) -> SeriesResult:
 def left_series(H: HopfBrace, max_n: int = 10) -> SeriesResult:
     """H, H*H, H*(H*H), ...; every term is a strong subbrace."""
     st, dot = H.base.star_table, H.base.dot
-    return _run_series(H, "left", max_n, lambda c: dot.mask(st[:, c]))
+    return _run_series(H, "left", max_n, lambda c: dot._mask(st[:, c]))
 
 
 def right_series(H: HopfBrace, max_n: int = 10) -> SeriesResult:
     """H, H*H, (H*H)*H, ...; every term is a normal subbrace."""
     st, dot = H.base.star_table, H.base.dot
-    return _run_series(H, "right", max_n, lambda c: dot.mask(st[c]))
+    return _run_series(H, "right", max_n, lambda c: dot._mask(st[c]))
 
 
 def gamma_series(H: HopfBrace, max_n: int = 10) -> SeriesResult:
@@ -72,7 +72,7 @@ def gamma_series(H: HopfBrace, max_n: int = 10) -> SeriesResult:
 
     def step(c):            # st[i, h], st[h, i] and [h, i] for i in c
         comm = dot.table[dot.conj_table[:, c], dot.inverses[c]]
-        return dot.mask(st[c]) | dot.mask(st[:, c]) | dot.mask(comm)
+        return dot._mask(st[c]) | dot._mask(st[:, c]) | dot._mask(comm)
 
     result = _run_series(H, "gamma", max_n, step)
     for n in range(1, len(result.terms)):
@@ -89,8 +89,8 @@ def relative_commutator(I: Subbrace, H: HopfBrace) -> Subbrace:
     by i*h, h*i and all dot-conjugates of the h*i family."""
     _require_normal(I, H)
     st, dot, c = H.base.star_table, H.base.dot, I.elements
-    hi = np.flatnonzero(dot.mask(st[:, c]))
-    gens = dot.mask(st[c]) | dot.mask(dot.conj_table[:, hi])
+    hi = dot._mask(st[:, c])
+    gens = dot._mask(st[c]) | dot._mask(dot.conj_table[:, hi])
     return generated_subbrace(H, np.flatnonzero(gens))
 
 
@@ -100,17 +100,17 @@ def huq_commutator(I: Subbrace, H: HopfBrace) -> Subbrace:
     _require_normal(I, H)
     base, c = H.base, I.elements
     dot, circ = base.dot, base.circ
-    gens = (dot.mask(dot.table[dot.conj_table[c], dot.inverses])
-            | dot.mask(circ.table[circ.conj_table[c], circ.inverses])
-            | dot.mask(base.star_table[c]))
-    return Subbrace(H, np.array(dot.normal_closure(np.flatnonzero(gens))))
+    gens = (dot._mask(dot.table[dot.conj_table[c], dot.inverses])
+            | dot._mask(circ.table[circ.conj_table[c], circ.inverses])
+            | dot._mask(base.star_table[c]))
+    return Subbrace(H, dot.normal_closure(np.flatnonzero(gens)))
 
 
 def hopf_center(H: HopfBrace) -> Subbrace:
     """The Hopf center of the dot-structure: for a group algebra with
     diagonal comultiplication this is the subgroup algebra of the
     group-theoretic center."""
-    return Subbrace(H, np.array(H.base.dot.center()))
+    return Subbrace(H, np.flatnonzero(H.base.dot._central()))
 
 
 # ------------------------------------------------------- socle/annihilator
@@ -184,8 +184,8 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
             "socle/annihilator computation is defined over the rationals only")
     base = H.base
     n = H.dim
-    center = list(base.dot.center())
-    central = base.dot.mask(np.array(center))
+    central = base.dot._central()
+    center = np.flatnonzero(central).tolist()
     st = base.star_table
     fixed = base.lambda_table == np.arange(n)        # lambda_g(b) == b
     soc_mask = central & fixed.all(axis=1)
@@ -213,7 +213,8 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
 def star_closure_subbrace(H: HopfBrace) -> Subbrace:
     """The subobject generated by all star values (the second right-series
     term)."""
-    return generated_subbrace(H, H.base.star_table)
+    star_values = H.base.dot._mask(H.base.star_table)
+    return generated_subbrace(H, np.flatnonzero(star_values))
 
 
 def star_abelianization(H: HopfBrace) -> tuple[HopfBrace, HopfMorphism]:
@@ -230,8 +231,8 @@ def full_abelianization(H: HopfBrace) -> tuple[HopfBrace, HopfMorphism]:
     values and dot-commutators: the ideal H*H joined with the dot-normal
     [G, G], so dot-normal."""
     base, dot = H.base, H.base.dot
-    gens = (dot.mask(base.star_table)
-            | dot.mask(dot.table[dot.conj_table, dot.inverses]))
+    gens = (dot._mask(base.star_table)
+            | dot._mask(dot.table[dot.conj_table, dot.inverses]))
     Q, pi = quotient(H, generated_subbrace(H, np.flatnonzero(gens)))
     qt = Q.base.dot.table
     if not Q.base.is_trivial() or not (qt == qt.T).all():

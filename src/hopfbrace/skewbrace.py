@@ -19,18 +19,18 @@ still exactly:
 Only a rejected pair pays for the full sweep that finds the witness, the
 lexicographically first failing triple.
 
-The subgroup kernel works on boolean carrier masks with numpy gathers;
-carriers are sorted tuples only at the API edge.  A closure is a BFS
-under right multiplication by the generators alone (in a finite group
-g^-1 is a positive power of g), a normal closure one closure of all
-conjugates of the generators, read off the cached table
-conj_table[a, x] = a x a^-1.
+Inside the package a carrier is a boolean mask, a sorted tuple only at
+the API edge.  Caller indices pass one check, ``_indices``; the package
+masks its own gathered index arrays (up to n^2 entries) unchecked, with
+``FiniteGroup._mask``.  A closure is a BFS under right multiplication by
+the generators alone (in a finite group g^-1 is a positive power of g),
+a normal closure one closure of all conjugates of the generators, read
+off the cached table conj_table[a, x] = a x a^-1.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from operator import index
 
 import numpy as np
 
@@ -67,18 +67,39 @@ def _generating_set(table) -> list[int]:
     return gens
 
 
+def _integral(types) -> bool:
+    """Whether all these types are Python or NumPy integers other than
+    bool, which numpy and ``operator.index`` would read as 0 and 1."""
+    return all(t is not bool and issubclass(t, (int, np.integer))
+               for t in types)
+
+
+def _index(i, n: int) -> int:
+    """One caller index, by the rule of ``_indices``."""
+    if not _integral((type(i),)):
+        raise TypeError(f"an index must be an integer, got {i!r}")
+    if not 0 <= i < n:
+        raise IndexError(f"index {i} out of range [0, {n})")
+    return int(i)
+
+
 def _indices(elems, n: int) -> np.ndarray:
-    """Carrier indices from an index array of any shape, taken as it is
-    (the package passes its own indices as arrays), or from an iterable of
-    user indices, which must be integers in [0, n)."""
-    if isinstance(elems, np.ndarray):
-        return elems.ravel()
-    arr = np.array(list(elems))
-    if arr.ndim != 1 or arr.size and arr.dtype.kind not in "iu":
-        raise TypeError(f"carrier indices must be integers, got {arr.tolist()}")
-    arr = arr.astype(np.int64, copy=False)
+    """The one check on caller indices: a flat collection, in any
+    container, of Python or NumPy integers other than bools, each in
+    [0, n); anything else raises TypeError or IndexError."""
+    if not isinstance(elems, np.ndarray):
+        elems = list(elems)
+        if not _integral(set(map(type, elems))):
+            raise TypeError(f"indices must be integers, got {elems}")
+        try:
+            elems = np.array(elems, dtype=np.int64)
+        except OverflowError:                           # beyond 64 bits
+            raise IndexError(f"index out of range [0, {n}): {elems}") from None
+    if elems.ndim != 1 or elems.size and elems.dtype.kind not in "iu":
+        raise TypeError(f"indices must be flat integers, got {elems.tolist()}")
+    arr = elems.astype(np.int64, copy=False)
     if arr.size and arr.view(np.uint64).max() >= n:     # negatives read huge
-        raise IndexError(f"carrier index out of range [0, {n}): {arr.tolist()}")
+        raise IndexError(f"index out of range [0, {n}): {arr.tolist()}")
     return arr
 
 
@@ -138,12 +159,6 @@ class FiniteGroup:
         self.inverses = inverses
         self._conj = None
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverses[a])
-
     @property
     def conj_table(self) -> np.ndarray:
         """conj_table[a, x] = a x a^-1, built on first use."""
@@ -154,47 +169,55 @@ class FiniteGroup:
         return self._conj
 
     def mask(self, elems) -> np.ndarray:
-        """The boolean carrier mask of an iterable or index array."""
-        mask = np.zeros(self.order, dtype=bool)
-        mask[_indices(elems, self.order)] = True
-        return mask
+        """The boolean carrier mask of caller indices (see ``_indices``)."""
+        return self._mask(_indices(elems, self.order))
 
-    def _close(self, mask, gens) -> np.ndarray:
-        """Grow mask in place to its closure under right multiplication
-        by gens, a BFS that only multiplies the newest elements."""
-        frontier = np.flatnonzero(mask)
-        while frontier.size:
-            new = self.mask(self.table[frontier[:, None], gens]) & ~mask
-            mask |= new
-            frontier = np.flatnonzero(new)
+    def _mask(self, idx) -> np.ndarray:
+        """The unchecked mask of the package's own index array, any shape."""
+        mask = np.zeros(self.order, dtype=bool)
+        mask[idx] = True
         return mask
 
     # ---------------------------------------------------------- subgroups
 
+    def _closure(self, gens) -> np.ndarray:
+        """The mask of the subgroup generated by a generator mask: a BFS
+        from the generators and the identity under right multiplication
+        by the generators alone, multiplying only the newest elements."""
+        mask = gens | self._mask(self.identity)
+        gens, frontier = np.flatnonzero(gens), np.flatnonzero(mask)
+        while frontier.size:
+            new = self._mask(self.table[frontier[:, None], gens]) & ~mask
+            mask |= new
+            frontier = np.flatnonzero(new)
+        return mask
+
+    def _central(self) -> np.ndarray:
+        return (self.table == self.table.T).all(axis=1)
+
+    def _is_subgroup(self, mask) -> bool:
+        """Nonempty and closed under products, which suffices when finite."""
+        c = np.flatnonzero(mask)
+        return c.size > 0 and bool(mask[self.table[c[:, None], c]].all())
+
     def subgroup_generated(self, gens) -> tuple[int, ...]:
-        gens = np.flatnonzero(self.mask(gens))
-        return _carrier(self._close(np.arange(self.order) == self.identity, gens))
+        return _carrier(self._closure(self.mask(gens)))
 
     def normal_closure(self, gens) -> tuple[int, ...]:
         """A conjugation-closed set generates a normal subgroup."""
-        gens = _indices(gens, self.order)
-        return self.subgroup_generated(self.conj_table[:, gens])
+        conjugates = self._mask(self.conj_table[:, self.mask(gens)])
+        return _carrier(self._closure(conjugates))
 
     def center(self) -> tuple[int, ...]:
-        t = self.table
-        central = np.nonzero((t == t.T).all(axis=1))[0]
-        return tuple(int(g) for g in central)
+        return _carrier(self._central())
 
     def is_subgroup(self, carrier) -> bool:
-        """Nonempty and closed under products, which suffices when finite."""
-        c = _indices(carrier, self.order)
-        return c.size > 0 and bool(
-            self.mask(c)[self.table[c[:, None], c]].all())
+        return self._is_subgroup(self.mask(carrier))
 
     def is_normal(self, carrier) -> bool:
-        c = _indices(carrier, self.order)
-        return self.is_subgroup(c) and bool(
-            self.mask(c)[self.conj_table[:, c]].all())
+        mask = self.mask(carrier)
+        return self._is_subgroup(mask) and bool(
+            mask[self.conj_table[:, mask]].all())
 
     def all_subgroups(self) -> list[tuple[int, ...]]:
         """Every subgroup as a join of cyclic subgroups (the cyclic
@@ -214,9 +237,8 @@ class FiniteGroup:
         while frontier:
             nxt = []
             for sub in frontier:
-                elems = np.flatnonzero(sub)
                 for g in cyclic_gens[~sub[cyclic_gens]]:
-                    join = self._close(sub.copy(), np.append(elems, g))
+                    join = self._closure(sub | (rng == g))
                     key = np.packbits(join).tobytes()
                     if key not in found:
                         found[key] = _carrier(join)
@@ -327,15 +349,6 @@ class SkewBrace:
         self.lambda_table = lam
         self.star_table = star
 
-    def lambda_act(self, a: int, b: int) -> int:
-        return int(self.lambda_table[a, b])
-
-    def star_set(self, a: int, b: int) -> int:
-        return int(self.star_table[a, b])
-
-    def star_image(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in sorted(np.unique(self.star_table)))
-
     def is_trivial(self) -> bool:
         return bool((self.dot.table == self.circ.table).all())
 
@@ -387,22 +400,20 @@ def direct_product(b1: SkewBrace, b2: SkewBrace) -> SkewBrace:
 
 class BraceMap:
     """A set map between brace carriers, validated as a homomorphism for
-    both products (hence a brace morphism on group-likes)."""
+    both products (hence a brace morphism on group-likes).  ``images`` is
+    a read-only int64 array, like the tables."""
 
     __slots__ = ("source", "target", "images")
 
     def __init__(self, source: SkewBrace, target: SkewBrace, images):
         try:
-            images = tuple(map(index, images))
-        except TypeError:
-            raise MorphismError("image indices must be integers") from None
-        if len(images) != source.order:
+            img = _indices(images, target.order).astype(np.int64)  # a copy
+        except (TypeError, IndexError) as exc:
+            raise MorphismError(f"image {exc}") from None
+        if len(img) != source.order:
             raise MorphismError(
-                f"image array has length {len(images)}, carrier has {source.order}")
-        if any(not 0 <= i < target.order for i in images):
-            raise MorphismError("image index out of range")
-        img = np.asarray(images, dtype=np.int64)
-        if images[source.identity] != target.identity:
+                f"image array has length {len(img)}, carrier has {source.order}")
+        if img[source.identity] != target.identity:
             raise MorphismError("identity is not preserved",
                                 witness=(source.identity,))
         for name, ts, tt in (("dot", source.dot.table, target.dot.table),
@@ -413,23 +424,24 @@ class BraceMap:
                 raise MorphismError(
                     f"not a {name}-homomorphism at pair ({int(a)}, {int(b)})",
                     witness=(int(a), int(b)))
+        img.setflags(write=False)
         self.source = source
         self.target = target
-        self.images = images
+        self.images = img
 
     def __call__(self, g: int) -> int:
-        return self.images[g]
+        return int(self.images[_index(g, self.source.order)])
 
     def kernel_set(self) -> tuple[int, ...]:
-        e = self.target.identity
-        return tuple(g for g in range(self.source.order) if self.images[g] == e)
+        return _carrier(self.images == self.target.identity)
 
     def is_surjective(self) -> bool:
-        return len(set(self.images)) == self.target.order
+        return np.unique(self.images).size == self.target.order
 
     def __eq__(self, other):
         return (isinstance(other, BraceMap) and self.source == other.source
-                and self.target == other.target and self.images == other.images)
+                and self.target == other.target
+                and np.array_equal(self.images, other.images))
 
     def __repr__(self):
         return f"BraceMap(order {self.source.order} -> {self.target.order})"

@@ -4,19 +4,19 @@ certified by their projection (one construction, see ``quotient``).
 In characteristic zero every Hopf subalgebra of a group algebra is a
 subgroup algebra, and all generators arising here (star values,
 commutators, conjugates) are group-like, so subobjects are represented
-by subgroups of the dot-group.  The predicates are uncached gathers over
-the carrier mask; ``_require_normal`` is the one normality guard.
+by subgroups of the dot-group.  A ``Subbrace`` checks its indices and
+that they form a subgroup once, on the mask it builds.  The predicates
+are uncached gathers over that mask; ``_require_normal`` is the one
+normality guard.
 """
 
 from __future__ import annotations
-
-from operator import index
 
 import numpy as np
 
 from .errors import CrossCheckError, NormalityError
 from .hopf import Element, HopfBrace
-from .skewbrace import BraceMap, SkewBrace
+from .skewbrace import BraceMap, SkewBrace, _carrier
 
 
 class Subbrace:
@@ -26,13 +26,11 @@ class Subbrace:
 
     def __init__(self, parent: HopfBrace, carrier):
         mask = parent.base.dot.mask(carrier)
-        elems = np.flatnonzero(mask)
-        carrier = tuple(elems.tolist())
-        if not parent.base.dot.is_subgroup(elems):
-            raise ValueError(f"{carrier} is not a dot-subgroup")
+        if not parent.base.dot._is_subgroup(mask):
+            raise ValueError(f"{_carrier(mask)} is not a dot-subgroup")
         mask.setflags(write=False)
         self.parent = parent
-        self.carrier = carrier
+        self.carrier = _carrier(mask)
         self.mask = mask
 
     @property
@@ -81,7 +79,7 @@ class Subbrace:
 
 def generated_subbrace(H: HopfBrace, gens) -> Subbrace:
     """Smallest subgroup-algebra subobject containing the given group-likes."""
-    return Subbrace(H, np.array(H.base.dot.subgroup_generated(gens)))
+    return Subbrace(H, H.base.dot.subgroup_generated(gens))
 
 
 def trivial_subbrace(H: HopfBrace) -> Subbrace:
@@ -108,10 +106,7 @@ class HopfMorphism:
     def __call__(self, x: Element | int):
         """The image of a basis index, or of an element of the source."""
         if not isinstance(x, Element):
-            g = index(x)
-            if not 0 <= g < self.source.dim:
-                raise IndexError(f"basis index {g} out of range")
-            return self.map(g)
+            return self.map(x)
         return self.source._relabel(self.map.images, x)
 
     def is_surjective(self) -> bool:
@@ -119,7 +114,7 @@ class HopfMorphism:
 
     @classmethod
     def identity(cls, H: HopfBrace) -> "HopfMorphism":
-        return cls(H, H, tuple(range(H.dim)))
+        return cls(H, H, np.arange(H.dim))
 
     def __eq__(self, other):
         return (isinstance(other, HopfMorphism) and self.source == other.source
@@ -138,7 +133,8 @@ def _require_normal(B: Subbrace, H: HopfBrace) -> None:
 
 def hopf_kernel(f: HopfMorphism) -> Subbrace:
     """Kernel subobject: group-likes sent to the target identity."""
-    return Subbrace(f.source, np.array(f.map.kernel_set()))
+    return Subbrace(f.source,
+                    np.flatnonzero(f.map.images == f.map.target.identity))
 
 
 def quotient(H: HopfBrace, B: Subbrace) -> tuple[HopfBrace, HopfMorphism]:
@@ -156,7 +152,7 @@ def quotient(H: HopfBrace, B: Subbrace) -> tuple[HopfBrace, HopfMorphism]:
     reps, proj = np.unique(rep, return_inverse=True)
     qbase = SkewBrace(dot._image(proj, reps), circ._image(proj, reps))
     Q = HopfBrace(qbase, H.characteristic)
-    pi = HopfMorphism(H, Q, proj.tolist())
+    pi = HopfMorphism(H, Q, proj)
     if hopf_kernel(pi).carrier != B.carrier:
         raise CrossCheckError("projection kernel does not recover the subbrace")
     return Q, pi

@@ -69,3 +69,22 @@ def comultiply(x: dict) -> dict:
 def pair(x: dict, y: dict, p: int) -> dict:
     return clean({(g, h): a * b for g, a in x.items()
                   for h, b in y.items()}, p)
+
+
+NONZERO_NUMERATORS = tuple(k for k in range(-9, 10) if k)
+
+
+def random_element(H, rng, terms: int = 2):
+    """The construction ``hopfbrace.hopf.random_element`` used before it
+    built int numerators over one denominator: a ``Fraction`` per
+    coefficient over QQ, handed to ``H.element``.  It makes the same RNG
+    calls in the same order."""
+    support = rng.sample(range(H.dim), min(terms, H.dim))
+    coeffs = {}
+    for g in support:
+        if H.characteristic == 0:
+            num = rng.choice(NONZERO_NUMERATORS)
+            coeffs[g] = Fraction(num, rng.randint(1, 4))
+        else:
+            coeffs[g] = rng.randint(1, H.characteristic - 1)
+    return H.element(coeffs)

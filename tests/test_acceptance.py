@@ -168,8 +168,8 @@ def test_criterion_6_cross_layer_faithfulness(catalog):
             ba = H.basis(a)
             for b in range(desc.order):
                 bb = H.basis(b)
-                assert H.star(ba, bb) == H.basis(brace.star_set(a, b))
-                assert H.act(ba, bb) == H.basis(brace.lambda_act(a, b))
+                assert H.star(ba, bb) == H.basis(brace.star_table[a, b])
+                assert H.act(ba, bb) == H.basis(brace.lambda_table[a, b])
                 pairs += 1
     _pass(6, f"element-level star/action agree with the set level on all "
              f"{pairs} group-like pairs")

@@ -15,6 +15,8 @@ from hopfbrace.cli import main
 
 INVARIANTS_GOLDEN = Path(__file__).parent / "data" / "invariants.json"
 SERIES_GOLDEN = Path(__file__).parent / "data" / "series_all.json"
+CHECK_CENTRAL_GOLDEN = Path(__file__).parent / "data" / "check_central.json"
+MAPS = Path(__file__).parent / "data" / "maps"
 
 
 def run(capsys, *argv):
@@ -115,6 +117,16 @@ def test_integers_beyond_int64_exit_2_with_one_line(tmp_path, capsys,
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2 and len(err.strip().splitlines()) == 1, (stem, err)
         assert "range" in err
+
+
+def test_map_image_beyond_int64_is_out_of_range(tmp_path, capsys):
+    path = tmp_path / "big.map.json"
+    path.write_text(json.dumps({"target": "trivial:C2",
+                                "images": [0, 1, 0, 10**30]}))
+    code, _, err = run(capsys, "check-central", "radical_c4", "--map",
+                       str(path))
+    assert code == 2 and len(err.strip().splitlines()) == 1, err
+    assert "out of range" in err
 
 
 def test_unreadable_files_exit_2_with_one_line(tmp_path, capsys):
@@ -393,6 +405,26 @@ def test_series_json_matches_golden(capsys, catalog):
             assert code == 0
             out.append(text)
     assert "".join(out) == SERIES_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_check_central_json_matches_golden(capsys):
+    """`check-central SOURCE --map FILE --json` for every map under
+    data/maps (the identity of each catalog brace and the projections of
+    the three products onto their factors), in sorted file order, byte
+    for byte against the output recorded before morphism images became
+    one array.  Some of these extensions are central and some are not,
+    with witnesses for both adjunctions."""
+    out = []
+    for path in sorted(MAPS.glob("*.json")):
+        source = json.loads(path.read_text(encoding="utf-8"))["source"]
+        code, text, _ = run(capsys, "check-central", source, "--map",
+                            str(path), "--json")
+        assert code == 0, path.name
+        out.append(text)
+    golden = CHECK_CENTRAL_GOLDEN.read_text(encoding="utf-8")
+    assert len(out) == 21
+    assert '"witness_hopfcoc": [' in golden and '"witness_huq": [' in golden
+    assert "".join(out) == golden
 
 
 def test_seed_env_override(capsys, monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hopfbrace as hb
+import reference_hopf as ref
 from hopfbrace.hopf import random_element
 
 
@@ -24,6 +25,20 @@ def test_bilinearity_of_dot(H):
     x = H.element({0: 1, 1: 2})
     y = H.basis(2)
     assert H.dot(x, y) == H.basis(2) + H.basis(3).scale(2)
+
+
+@pytest.mark.parametrize("p", [0, 5])
+def test_random_element_matches_the_fraction_construction(catalog, p):
+    """Int numerators over the lcm of the drawn denominators give the
+    element that one Fraction per coefficient gave, from the same draws:
+    the two RNG streams end in the same state."""
+    for desc, brace in catalog:
+        H = hb.HopfBrace(brace, p)
+        ours, theirs = random.Random(desc.name), random.Random(desc.name)
+        for _ in range(300):
+            x, y = random_element(H, ours), ref.random_element(H, theirs)
+            assert x == y and x.p == p, desc.name
+        assert ours.getstate() == theirs.getstate(), desc.name
 
 
 def test_comultiply_counit(H):
@@ -95,9 +110,9 @@ def test_group_like_faithfulness_everywhere(catalog):
         for a in range(brace.order):
             for b in range(brace.order):
                 assert H.star(H.basis(a), H.basis(b)) \
-                    == H.basis(brace.star_set(a, b))
+                    == H.basis(brace.star_table[a, b])
                 assert H.act(H.basis(a), H.basis(b)) \
-                    == H.basis(brace.lambda_act(a, b))
+                    == H.basis(brace.lambda_table[a, b])
 
 
 def test_bilinearity_random(H):

@@ -58,42 +58,43 @@ def test_compatibility_violation_carries_triple():
 
 
 def test_lambda_examples(radical_c4):
-    assert radical_c4.lambda_act(1, 1) == 3
-    assert all(radical_c4.lambda_act(2, b) == b for b in range(4))
+    assert radical_c4.lambda_table[1, 1] == 3
+    assert all(radical_c4.lambda_table[2, b] == b for b in range(4))
     triv = hb.trivial_brace(hb.symmetric_group(3))
-    assert all(triv.lambda_act(a, b) == b for a in range(6) for b in range(6))
+    assert all(triv.lambda_table[a, b] == b for a in range(6) for b in range(6))
 
 
 def test_lambda_is_automorphism_and_homomorphic(radical_c4, opp_s3):
     for brace in (radical_c4, opp_s3):
         n = brace.order
         for a in range(n):
-            seen = {brace.lambda_act(a, b) for b in range(n)}
+            seen = {brace.lambda_table[a, b] for b in range(n)}
             assert seen == set(range(n))
             for x in range(n):
                 for y in range(n):
-                    assert (brace.lambda_act(a, brace.dot.mul(x, y))
-                            == brace.dot.mul(brace.lambda_act(a, x),
-                                             brace.lambda_act(a, y)))
+                    assert (brace.lambda_table[a, brace.dot.table[x, y]]
+                            == brace.dot.table[brace.lambda_table[a, x],
+                                               brace.lambda_table[a, y]])
         for a in range(n):
             for b in range(n):
-                ab = brace.circ.mul(a, b)
+                ab = brace.circ.table[a, b]
                 for x in range(n):
-                    assert (brace.lambda_act(ab, x)
-                            == brace.lambda_act(a, brace.lambda_act(b, x)))
+                    assert (brace.lambda_table[ab, x]
+                            == brace.lambda_table[a, brace.lambda_table[b, x]])
 
 
 def test_star_examples(radical_c4, opp_s3):
-    assert radical_c4.star_set(1, 1) == 2
+    assert radical_c4.star_table[1, 1] == 2
     triv = hb.trivial_brace(hb.cyclic_group(4))
-    assert all(triv.star_set(a, b) == 0 for a in range(4) for b in range(4))
+    assert all(triv.star_table[a, b] == 0 for a in range(4) for b in range(4))
     # opposite brace: a*b = a^-1 . b . a . b^-1, image generates A3
     g = opp_s3.dot
     for a in range(6):
         for b in range(6):
-            expected = g.mul(g.mul(g.mul(g.inv(a), b), a), g.inv(b))
-            assert opp_s3.star_set(a, b) == expected
-    assert g.subgroup_generated(opp_s3.star_image()) == (0, 3, 4)
+            expected = g.table[g.table[g.table[g.inverses[a], b], a],
+                               g.inverses[b]]
+            assert opp_s3.star_table[a, b] == expected
+    assert g.subgroup_generated(np.unique(opp_s3.star_table)) == (0, 3, 4)
 
 
 def test_star_two_computations_agree(catalog):
@@ -101,18 +102,19 @@ def test_star_two_computations_agree(catalog):
         g = brace.dot
         for a in range(brace.order):
             for b in range(brace.order):
-                via_lambda = g.mul(brace.lambda_act(a, b), g.inv(b))
-                via_circ = g.mul(g.mul(g.inv(a), brace.circ.mul(a, b)),
-                                 g.inv(b))
-                assert via_lambda == via_circ == brace.star_set(a, b)
+                via_lambda = g.table[brace.lambda_table[a, b], g.inverses[b]]
+                via_circ = g.table[
+                    g.table[g.inverses[a], brace.circ.table[a, b]],
+                    g.inverses[b]]
+                assert via_lambda == via_circ == brace.star_table[a, b]
 
 
 def test_circ_decomposes_through_lambda(catalog):
     for desc, brace in catalog:
         for a in range(brace.order):
             for b in range(brace.order):
-                assert (brace.circ.mul(a, b)
-                        == brace.dot.mul(a, brace.lambda_act(a, b)))
+                assert (brace.circ.table[a, b]
+                        == brace.dot.table[a, brace.lambda_table[a, b]])
 
 
 def test_subgroup_generated():
@@ -212,9 +214,9 @@ def test_direct_product_componentwise_star(radical_c4):
         for b in (0, 2, 3, 9, 14):
             a1, a2 = divmod(a, n2)
             b1, b2 = divmod(b, n2)
-            expected = (radical_c4.star_set(a1, b1) * n2
-                        + radical_c4.star_set(a2, b2))
-            assert prod.star_set(a, b) == expected
+            expected = (radical_c4.star_table[a1, b1] * n2
+                        + radical_c4.star_table[a2, b2])
+            assert prod.star_table[a, b] == expected
 
 
 def test_order_cap_guard():

@@ -20,7 +20,7 @@ def Ho(opp_s3):
 def test_generated_subbrace(H, Ho):
     assert hb.generated_subbrace(H, []).carrier == (0,)
     assert hb.generated_subbrace(H, [2]).carrier == (0, 2)
-    star_image = Ho.base.star_image()
+    star_image = np.unique(Ho.base.star_table)
     assert hb.generated_subbrace(Ho, star_image).carrier == (0, 3, 4)
 
 
@@ -74,8 +74,8 @@ def test_strong_subbrace_is_circ_and_t_closed(catalog):
             B = hb.Subbrace(HH, carrier)
             if B.is_strong():
                 s = set(carrier)
-                assert all(brace.circ.mul(a, b) in s for a in s for b in s)
-                assert all(brace.circ.inv(a) in s for a in s)
+                assert all(brace.circ.table[a, b] in s for a in s for b in s)
+                assert all(brace.circ.inverses[a] in s for a in s)
 
 
 def test_quotient_radical_c4(H):
@@ -162,7 +162,58 @@ def test_morphism_images_are_refused_not_coerced(H, bad):
     with pytest.raises(hb.MorphismError):
         hb.HopfMorphism(H, c2, [0, bad, 0, 1])
     assert hb.HopfMorphism(H, c2, [0, np.int64(1), 0, 1]).map.images \
-        == (0, 1, 0, 1)
+        .tolist() == [0, 1, 0, 1]
+
+
+@pytest.fixture(scope="module")
+def C4():
+    return hb.HopfBrace(hb.trivial_brace(hb.cyclic_group(4)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda H: hb.Subbrace(H, np.array([-4, 0])),
+    lambda H: hb.Subbrace(H, np.array([0, 2, -2])),
+    lambda H: hb.Subbrace(H, np.array([True, False, True, False])),
+    lambda H: hb.Subbrace(H, [True, False]),
+    lambda H: hb.Subbrace(H, np.array([[0, 2], [2, 0]])),
+    lambda H: hb.generated_subbrace(H, np.array([-1])),
+    lambda H: H.base.dot.is_normal(np.array([0, -2])),
+    lambda H: hb.Subbrace(H, [False, 2]),
+    lambda H: H.base.dot.subgroup_generated([False, 2]),
+    lambda H: H.base.dot.mask([np.True_, 2]),
+    lambda H: H.basis(True),
+    lambda H: hb.HopfMorphism.identity(H)(True),
+    lambda H: hb.HopfMorphism.identity(H)(-1),
+], ids=["array-wraps", "array-negative", "array-bool-mask", "bool-list",
+        "array-2d", "generated-negative", "is-normal-negative",
+        "bool-in-carrier", "bool-generator", "numpy-bool", "basis-bool",
+        "morphism-bool", "morphism-negative"])
+def test_index_arrays_and_bools_are_refused(C4, call):
+    """An index array passes the same check as a list: before, a negative
+    entry wrapped, a bool array was read as a mask, a 2-D array was
+    flattened and a bool was read as 0 or 1."""
+    with pytest.raises((TypeError, IndexError)):
+        call(C4)
+
+
+@pytest.mark.parametrize("images", [[0, True, 2, 3], np.ones(4, dtype=bool),
+                                    np.array([0, 1, 2, -1])])
+def test_bool_and_negative_images_are_refused(C4, images):
+    with pytest.raises(hb.MorphismError):
+        hb.HopfMorphism(C4, C4, images)
+
+
+def test_morphism_images_are_one_read_only_array(C4):
+    given = np.arange(4)
+    f = hb.HopfMorphism(C4, C4, given)
+    given[1] = 3                           # the map keeps its own copy
+    images = f.map.images
+    assert images.dtype == np.int64 and not images.flags.writeable
+    assert images.tolist() == [0, 1, 2, 3] and f(np.int64(2)) == 2
+    assert f.is_surjective() and f.map.kernel_set() == (0,)
+    zero = hb.HopfMorphism(C4, C4, [0] * 4)   # as many images as targets
+    assert not zero.is_surjective()
+    assert zero.map.kernel_set() == (0, 1, 2, 3)
 
 
 def test_morphism_equality_sees_the_characteristic(triv_s3):
