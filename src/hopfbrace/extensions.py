@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import MorphismError
+from .skewbrace import _first_bad_tuple
 from .subobjects import HopfMorphism, Subbrace, hopf_kernel
 
 
@@ -36,8 +37,8 @@ def _require_surjective(f: HopfMorphism) -> Subbrace:
 def _first_pair(carrier: tuple[int, ...], bad) -> tuple[int, int] | None:
     """The first (k, x) in carrier order, then x order, with bad[i, x]
     for k = carrier[i]; None when no pair is bad."""
-    hits = np.argwhere(bad)
-    return (carrier[hits[0, 0]], int(hits[0, 1])) if len(hits) else None
+    hit = _first_bad_tuple(bad)
+    return None if hit is None else (carrier[hit[0]], hit[1])
 
 
 def check_central_hopfcoc(f: HopfMorphism) -> ExtensionReport:

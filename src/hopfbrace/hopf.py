@@ -18,10 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from numbers import Rational
-from operator import index
 
 from .errors import PrimeFieldError
-from .skewbrace import SkewBrace, _index
+from .skewbrace import SkewBrace, _index, _integer
 
 
 def _field_name(p: int) -> str:
@@ -114,7 +113,7 @@ class Element(_Combination):
     """Sparse linear combination of group-like basis elements."""
 
     __slots__ = ()
-    _key = staticmethod(index)
+    _key = staticmethod(_integer)
 
     def __add__(self, other: "Element") -> "Element":
         if other.p != self.p:
@@ -148,7 +147,7 @@ class Tensor2(_Combination):
     @staticmethod
     def _key(key) -> tuple[int, int]:
         i, j = key
-        return index(i), index(j)
+        return _integer(i), _integer(j)
 
     def __repr__(self):
         return f"Tensor2({dict(self.items())})"

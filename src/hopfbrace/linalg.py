@@ -11,16 +11,17 @@ of its null space, so one elimination makes every canonical basis."""
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import index
 from typing import Iterable
 
 from .errors import PrimeFieldError
 from .hopf import Element
+from .skewbrace import _integers
 
 
 def indicator(indices: Iterable[int]) -> Element:
-    """The 0/1 element with a one at each of ``indices`` (Python ints)."""
-    return Element._canonical(dict.fromkeys(indices, 1), 1, 0)
+    """The 0/1 element with a one at each of ``indices``: integers other
+    than bools, by the rule of ``skewbrace._integral``."""
+    return Element._canonical(dict.fromkeys(_integers(indices), 1), 1, 0)
 
 
 def _check(vec: Element, ambient: int) -> Element:
@@ -154,4 +155,4 @@ def span_of_indices(indices: Iterable[int], ambient: int) -> Subspace:
     """Coordinate subspace spanned by the given basis indices: its unit
     vectors, sorted and distinct, are already the canonical RREF basis."""
     return Subspace(ambient, tuple(_check(indicator([g]), ambient)
-                                   for g in sorted(set(map(index, indices)))))
+                                   for g in sorted(set(_integers(indices)))))

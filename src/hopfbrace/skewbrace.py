@@ -17,7 +17,9 @@ still exactly:
   a o (b.c) = (a o b) . a^-1 . (a o c) is a times it, on the same triples.
 
 Only a rejected pair pays for the full sweep that finds the witness, the
-lexicographically first failing triple.
+lexicographically first failing triple, built in blocks of a fixed
+number of entries by ``_first_bad_tuple``, the one search behind every
+pair and triple witness.
 
 Inside the package a carrier is a boolean mask, a sorted tuple only at
 the API edge.  Caller indices pass one check, ``_indices``; the package
@@ -74,13 +76,31 @@ def _integral(types) -> bool:
                for t in types)
 
 
-def _index(i, n: int) -> int:
-    """One caller index, by the rule of ``_indices``."""
+def _integer(i) -> int:
+    """One caller index with no range, by the rule of ``_integral``."""
     if not _integral((type(i),)):
         raise TypeError(f"an index must be an integer, got {i!r}")
+    return int(i)
+
+
+def _integers(elems) -> list[int]:
+    """Caller indices with no range, by the rule of ``_integral``, as a
+    list of Python ints."""
+    elems = list(elems)
+    types = set(map(type, elems))
+    if types <= {int}:          # Python ints already (bool is not int)
+        return elems
+    if not _integral(types):
+        raise TypeError(f"indices must be integers, got {elems}")
+    return list(map(int, elems))
+
+
+def _index(i, n: int) -> int:
+    """One caller index, by the rule of ``_indices``."""
+    i = _integer(i)
     if not 0 <= i < n:
         raise IndexError(f"index {i} out of range [0, {n})")
-    return int(i)
+    return i
 
 
 def _indices(elems, n: int) -> np.ndarray:
@@ -88,9 +108,7 @@ def _indices(elems, n: int) -> np.ndarray:
     container, of Python or NumPy integers other than bools, each in
     [0, n); anything else raises TypeError or IndexError."""
     if not isinstance(elems, np.ndarray):
-        elems = list(elems)
-        if not _integral(set(map(type, elems))):
-            raise TypeError(f"indices must be integers, got {elems}")
+        elems = _integers(elems)
         try:
             elems = np.array(elems, dtype=np.int64)
         except OverflowError:                           # beyond 64 bits
@@ -107,13 +125,25 @@ def _carrier(mask) -> tuple[int, ...]:
     return tuple(np.flatnonzero(mask).tolist())
 
 
-def _first_bad_triple(n, mismatch) -> tuple[int, int, int]:
-    """The lexicographically first (a, b, c) with mismatch(a)[b, c]."""
-    for a in range(n):
-        bad = mismatch(a)
-        if bad.any():
-            b, c = np.argwhere(bad)[0]
-            return a, int(b), int(c)
+_BLOCK = 1 << 17      # entries of a swept mismatch array built at once
+
+
+def _first_bad_tuple(bad, n: int = 0,
+                     width: int = 1) -> tuple[int, ...] | None:
+    """The lexicographically first index tuple at which ``bad`` is true,
+    or None: the package's one search for a witness.  ``bad`` is a boolean
+    array, or, for one too large to hold, a function of ``lo, hi`` that
+    builds its rows lo:hi of n, ``width`` entries each.  Those are built in
+    order, in blocks of about ``_BLOCK`` entries, up to the first block
+    that fails; its first hit, offset by the block start, is the witness."""
+    if not callable(bad):       # any() is ~100x faster than an empty argwhere
+        return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
+    step = max(1, _BLOCK // width)
+    for lo in range(0, n, step):
+        hit = _first_bad_tuple(bad(lo, min(n, lo + step)))
+        if hit is not None:
+            return (lo + hit[0], *hit[1:])
+    return None
 
 
 class FiniteGroup:
@@ -136,8 +166,9 @@ class FiniteGroup:
                                  witness=(a,))
         gens = _generating_set(table)            # Light's test
         if (table[table[:, gens], :] != table[:, table[gens, :]]).any():
-            triple = _first_bad_triple(
-                n, lambda a: table[table[a], :] != table[a, table])
+            triple = _first_bad_tuple(
+                lambda lo, hi: table[table[lo:hi]] != table[lo:hi, table],
+                n, n * n)
             raise NotAGroupError(f"associativity fails at triple {triple}",
                                  witness=triple)
         ident = np.flatnonzero((table == rng).all(axis=1)
@@ -335,8 +366,10 @@ class SkewBrace:
         lhs = lam[:, d[:, gens]]                         # lambda_a(b.g)
         rhs = d[lam[:, :, None], lam[:, None, gens]]     # ... . lambda_a(g)
         if (lhs != rhs).any():
-            triple = _first_bad_triple(
-                n, lambda a: lam[a, d] != d[lam[a][:, None], lam[a]])
+            triple = _first_bad_tuple(
+                lambda lo, hi: (lam[lo:hi][:, d]
+                                != d[lam[lo:hi, :, None], lam[lo:hi, None]]),
+                n, n * n)
             raise CompatibilityError(f"compatibility fails at triple {triple}",
                                      witness=triple)
         star = d[lam, dinv[None, :]]                     # lambda_a(b) . b^-1
@@ -418,12 +451,11 @@ class BraceMap:
                                 witness=(source.identity,))
         for name, ts, tt in (("dot", source.dot.table, target.dot.table),
                              ("circ", source.circ.table, target.circ.table)):
-            mism = img[ts] != tt[img[:, None], img[None, :]]
-            if mism.any():
-                a, b = np.argwhere(mism)[0]
+            pair = _first_bad_tuple(img[ts] != tt[img[:, None], img[None, :]])
+            if pair is not None:
                 raise MorphismError(
-                    f"not a {name}-homomorphism at pair ({int(a)}, {int(b)})",
-                    witness=(int(a), int(b)))
+                    f"not a {name}-homomorphism at pair {pair}",
+                    witness=pair)
         img.setflags(write=False)
         self.source = source
         self.target = target

@@ -9,9 +9,14 @@ both check layers are derived from the same definition:
 * the basis layer binds the variables to index grids and the operations
   to Cayley-table gathers (S and T to the inverse arrays, one to the
   identity, eps to 1, scale to its first argument) and compares the two
-  sides on every basis tuple at once.  This is sound and complete for
-  the multilinear identities, since the comultiplication is diagonal on
-  the basis;
+  sides on every basis tuple.  The tuples are swept in blocks of values
+  of the first variable, each block a fixed number of entries (all of
+  them at small orders, a few n^2 slices of a three-variable identity at
+  large ones), up to the first block with a failure, so no sweep holds a
+  whole n^3 array at large orders.  The witness is the first failing
+  tuple in variable order, from ``skewbrace._first_bad_tuple``.  This
+  is sound and complete for the multilinear identities, since the
+  comultiplication is diagonal on the basis;
 * the random layer binds the variables to random sparse rational
   combinations and the operations to the ``HopfBrace`` arithmetic, as a
   regression check on the linear-extension code itself.  A variable
@@ -43,6 +48,7 @@ from .hopf import Element, HopfBrace, Tensor2, random_element
 from .series import (gamma_series, hopf_center, left_series,
                      relative_commutator, right_series, socle_annihilator,
                      star_closure_subbrace)
+from .skewbrace import _first_bad_tuple
 from .subobjects import whole_subbrace
 
 DEFAULT_SEED = 7349
@@ -212,19 +218,27 @@ def _index_grids(n, arity):
             for pos in range(arity)]
 
 
+def _basis_witness(base, ident: Identity) -> tuple[int, ...] | None:
+    """The first basis tuple on which the two sides differ, or None."""
+    n, arity = base.order, ident.arity
+    first, *grids = _index_grids(n, arity)
+    ns = {**_basis_ops(base), **dict(zip(ident.variables[1:], grids))}
+
+    def rows(lo, hi):           # the tuples whose first entry is in lo:hi
+        ns[ident.variables[0]] = first[lo:hi]
+        return np.broadcast_to(eval(ident.lhs.code, ns)
+                               != eval(ident.rhs.code, ns),
+                               (hi - lo,) + (n,) * (arity - 1))
+
+    return _first_bad_tuple(rows, n, n ** (arity - 1))
+
+
 def _check_identity(H: HopfBrace, ident: Identity, rng, samples: int,
                     report: CheckReport) -> None:
-    n = H.dim
     if ident.basis:
-        ns = {**_basis_ops(H.base),
-              **dict(zip(ident.variables, _index_grids(n, ident.arity)))}
-        full = (n,) * ident.arity
-        lhs = np.broadcast_to(eval(ident.lhs.code, ns), full)
-        rhs = np.broadcast_to(eval(ident.rhs.code, ns), full)
-        report.basis_checks += lhs.size
-        mism = lhs != rhs
-        if mism.any():
-            witness = tuple(int(v) for v in np.argwhere(mism)[0])
+        report.basis_checks += H.dim ** ident.arity
+        witness = _basis_witness(H.base, ident)
+        if witness is not None:
             report.violations.append(
                 Violation(ident.name, "basis", witness))
     ops = _element_ops(H)

@@ -207,7 +207,7 @@ def test_non_rational_scalars_are_refused(radical_c4, p, value):
         hb.Tensor2({(1, 1): value}, p)
 
 
-@pytest.mark.parametrize("key", [1.7, 1.0, "1", None])
+@pytest.mark.parametrize("key", [1.7, 1.0, "1", None, True, np.True_])
 def test_non_integer_indices_are_refused(H, key):
     with pytest.raises(TypeError):
         H.element({key: 1})
@@ -215,6 +215,8 @@ def test_non_integer_indices_are_refused(H, key):
         H.basis(key)
     with pytest.raises(TypeError):
         hb.Tensor2({(key, 1): 1})
+    with pytest.raises(TypeError):
+        hb.Tensor2({(1, key): 1})
     with pytest.raises(TypeError):
         hb.HopfMorphism.identity(H)(key)
 

@@ -46,10 +46,20 @@ def test_sparse_vector_entries_are_fractions_of_ints():
         assert type(val.numerator) is int
 
 
-@pytest.mark.parametrize("bad", [1.0, 1.5, "1", None])
+@pytest.mark.parametrize("bad", [1.0, 1.5, "1", None, True, np.False_])
 def test_sparse_vector_refuses_non_integer_indices(bad):
     with pytest.raises(TypeError):
         v({bad: 1})
+    with pytest.raises(TypeError):
+        linalg.indicator([0, bad])
+    with pytest.raises(TypeError):
+        span_of_indices([bad], 4)
+
+
+def test_indicator_keys_numpy_integers_as_python_ints():
+    vec = linalg.indicator([np.int64(2), np.uint8(0), 3])
+    assert vec == linalg.indicator([0, 2, 3])
+    assert {type(k) for k in vec.nums} == {int}
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, float("nan"), np.float64(2.0),

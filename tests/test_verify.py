@@ -1,9 +1,12 @@
 import random
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hopfbrace as hb
+import reference_verify as ref
 from hopfbrace.cli import main
 from hopfbrace.verify import (REGISTRY, CheckReport, _basis_ops,
                               _check_identity, _element_ops, _evaluate,
@@ -196,3 +199,117 @@ def test_missing_sweedler_expansion_is_caught(by_name):
                                                                side)
             mutated += 1
     assert mutated == 15
+
+
+# Tampered braces of orders 6 to 96: catalog names, and D48 built here.
+TAMPERED = ("opposite:S3", "trivial:D4", "opposite:A4",
+            "prod:radical_c4,radical_c4", "opposite:S4",
+            "prod:opposite:S4,trivial:C2", "opposite:D48")
+
+
+def _brace(by_name, name):
+    if name == "opposite:D48":
+        return hb.opposite_brace(hb.dihedral_group(48))
+    return by_name[name][1]
+
+
+def _swap_circ_entries(brace, rng):
+    """A fresh copy of the brace, then two entries swapped in each of two
+    rows of its circ table, as in ``test_verifier_catches_planted_violation``:
+    the rows stay permutations, the lambda and star tables stay as built."""
+    copy = hb.validate_skew_brace(brace.dot.table, brace.circ.table)
+    circ, n = copy.circ.table, copy.order
+    circ.setflags(write=True)
+    rows = rng.choice(np.delete(np.arange(n), copy.identity), 2,
+                      replace=False)
+    for row in rows:
+        x, y = rng.choice(n, 2, replace=False)
+        circ[row, [x, y]] = circ[row, [y, x]]
+    circ.setflags(write=False)
+    return copy
+
+
+# The default block budget (one block below order ~50, seven at 96) and
+# one n^2 slice per block, so that blocks are offset at every order.
+BLOCKS = (hb.skewbrace._BLOCK, 1)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("name", TAMPERED)
+def test_sliced_witnesses_match_the_full_broadcast(by_name, name, block,
+                                                   monkeypatch):
+    """On tampered tables every basis identity reports the witness and
+    the basis checks of the full n^arity broadcast.  Some three-variable
+    identity fails in more than one slice, so a sweep that kept a later
+    failing block would report another witness."""
+    monkeypatch.setattr(hb.skewbrace, "_BLOCK", block)
+    H = hb.HopfBrace(_swap_circ_entries(_brace(by_name, name),
+                                        np.random.default_rng(len(name))))
+    failing_slices = 0
+    for ident in REGISTRY.values():
+        if not ident.basis:
+            continue
+        report = CheckReport(ident.suite, name)
+        _check_identity(H, ident, random.Random(0), 0, report)
+        checks, mism = ref.basis_sweep(H.base, ident)
+        witness = ref.first_true(mism)
+        assert report.basis_checks == checks
+        assert [v.witness for v in report.violations] == (
+            [] if witness is None else [witness]), ident.name
+        if ident.arity == 3:
+            failing_slices = max(failing_slices,
+                                 int(mism.any(axis=(1, 2)).sum()))
+    assert failing_slices > 1
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("name", TAMPERED)
+def test_validator_witnesses_match_the_full_sweep(by_name, name, block,
+                                                  monkeypatch):
+    """The associativity and compatibility witnesses are the first
+    failing triples of the defining laws swept over all n^3 triples."""
+    monkeypatch.setattr(hb.skewbrace, "_BLOCK", block)
+    brace = _brace(by_name, name)
+    d, n, e = brace.dot.table, brace.order, brace.identity
+    rng = np.random.default_rng(n)
+    j, k = rng.choice(n, 2, replace=False)
+    latin = d.copy()                 # columns swapped: still a Latin square
+    latin[:, [j, k]] = latin[:, [k, j]]
+    with pytest.raises(hb.NotAGroupError, match="associativity") as info:
+        hb.FiniteGroup(latin)
+    assert info.value.witness == ref.first_true(
+        ref.associativity_mismatch(latin))
+    perm = np.concatenate([[e], rng.permutation(np.delete(np.arange(n), e))])
+    circ = np.argsort(perm)[d[np.ix_(perm, perm)]]     # d carried along perm
+    with pytest.raises(hb.CompatibilityError) as info:
+        hb.SkewBrace(brace.dot, hb.FiniteGroup(circ))
+    assert info.value.witness == ref.first_true(
+        ref.compatibility_mismatch(brace.dot, circ))
+
+
+def test_identity_suites_hold_no_cubic_array():
+    """At order 96 the basis layer's peak allocation stays below one
+    n^3 int64 array (6.75 MiB): the sweeps hold blocks of n^2 slices."""
+    H = hb.HopfBrace(hb.opposite_brace(hb.dihedral_group(48)))
+    cube = 96 ** 3 * 8
+    for suite in ("axioms", "lemma", "structure"):
+        tracemalloc.start()
+        try:
+            report = hb.verify_suite(H, suite, samples=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.basis_checks >= 96 ** 3
+        assert peak < cube, (suite, peak)
+
+
+@pytest.mark.slow
+def test_all_suites_pass_at_the_order_cap():
+    """All four suites on opposite_brace(D100), order ORDER_CAP = 200."""
+    brace = hb.opposite_brace(hb.dihedral_group(100))
+    assert brace.order == hb.skewbrace.ORDER_CAP
+    H = hb.HopfBrace(brace)
+    for suite in hb.SUITES:
+        report = hb.verify_suite(H, suite)
+        assert report.ok, (suite, [str(v) for v in report.violations])
+        assert report.basis_checks > 0
