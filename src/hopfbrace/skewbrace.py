@@ -16,10 +16,19 @@ still exactly:
   and an endomorphism is fixed by its values on generators; the law
   a o (b.c) = (a o b) . a^-1 . (a o c) is a times it, on the same triples.
 
-Only a rejected pair pays for the full sweep that finds the witness, the
-lexicographically first failing triple, built in blocks of a fixed
-number of entries by ``_first_bad_tuple``, the one search behind every
-pair and triple witness.
+S leaves out the identity e, which counts as reached from the start: e
+passes both tests unchecked, as a two-sided identity is associative in
+the middle and lambda_a(e) = a^-1 . (a o e) = e.  (Light's test finds
+e before it runs; a table without one fails it, so "no two-sided
+identity" is raised after it.)  Both checks run over chunks of
+generators, at most ``_BLOCK`` = 2^17 entries (n^2 per generator) at a
+time, up to the first failing chunk: one chunk below order ~48, three
+generators at a time at order 192.  Only a rejected pair pays for the
+full sweep that finds the witness, the lexicographically first failing
+triple, built in blocks of the same number of entries by
+``_first_bad_tuple``, the one search behind every chunked check and
+every pair and triple witness.  The lambda table is built eagerly, for
+the check; the star table, like the conjugation table, on first use.
 
 Inside the package a carrier is a boolean mask, a sorted tuple only at
 the API edge.  Caller indices pass one check, ``_indices``; the package
@@ -43,20 +52,26 @@ ORDER_CAP = 200
 
 
 def _as_table(table) -> np.ndarray:
-    arr = np.array(table)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"table must be square, got shape {arr.shape}")
+    """One owned int64 copy of a nonempty square integer table."""
+    try:
+        arr = np.array(table)
+    except ValueError:                                  # ragged rows
+        raise ValidationError("table is not a rectangular array") from None
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+        raise ValidationError(
+            f"table must be nonempty and square, got shape {arr.shape}")
     if arr.shape[0] > ORDER_CAP:
         raise ValidationError(f"order {arr.shape[0]} exceeds cap {ORDER_CAP}")
     if arr.dtype.kind not in "iu":
         raise ValidationError(f"table entries must be integers, got {arr.dtype}")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
-def _generating_set(table) -> list[int]:
-    """A greedy S whose left-nested products ((s1 s2) s3)... reach all."""
+def _generating_set(table, identity: int | None = None) -> list[int]:
+    """A greedy S whose left-nested products ((s1 s2) s3)... reach all,
+    starting from the identity, if given, as already reached."""
     rows = table.tolist()
-    gens, reached = [], set()
+    gens, reached = [], set() if identity is None else {identity}
     for s in range(len(rows)):
         if s in reached:
             continue
@@ -135,7 +150,9 @@ def _first_bad_tuple(bad, n: int = 0,
     array, or, for one too large to hold, a function of ``lo, hi`` that
     builds its rows lo:hi of n, ``width`` entries each.  Those are built in
     order, in blocks of about ``_BLOCK`` entries, up to the first block
-    that fails; its first hit, offset by the block start, is the witness."""
+    that fails; its first hit, offset by the block start, is the witness.
+    The chunked checks, which read only whether there is one, build
+    their generator rows lo:hi along another axis."""
     if not callable(bad):       # any() is ~100x faster than an empty argwhere
         return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
     step = max(1, _BLOCK // width)
@@ -164,15 +181,18 @@ class FiniteGroup:
             kind = "row" if bad_row[a] else "column"
             raise NotAGroupError(f"{kind} {a} is not a permutation (not a Latin square)",
                                  witness=(a,))
-        gens = _generating_set(table)            # Light's test
-        if (table[table[:, gens], :] != table[:, table[gens, :]]).any():
+        ident = np.flatnonzero((table == rng).all(axis=1)
+                               & (table == rng[:, None]).all(axis=0))
+        gens = _generating_set(table, *ident.tolist())   # Light's test
+        if _first_bad_tuple(
+                lambda lo, hi: (table[table[:, gens[lo:hi]]]
+                                != table[:, table[gens[lo:hi]]]),
+                len(gens), n * n) is not None:
             triple = _first_bad_tuple(
                 lambda lo, hi: table[table[lo:hi]] != table[lo:hi, table],
                 n, n * n)
             raise NotAGroupError(f"associativity fails at triple {triple}",
                                  witness=triple)
-        ident = np.flatnonzero((table == rng).all(axis=1)
-                               & (table == rng[:, None]).all(axis=0))
         if not len(ident):
             raise NotAGroupError("no two-sided identity")
         e = int(ident[0])
@@ -303,36 +323,39 @@ class FiniteGroup:
 
 # ------------------------------------------------------ group constructors
 
+def _size(n, cap: int) -> int:
+    """A constructor's size argument: an integer, not a bool, in [1, cap]."""
+    try:
+        n = _integer(n)
+    except TypeError:
+        raise ValidationError(f"size must be an integer, got {n!r}") from None
+    if not 1 <= n <= cap:
+        raise ValidationError(f"size must lie in [1, {cap}], got {n}")
+    return n
+
+
 def cyclic_group(n: int) -> FiniteGroup:
-    if n < 1:
-        raise ValidationError("order must be positive")
+    n = _size(n, ORDER_CAP)
     idx = np.arange(n)
     return FiniteGroup((idx[:, None] + idx[None, :]) % n)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n on tuples in lexicographic order; (p*q)[i] = p[q[i]]."""
-    if n > 4:
-        raise ValidationError("symmetric_group supports n <= 4")
-    elems = sorted(permutations(range(n)))
-    index = {p: i for i, p in enumerate(elems)}
-    table = [[index[tuple(p[q[i]] for i in range(n))] for q in elems]
-             for p in elems]
-    return FiniteGroup(table)
+    n = _size(n, 4)
+    perms = np.array(sorted(permutations(range(n))))
+    products = perms[:, perms]                       # [p, q, i] = p[q[i]]
+    # a permutation's digits in base n: their order is the lexicographic one
+    place = n ** np.arange(n - 1, -1, -1)
+    return FiniteGroup(np.searchsorted(perms @ place, products @ place))
 
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of the n-gon, order 2n; index r + n*s for rot^r flip^s."""
-    if n < 1:
-        raise ValidationError("order must be positive")
-
-    def mul(x, y):
-        r1, s1 = x % n, x // n
-        r2, s2 = y % n, y // n
-        r = (r1 + (r2 if s1 == 0 else -r2)) % n
-        return r + n * ((s1 + s2) % 2)
-
-    return FiniteGroup([[mul(x, y) for y in range(2 * n)] for x in range(2 * n)])
+    n = _size(n, ORDER_CAP // 2)
+    s, r = np.divmod(np.arange(2 * n), n)
+    rot = (r[:, None] + (1 - 2 * s[:, None]) * r[None, :]) % n
+    return FiniteGroup(rot + n * (s[:, None] ^ s[None, :]))
 
 
 def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -349,8 +372,7 @@ class SkewBrace:
     """Two validated group tables on one carrier, sharing an identity,
     with the compatibility law a o (b.c) = (a o b) . a^-1 . (a o c)."""
 
-    __slots__ = ("dot", "circ", "order", "identity",
-                 "lambda_table", "star_table")
+    __slots__ = ("dot", "circ", "order", "identity", "lambda_table", "_star")
 
     def __init__(self, dot: FiniteGroup, circ: FiniteGroup):
         if dot.order != circ.order:
@@ -360,27 +382,35 @@ class SkewBrace:
                 f"identities differ: dot has {dot.identity}, circ has {circ.identity}")
         n = dot.order
         d, o = dot.table, circ.table
-        dinv = dot.inverses
-        lam = d[dinv[:, None], o]                        # a^-1 . (a o b)
-        gens = _generating_set(d)                # lambda_a on generators
-        lhs = lam[:, d[:, gens]]                         # lambda_a(b.g)
-        rhs = d[lam[:, :, None], lam[:, None, gens]]     # ... . lambda_a(g)
-        if (lhs != rhs).any():
+        lam = d[dot.inverses[:, None], o]                # a^-1 . (a o b)
+        gens = _generating_set(d, dot.identity)  # lambda_a on generators
+        # lambda_a(b.g) != lambda_a(b) . lambda_a(g), for g in gens[lo:hi]
+        if _first_bad_tuple(
+                lambda lo, hi: (lam[:, d[:, gens[lo:hi]]]
+                                != d[lam[:, :, None], lam[:, None, gens[lo:hi]]]),
+                len(gens), n * n) is not None:
             triple = _first_bad_tuple(
                 lambda lo, hi: (lam[lo:hi][:, d]
                                 != d[lam[lo:hi, :, None], lam[lo:hi, None]]),
                 n, n * n)
             raise CompatibilityError(f"compatibility fails at triple {triple}",
                                      witness=triple)
-        star = d[lam, dinv[None, :]]                     # lambda_a(b) . b^-1
         lam.setflags(write=False)
-        star.setflags(write=False)
         self.dot = dot
         self.circ = circ
         self.order = n
         self.identity = dot.identity
         self.lambda_table = lam
-        self.star_table = star
+        self._star = None
+
+    @property
+    def star_table(self) -> np.ndarray:
+        """star_table[a, b] = lambda_a(b) . b^-1, built on first use."""
+        if self._star is None:
+            star = self.dot.table[self.lambda_table, self.dot.inverses[None, :]]
+            star.setflags(write=False)
+            self._star = star
+        return self._star
 
     def is_trivial(self) -> bool:
         return bool((self.dot.table == self.circ.table).all())

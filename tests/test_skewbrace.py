@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import hopfbrace as hb
 import oracle
 from hopfbrace.skewbrace import _generating_set
+from test_ladder import LADDER
 
 
 def test_validate_trivial_c2():
@@ -225,10 +226,28 @@ def test_order_cap_guard():
 
 
 def test_constructed_groups_match_oracle_tables():
-    assert (hb.symmetric_group(3).table
-            == np.array(oracle.symmetric_table(3)[0])).all()
-    assert (hb.dihedral_group(4).table == np.array(oracle.dihedral_table(4))).all()
+    """The numpy constructors build the tables of the oracle's Python
+    formulas, at every size they accept."""
+    for n in range(1, 5):
+        assert hb.symmetric_group(n).table.tolist() == oracle.symmetric_table(n)[0]
+    for n in range(1, 101):
+        assert hb.dihedral_group(n).table.tolist() == oracle.dihedral_table(n), n
     assert (hb.cyclic_group(6).table == np.array(oracle.cyclic_table(6))).all()
+
+
+@pytest.mark.parametrize("make, arg", [
+    pytest.param(hb.FiniteGroup, [[0, 1], [1]], id="ragged-table"),
+    pytest.param(hb.FiniteGroup, np.zeros((0, 0), int), id="empty-table"),
+    (hb.cyclic_group, 0), (hb.cyclic_group, 2.0),
+    (hb.dihedral_group, True), (hb.dihedral_group, 101),
+    (hb.symmetric_group, -1), (hb.symmetric_group, 0), (hb.symmetric_group, 5),
+])
+def test_constructors_refuse_bad_tables_and_sizes(make, arg):
+    """A size is an integer, never a bool, that fits the order cap (S_n:
+    n <= 4); a table a nonempty rectangular array.  Nothing else is
+    coerced or escapes as a raw numpy error."""
+    with pytest.raises(hb.ValidationError):
+        make(arg)
 
 
 def test_all_subgroups_counts():
@@ -422,3 +441,19 @@ def test_validating_order_192_allocates_no_cubic_array():
     finally:
         tracemalloc.stop()
     assert peak_mb < 20 < cubic_mb
+
+
+def test_validating_the_order_192_ladder_brace_peaks_below_3_5_mib():
+    """Light's test and the compatibility check sweep chunks of at most
+    _BLOCK = 2^17 entries (three generators at a time at order 192), over
+    a generating set without the identity, and the star table is left
+    unbuilt: ~2.7 MiB, where one sweep over all six elements of S, the
+    identity among them, and the star table held 4.8."""
+    brace = LADDER["opposite:S4*radical_c4*trivial:C2"][0]()
+    tracemalloc.start()
+    try:
+        hb.validate_skew_brace(brace.dot.table, brace.circ.table)
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak_mib < 3.5

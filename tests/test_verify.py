@@ -229,6 +229,13 @@ def _swap_circ_entries(brace, rng):
     return copy
 
 
+# A loop: a Latin square with two-sided identity 0 that is not
+# associative.  Light's test runs on its greedy set without the identity,
+# S = [1], and the witness comes from the full sweep.
+LOOP5 = np.array([[0, 1, 2, 3, 4], [1, 4, 3, 2, 0], [2, 3, 4, 0, 1],
+                  [3, 0, 1, 4, 2], [4, 2, 0, 1, 3]])
+
+
 # The default block budget (one block below order ~50, seven at 96) and
 # one n^2 slice per block, so that blocks are offset at every order.
 BLOCKS = (hb.skewbrace._BLOCK, 1)
@@ -273,12 +280,13 @@ def test_validator_witnesses_match_the_full_sweep(by_name, name, block,
     d, n, e = brace.dot.table, brace.order, brace.identity
     rng = np.random.default_rng(n)
     j, k = rng.choice(n, 2, replace=False)
-    latin = d.copy()                 # columns swapped: still a Latin square
-    latin[:, [j, k]] = latin[:, [k, j]]
-    with pytest.raises(hb.NotAGroupError, match="associativity") as info:
-        hb.FiniteGroup(latin)
-    assert info.value.witness == ref.first_true(
-        ref.associativity_mismatch(latin))
+    swapped = d.copy()               # columns swapped: still a Latin square
+    swapped[:, [j, k]] = swapped[:, [k, j]]
+    for latin in (swapped, LOOP5):
+        with pytest.raises(hb.NotAGroupError, match="associativity") as info:
+            hb.FiniteGroup(latin)
+        assert info.value.witness == ref.first_true(
+            ref.associativity_mismatch(latin))
     perm = np.concatenate([[e], rng.permutation(np.delete(np.arange(n), e))])
     circ = np.argsort(perm)[d[np.ix_(perm, perm)]]     # d carried along perm
     with pytest.raises(hb.CompatibilityError) as info:
