@@ -5,7 +5,10 @@ is sound here because every Hopf subalgebra of a group algebra in
 characteristic zero is a subgroup algebra.  The gamma series carries an
 enforced per-step cross-check against the Huq commutator.  The
 abelianisations are quotients by generated subbraces; ``quotient``
-checks, rather than assumes, that these are normal.
+checks, rather than assumes, that these are normal.  Socle, annihilator
+and center enter ``Subbrace`` as the masks computed here; series terms
+and commutators as the tuples of the dot group's closure methods.  The
+coincidence orbits are read off their leaders, the g with label[g] == g.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 from .errors import CrossCheckError, PrimeFieldError
 from .hopf import Element, HopfBrace
 from .linalg import Subspace, common_nullspace, indicator, span_of_indices
+from .skewbrace import _nonzero
 from .subobjects import (HopfMorphism, Subbrace, _require_normal,
                          generated_subbrace, quotient, whole_subbrace)
 
@@ -40,7 +44,7 @@ def _run_series(H: HopfBrace, kind: str, max_n: int, step) -> SeriesResult:
     gens: list[tuple[int, ...]] = [()]
     stabilized = False
     while len(terms) < max_n and not terms[-1].is_trivial():
-        new_gens = np.flatnonzero(step(terms[-1].elements))
+        new_gens = _nonzero(step(terms[-1].elements))
         nxt = generated_subbrace(H, new_gens)
         terms.append(nxt)
         gens.append(tuple(new_gens.tolist()))
@@ -91,7 +95,7 @@ def relative_commutator(I: Subbrace, H: HopfBrace) -> Subbrace:
     st, dot, c = H.base.star_table, H.base.dot, I.elements
     hi = dot._mask(st[:, c])
     gens = dot._mask(st[c]) | dot._mask(dot.conj_table[:, hi])
-    return generated_subbrace(H, np.flatnonzero(gens))
+    return generated_subbrace(H, _nonzero(gens))
 
 
 def huq_commutator(I: Subbrace, H: HopfBrace) -> Subbrace:
@@ -103,14 +107,14 @@ def huq_commutator(I: Subbrace, H: HopfBrace) -> Subbrace:
     gens = (dot._mask(dot.table[dot.conj_table[c], dot.inverses])
             | dot._mask(circ.table[circ.conj_table[c], circ.inverses])
             | dot._mask(base.star_table[c]))
-    return Subbrace(H, dot.normal_closure(np.flatnonzero(gens)))
+    return Subbrace(H, dot.normal_closure(_nonzero(gens)))
 
 
 def hopf_center(H: HopfBrace) -> Subbrace:
     """The Hopf center of the dot-structure: for a group algebra with
     diagonal comultiplication this is the subgroup algebra of the
     group-theoretic center."""
-    return Subbrace(H, np.flatnonzero(H.base.dot._central()))
+    return Subbrace._of_mask(H, H.base.dot._central())
 
 
 # ------------------------------------------------------- socle/annihilator
@@ -185,7 +189,7 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
     base = H.base
     n = H.dim
     central = base.dot._central()
-    center = np.flatnonzero(central).tolist()
+    center = _nonzero(central).tolist()
     st = base.star_table
     fixed = base.lambda_table == np.arange(n)        # lambda_g(b) == b
     soc_mask = central & fixed.all(axis=1)
@@ -201,8 +205,8 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
             for r in common_nullspace(rows, len(center)).rows))
 
     return _check_group_likes(SocleData(
-        socle=Subbrace(H, np.flatnonzero(soc_mask)),
-        annihilator=Subbrace(H, np.flatnonzero(ann_mask)),
+        socle=Subbrace._of_mask(H, soc_mask),
+        annihilator=Subbrace._of_mask(H, ann_mask),
         socle_space=solve(soc_rows),
         annihilator_space=solve(ann_rows),
     ))
@@ -214,7 +218,7 @@ def star_closure_subbrace(H: HopfBrace) -> Subbrace:
     """The subobject generated by all star values (the second right-series
     term)."""
     star_values = H.base.dot._mask(H.base.star_table)
-    return generated_subbrace(H, np.flatnonzero(star_values))
+    return generated_subbrace(H, _nonzero(star_values))
 
 
 def star_abelianization(H: HopfBrace) -> tuple[HopfBrace, HopfMorphism]:
@@ -233,7 +237,7 @@ def full_abelianization(H: HopfBrace) -> tuple[HopfBrace, HopfMorphism]:
     base, dot = H.base, H.base.dot
     gens = (dot._mask(base.star_table)
             | dot._mask(dot.table[dot.conj_table, dot.inverses]))
-    Q, pi = quotient(H, generated_subbrace(H, np.flatnonzero(gens)))
+    Q, pi = quotient(H, generated_subbrace(H, _nonzero(gens)))
     qt = Q.base.dot.table
     if not Q.base.is_trivial() or not (qt == qt.T).all():
         raise CrossCheckError(
@@ -315,8 +319,8 @@ def coincidence_report(H: HopfBrace) -> CoincidenceReport:
     while (label != (nxt := label[moves].min(axis=1))).any():
         label = nxt
     coin_space = Subspace(n, tuple(
-        indicator(np.flatnonzero(label == least).tolist())
-        for least in np.unique(label)))
+        indicator(_nonzero(label == least).tolist())
+        for least in _nonzero(label == cols)))        # orbit leaders
 
     differ = star_space != coin_space
     sep_star = next((r for r in star_space.rows

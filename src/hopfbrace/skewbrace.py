@@ -8,7 +8,9 @@ projection is checked to be a homomorphism for both products (a
 multiplicative surjection from a group makes its image a group, with the
 images of the identity and inverses).  The two cubic laws are checked on
 the n^2 * |S| triples with one entry in a greedy generating set S, and
-still exactly:
+still exactly.  Each group builds its S once, for its Light's test, and
+keeps it; the compatibility check reuses the dot group's, and builds
+one only for an ``_image`` group, which is never tested:
 
 - associativity by Light's test: the g with (x.g).y == x.(g.y) for all
   x, y are closed under products, so it suffices that every g in S passes;
@@ -33,7 +35,9 @@ the check; the star table, like the conjugation table, on first use.
 Inside the package a carrier is a boolean mask, a sorted tuple only at
 the API edge.  Caller indices pass one check, ``_indices``; the package
 masks its own gathered index arrays (up to n^2 entries) unchecked, with
-``FiniteGroup._mask``.  A closure is a BFS under right multiplication by
+``FiniteGroup._mask``, and reads a mask's true entries with
+``_nonzero``; no query path calls ``np.unique``, whose first call
+imports ``numpy.ma``.  A closure is a BFS under right multiplication by
 the generators alone (in a finite group g^-1 is a positive power of g),
 a normal closure one closure of all conjugates of the generators, read
 off the cached table conj_table[a, x] = a x a^-1.
@@ -136,8 +140,13 @@ def _indices(elems, n: int) -> np.ndarray:
     return arr
 
 
+def _nonzero(mask) -> np.ndarray:
+    """A 1-D mask's true indices, at ~1/4 the cost of np.flatnonzero."""
+    return mask.nonzero()[0]
+
+
 def _carrier(mask) -> tuple[int, ...]:
-    return tuple(np.flatnonzero(mask).tolist())
+    return tuple(_nonzero(mask).tolist())
 
 
 _BLOCK = 1 << 17      # entries of a swept mismatch array built at once
@@ -166,7 +175,7 @@ def _first_bad_tuple(bad, n: int = 0,
 class FiniteGroup:
     """A finite group as an order x order Cayley table on indices."""
 
-    __slots__ = ("table", "order", "identity", "inverses", "_conj")
+    __slots__ = ("table", "order", "identity", "inverses", "_gens", "_conj")
 
     def __init__(self, table):
         table = _as_table(table)
@@ -181,8 +190,8 @@ class FiniteGroup:
             kind = "row" if bad_row[a] else "column"
             raise NotAGroupError(f"{kind} {a} is not a permutation (not a Latin square)",
                                  witness=(a,))
-        ident = np.flatnonzero((table == rng).all(axis=1)
-                               & (table == rng[:, None]).all(axis=0))
+        ident = _nonzero((table == rng).all(axis=1)
+                         & (table == rng[:, None]).all(axis=0))
         gens = _generating_set(table, *ident.tolist())   # Light's test
         if _first_bad_tuple(
                 lambda lo, hi: (table[table[:, gens[lo:hi]]]
@@ -208,6 +217,7 @@ class FiniteGroup:
         self.order = n
         self.identity = e
         self.inverses = inverses
+        self._gens = gens
         self._conj = None
 
     @property
@@ -236,11 +246,11 @@ class FiniteGroup:
         from the generators and the identity under right multiplication
         by the generators alone, multiplying only the newest elements."""
         mask = gens | self._mask(self.identity)
-        gens, frontier = np.flatnonzero(gens), np.flatnonzero(mask)
+        gens, frontier = _nonzero(gens), _nonzero(mask)
         while frontier.size:
             new = self._mask(self.table[frontier[:, None], gens]) & ~mask
             mask |= new
-            frontier = np.flatnonzero(new)
+            frontier = _nonzero(new)
         return mask
 
     def _central(self) -> np.ndarray:
@@ -248,7 +258,7 @@ class FiniteGroup:
 
     def _is_subgroup(self, mask) -> bool:
         """Nonempty and closed under products, which suffices when finite."""
-        c = np.flatnonzero(mask)
+        c = _nonzero(mask)
         return c.size > 0 and bool(mask[self.table[c[:, None], c]].all())
 
     def subgroup_generated(self, gens) -> tuple[int, ...]:
@@ -301,11 +311,12 @@ class FiniteGroup:
         """The unvalidated group on the classes of a partition, with class
         map ``proj`` and least elements ``reps``; for ``quotient`` only."""
         image = object.__new__(FiniteGroup)
-        image.table = proj[self.table[np.ix_(reps, reps)]]
+        image.table = proj[self.table[reps[:, None], reps]]
         image.inverses = proj[self.inverses[reps]]
         image.table.setflags(write=False)
         image.inverses.setflags(write=False)
         image.order, image.identity = len(reps), int(proj[self.identity])
+        image._gens = None          # built by SkewBrace, for the dot image only
         image._conj = None
         return image
 
@@ -363,7 +374,7 @@ def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     if n1 * n2 > ORDER_CAP:
         raise ValidationError(f"product order {n1 * n2} exceeds cap {ORDER_CAP}")
     a1, a2 = np.divmod(np.arange(n1 * n2), n2)
-    return FiniteGroup(g1.table[np.ix_(a1, a1)] * n2 + g2.table[np.ix_(a2, a2)])
+    return FiniteGroup(g1.table[a1[:, None], a1] * n2 + g2.table[a2[:, None], a2])
 
 
 # ---------------------------------------------------------------- braces
@@ -383,7 +394,9 @@ class SkewBrace:
         n = dot.order
         d, o = dot.table, circ.table
         lam = d[dot.inverses[:, None], o]                # a^-1 . (a o b)
-        gens = _generating_set(d, dot.identity)  # lambda_a on generators
+        gens = dot._gens                         # lambda_a on generators
+        if gens is None:                         # an untested _image group
+            gens = _generating_set(d, dot.identity)
         # lambda_a(b.g) != lambda_a(b) . lambda_a(g), for g in gens[lo:hi]
         if _first_bad_tuple(
                 lambda lo, hi: (lam[:, d[:, gens[lo:hi]]]
@@ -498,7 +511,7 @@ class BraceMap:
         return _carrier(self.images == self.target.identity)
 
     def is_surjective(self) -> bool:
-        return np.unique(self.images).size == self.target.order
+        return bool(self.target.dot._mask(self.images).all())
 
     def __eq__(self, other):
         return (isinstance(other, BraceMap) and self.source == other.source

@@ -5,9 +5,14 @@ In characteristic zero every Hopf subalgebra of a group algebra is a
 subgroup algebra, and all generators arising here (star values,
 commutators, conjugates) are group-like, so subobjects are represented
 by subgroups of the dot-group.  A ``Subbrace`` checks its indices and
-that they form a subgroup once, on the mask it builds.  The predicates
-are uncached gathers over that mask; ``_require_normal`` is the one
-normality guard.
+that they form a subgroup once, on the mask it builds.  A carrier mask
+the package builds itself (socle, annihilator, center, kernel, whole,
+trivial) enters through ``Subbrace._of_mask``, with the subgroup check
+and no index check; closures still come as tuples from
+``FiniteGroup.subgroup_generated``/``normal_closure``, the names through
+which the benchmark's tracer sees them.  The predicates are uncached
+gathers over the mask; ``_require_normal`` is the one normality guard.
+A quotient reads its coset leaders as the g with rep[g] == g.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .errors import CrossCheckError, NormalityError
 from .hopf import Element, HopfBrace
-from .skewbrace import BraceMap, SkewBrace, _carrier
+from .skewbrace import BraceMap, SkewBrace, _carrier, _nonzero
 
 
 class Subbrace:
@@ -25,7 +30,17 @@ class Subbrace:
     __slots__ = ("parent", "carrier", "mask")
 
     def __init__(self, parent: HopfBrace, carrier):
-        mask = parent.base.dot.mask(carrier)
+        self._adopt(parent, parent.base.dot.mask(carrier))
+
+    @classmethod
+    def _of_mask(cls, parent: HopfBrace, mask) -> "Subbrace":
+        """The subbrace on a mask the package built and gives up: no
+        index check, the same subgroup check."""
+        sub = cls.__new__(cls)
+        sub._adopt(parent, mask)
+        return sub
+
+    def _adopt(self, parent: HopfBrace, mask) -> None:
         if not parent.base.dot._is_subgroup(mask):
             raise ValueError(f"{_carrier(mask)} is not a dot-subgroup")
         mask.setflags(write=False)
@@ -35,7 +50,7 @@ class Subbrace:
 
     @property
     def elements(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
+        return _nonzero(self.mask)
 
     @property
     def dim(self) -> int:
@@ -83,11 +98,11 @@ def generated_subbrace(H: HopfBrace, gens) -> Subbrace:
 
 
 def trivial_subbrace(H: HopfBrace) -> Subbrace:
-    return Subbrace(H, (H.base.identity,))
+    return Subbrace._of_mask(H, H.base.dot._mask(H.base.identity))
 
 
 def whole_subbrace(H: HopfBrace) -> Subbrace:
-    return Subbrace(H, np.arange(H.dim))
+    return Subbrace._of_mask(H, np.ones(H.dim, dtype=bool))
 
 
 class HopfMorphism:
@@ -133,8 +148,8 @@ def _require_normal(B: Subbrace, H: HopfBrace) -> None:
 
 def hopf_kernel(f: HopfMorphism) -> Subbrace:
     """Kernel subobject: group-likes sent to the target identity."""
-    return Subbrace(f.source,
-                    np.flatnonzero(f.map.images == f.map.target.identity))
+    return Subbrace._of_mask(f.source,
+                             f.map.images == f.map.target.identity)
 
 
 def quotient(H: HopfBrace, B: Subbrace) -> tuple[HopfBrace, HopfMorphism]:
@@ -149,7 +164,8 @@ def quotient(H: HopfBrace, B: Subbrace) -> tuple[HopfBrace, HopfMorphism]:
     _require_normal(B, H)
     dot, circ = H.base.dot, H.base.circ
     rep = dot.table[:, B.elements].min(axis=1)          # min of g N
-    reps, proj = np.unique(rep, return_inverse=True)
+    leader = rep == np.arange(H.dim)                    # least of its coset
+    reps, proj = _nonzero(leader), (leader.cumsum() - 1)[rep]   # its rank
     qbase = SkewBrace(dot._image(proj, reps), circ._image(proj, reps))
     Q = HopfBrace(qbase, H.characteristic)
     pi = HopfMorphism(H, Q, proj)

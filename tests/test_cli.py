@@ -550,3 +550,34 @@ def test_check_central_source_naming_another_file(tmp_path, capsys,
     assert out == ""
     assert err == (f"error: map source {str(other)!r} is not the input "
                    f"brace\n")
+
+
+NO_MASKED_ARRAYS = """
+import contextlib, io, json, sys
+from hopfbrace.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded.append([argv[0], code, "numpy.ma" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_queries_leave_numpy_ma_unloaded():
+    """A plain ``np.unique`` imports ``numpy.ma`` (~17 ms and ~1.6 MB on
+    first use); no query path needs it.  A fresh interpreter, so that no
+    other test can have loaded it first."""
+    name = "prod:radical_c4,trivial:S3"
+    argvs = [["invariants", name, "--json"],
+             ["series", name, "--kind", "gamma", "--json"],
+             ["check-central", name, "--json", "--map",
+              str(MAPS / "projection-prod-radical_c4-trivial-S3-1.json")],
+             ["verify", name, "--suite", "propositions", "--json"]]
+    src = str(Path(hb.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[argv[0], 0, False] for argv in argvs]

@@ -330,3 +330,27 @@ def test_star_trivial_space_matches_star_formulation(catalog):
                     rows.append(Element({g: 1 for g in fib}))
         from hopfbrace.linalg import common_nullspace
         assert common_nullspace(rows, n) == rep.star_trivial_space
+
+
+def test_closures_go_through_the_tuple_methods(monkeypatch, opp_s3):
+    """The benchmark's tracer sees the closure layer only through
+    ``FiniteGroup.subgroup_generated`` and ``normal_closure``: a private
+    closure path would leave its closure time at zero."""
+    calls = []
+    for name in ("subgroup_generated", "normal_closure"):
+        def counted(self, gens, orig=getattr(hb.FiniteGroup, name),
+                    name=name):
+            calls.append(name)
+            return orig(self, gens)
+        monkeypatch.setattr(hb.FiniteGroup, name, counted)
+    H = H_of(opp_s3)
+    whole = hb.whole_subbrace(H)
+    for call, reached in (
+            (lambda: hb.generated_subbrace(H, [1]), {"subgroup_generated"}),
+            (lambda: hb.relative_commutator(whole, H), {"subgroup_generated"}),
+            (lambda: hb.huq_commutator(whole, H), {"normal_closure"}),
+            (lambda: hb.gamma_series(H),
+             {"subgroup_generated", "normal_closure"})):
+        calls.clear()
+        call()
+        assert set(calls) == reached, call

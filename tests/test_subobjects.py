@@ -308,3 +308,31 @@ def test_certificate_refuses_a_tampered_quotient_table(catalog, monkeypatch,
             with pytest.raises(hb.ValidationError) as refused:
                 hb.quotient(H, B)
             assert refused.value.witness is not None, (desc.name, B.carrier)
+
+
+def mask_built_subbraces(H):
+    """Every subbrace the package builds from its own carrier mask."""
+    soc = hb.socle_annihilator(H)
+    yield "socle", soc.socle
+    yield "annihilator", soc.annihilator
+    yield "hopf_center", hb.hopf_center(H)
+    yield "whole", hb.whole_subbrace(H)
+    yield "trivial", hb.trivial_subbrace(H)
+    for kind in (hb.star_abelianization, hb.full_abelianization):
+        yield kind.__name__, hb.hopf_kernel(kind(H)[1])
+
+
+def test_mask_built_subbraces_equal_the_checked_construction(catalog):
+    braces = [brace for _, brace in catalog]
+    braces.append(hb.opposite_brace(hb.dihedral_group(48)))
+    for brace in braces:
+        H = hb.HopfBrace(brace)
+        for name, sub in mask_built_subbraces(H):
+            checked = hb.Subbrace(H, sub.carrier)
+            assert sub == checked, (brace, name)
+            assert np.array_equal(sub.mask, checked.mask), (brace, name)
+            assert not sub.mask.flags.writeable, (brace, name)
+        n, e = H.dim, brace.identity
+        for mask in (np.zeros(n, dtype=bool), np.arange(n) != e):
+            with pytest.raises(ValueError, match="not a dot-subgroup"):
+                hb.Subbrace._of_mask(H, mask)
