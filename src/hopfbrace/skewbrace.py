@@ -35,12 +35,14 @@ the check; the star table, like the conjugation table, on first use.
 Inside the package a carrier is a boolean mask, a sorted tuple only at
 the API edge.  Caller indices pass one check, ``_indices``; the package
 masks its own gathered index arrays (up to n^2 entries) unchecked, with
-``FiniteGroup._mask``, and reads a mask's true entries with
-``_nonzero``; no query path calls ``np.unique``, whose first call
-imports ``numpy.ma``.  A closure is a BFS under right multiplication by
-the generators alone (in a finite group g^-1 is a positive power of g),
-a normal closure one closure of all conjugates of the generators, read
-off the cached table conj_table[a, x] = a x a^-1.
+``FiniteGroup._mask``, reads a mask's true entries with ``_nonzero``
+and tests a whole array with ``_all``/``_any``, which count a small
+one rather than pay numpy's Python-level wrappers; no query path calls
+``np.unique``, whose first call imports ``numpy.ma``.  A closure is a
+BFS under right multiplication by the generators alone (in a finite
+group g^-1 is a positive power of g), a normal closure one closure of
+all conjugates of the generators, read off the cached table
+conj_table[a, x] = a x a^-1.
 """
 
 from __future__ import annotations
@@ -126,16 +128,15 @@ def _indices(elems, n: int) -> np.ndarray:
     """The one check on caller indices: a flat collection, in any
     container, of Python or NumPy integers other than bools, each in
     [0, n); anything else raises TypeError or IndexError."""
-    if not isinstance(elems, np.ndarray):
+    if not isinstance(elems, np.ndarray):       # a flat list of Python ints
         elems = _integers(elems)
-        try:
-            elems = np.array(elems, dtype=np.int64)
-        except OverflowError:                           # beyond 64 bits
-            raise IndexError(f"index out of range [0, {n}): {elems}") from None
+        if elems and not (0 <= min(elems) and max(elems) < n):
+            raise IndexError(f"index out of range [0, {n}): {elems}")
+        return np.array(elems, dtype=np.int64)
     if elems.ndim != 1 or elems.size and elems.dtype.kind not in "iu":
         raise TypeError(f"indices must be flat integers, got {elems.tolist()}")
     arr = elems.astype(np.int64, copy=False)
-    if arr.size and arr.view(np.uint64).max() >= n:     # negatives read huge
+    if _any(arr.view(np.uint64) >= n):                  # negatives read huge
         raise IndexError(f"index out of range [0, {n}): {arr.tolist()}")
     return arr
 
@@ -143,6 +144,21 @@ def _indices(elems, n: int) -> np.ndarray:
 def _nonzero(mask) -> np.ndarray:
     """A 1-D mask's true indices, at ~1/4 the cost of np.flatnonzero."""
     return mask.nonzero()[0]
+
+
+_SMALL = 1 << 13      # entries up to which counting beats the reductions
+
+
+def _all(a) -> bool:
+    """a.all(), by a count if ``a`` is small: ``ndarray.all``/``any`` reach
+    C through a Python-level wrapper that costs ~1 us, more than counting
+    a few thousand entries; on larger arrays they win, stopping early."""
+    return np.count_nonzero(a) == a.size if a.size < _SMALL else bool(a.all())
+
+
+def _any(a) -> bool:
+    """a.any(), by a count if ``a`` is small, like ``_all``."""
+    return np.count_nonzero(a) > 0 if a.size < _SMALL else bool(a.any())
 
 
 def _carrier(mask) -> tuple[int, ...]:
@@ -163,7 +179,7 @@ def _first_bad_tuple(bad, n: int = 0,
     The chunked checks, which read only whether there is one, build
     their generator rows lo:hi along another axis."""
     if not callable(bad):       # any() is ~100x faster than an empty argwhere
-        return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
+        return tuple(np.argwhere(bad)[0].tolist()) if _any(bad) else None
     step = max(1, _BLOCK // width)
     for lo in range(0, n, step):
         hit = _first_bad_tuple(bad(lo, min(n, lo + step)))
@@ -180,12 +196,12 @@ class FiniteGroup:
     def __init__(self, table):
         table = _as_table(table)
         n = table.shape[0]
-        if table.min() < 0 or table.max() >= n:
+        if _any(table.view(np.uint64) >= n):            # negatives read huge
             raise NotAGroupError("table entries out of range")
         rng = np.arange(n)
         bad_row = (np.sort(table, axis=1) != rng).any(axis=1)
         bad_col = (np.sort(table, axis=0) != rng[:, None]).any(axis=0)
-        if (bad_row | bad_col).any():
+        if _any(bad_row | bad_col):
             a = int(np.argmax(bad_row | bad_col))
             kind = "row" if bad_row[a] else "column"
             raise NotAGroupError(f"{kind} {a} is not a permutation (not a Latin square)",
@@ -205,9 +221,9 @@ class FiniteGroup:
         if not len(ident):
             raise NotAGroupError("no two-sided identity")
         e = int(ident[0])
-        inverses = np.argmax(table == e, axis=1)
+        inverses = (table == e).argmax(axis=1)
         no_inverse = table[inverses, rng] != e
-        if no_inverse.any():
+        if _any(no_inverse):
             a = int(np.argmax(no_inverse))
             raise NotAGroupError(f"element {a} has no two-sided inverse",
                                  witness=(a,))
@@ -259,7 +275,7 @@ class FiniteGroup:
     def _is_subgroup(self, mask) -> bool:
         """Nonempty and closed under products, which suffices when finite."""
         c = _nonzero(mask)
-        return c.size > 0 and bool(mask[self.table[c[:, None], c]].all())
+        return c.size > 0 and _all(mask[self.table[c[:, None], c]])
 
     def subgroup_generated(self, gens) -> tuple[int, ...]:
         return _carrier(self._closure(self.mask(gens)))
@@ -277,8 +293,8 @@ class FiniteGroup:
 
     def is_normal(self, carrier) -> bool:
         mask = self.mask(carrier)
-        return self._is_subgroup(mask) and bool(
-            mask[self.conj_table[:, mask]].all())
+        return self._is_subgroup(mask) and _all(
+            mask[self.conj_table[:, mask]])
 
     def all_subgroups(self) -> list[tuple[int, ...]]:
         """Every subgroup as a join of cyclic subgroups (the cyclic
@@ -288,7 +304,7 @@ class FiniteGroup:
         n, rng = self.order, np.arange(self.order)
         cyclic = np.zeros((n, n), dtype=bool)      # cyclic[g] masks <g>
         power = rng
-        while not cyclic[rng, power].all():
+        while not _all(cyclic[rng, power]):
             cyclic[rng, power] = True
             power = self.table[power, rng]
         _, cyclic_gens = np.unique(cyclic, axis=0, return_index=True)
@@ -323,7 +339,7 @@ class FiniteGroup:
     def __eq__(self, other):
         return (isinstance(other, FiniteGroup)
                 and self.order == other.order
-                and (self.table == other.table).all())
+                and _all(self.table == other.table))
 
     def __hash__(self):
         return hash((self.order, self.table.tobytes()))
@@ -426,7 +442,7 @@ class SkewBrace:
         return self._star
 
     def is_trivial(self) -> bool:
-        return bool((self.dot.table == self.circ.table).all())
+        return _all(self.dot.table == self.circ.table)
 
     def __eq__(self, other):
         return (isinstance(other, SkewBrace)
@@ -511,7 +527,7 @@ class BraceMap:
         return _carrier(self.images == self.target.identity)
 
     def is_surjective(self) -> bool:
-        return bool(self.target.dot._mask(self.images).all())
+        return _all(self.target.dot._mask(self.images))
 
     def __eq__(self, other):
         return (isinstance(other, BraceMap) and self.source == other.source
