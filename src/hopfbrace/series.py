@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CrossCheckError, PrimeFieldError
 from .hopf import Element, HopfBrace
 from .linalg import Subspace, common_nullspace, indicator, span_of_indices
-from .skewbrace import _all, _any, _nonzero
+from .skewbrace import _nonzero
 from .subobjects import (HopfMorphism, Subbrace, _require_normal,
                          generated_subbrace, quotient, whole_subbrace)
 
@@ -239,7 +239,7 @@ def full_abelianization(H: HopfBrace) -> tuple[HopfBrace, HopfMorphism]:
             | dot._mask(dot.table[dot.conj_table, dot.inverses]))
     Q, pi = quotient(H, generated_subbrace(H, _nonzero(gens)))
     qt = Q.base.dot.table
-    if not Q.base.is_trivial() or not _all(qt == qt.T):
+    if not Q.base.is_trivial() or not (qt == qt.T).all():
         raise CrossCheckError(
             "full abelianization is not a commutative trivial brace")
     return Q, pi
@@ -316,7 +316,7 @@ def coincidence_report(H: HopfBrace) -> CoincidenceReport:
     # step can only lower the labels
     moves = np.argsort(base.circ.table, axis=0)[base.dot.table, cols]
     label = cols
-    while _any(label != (nxt := label[moves].min(axis=1))):
+    while (label != (nxt := label[moves].min(axis=1))).any():
         label = nxt
     coin_space = Subspace(n, tuple(
         indicator(_nonzero(label == least).tolist())

@@ -35,14 +35,12 @@ the check; the star table, like the conjugation table, on first use.
 Inside the package a carrier is a boolean mask, a sorted tuple only at
 the API edge.  Caller indices pass one check, ``_indices``; the package
 masks its own gathered index arrays (up to n^2 entries) unchecked, with
-``FiniteGroup._mask``, reads a mask's true entries with ``_nonzero``
-and tests a whole array with ``_all``/``_any``, which count a small
-one rather than pay numpy's Python-level wrappers; no query path calls
-``np.unique``, whose first call imports ``numpy.ma``.  A closure is a
-BFS under right multiplication by the generators alone (in a finite
-group g^-1 is a positive power of g), a normal closure one closure of
-all conjugates of the generators, read off the cached table
-conj_table[a, x] = a x a^-1.
+``FiniteGroup._mask``, and reads a mask's true entries with
+``_nonzero``; no query path calls ``np.unique``, whose first call
+imports ``numpy.ma``.  A closure is a BFS under right multiplication by
+the generators alone (in a finite group g^-1 is a positive power of g),
+a normal closure one closure of all conjugates of the generators, read
+off the cached table conj_table[a, x] = a x a^-1.
 """
 
 from __future__ import annotations
@@ -128,15 +126,16 @@ def _indices(elems, n: int) -> np.ndarray:
     """The one check on caller indices: a flat collection, in any
     container, of Python or NumPy integers other than bools, each in
     [0, n); anything else raises TypeError or IndexError."""
-    if not isinstance(elems, np.ndarray):       # a flat list of Python ints
+    if not isinstance(elems, np.ndarray):
         elems = _integers(elems)
-        if elems and not (0 <= min(elems) and max(elems) < n):
-            raise IndexError(f"index out of range [0, {n}): {elems}")
-        return np.array(elems, dtype=np.int64)
+        try:
+            elems = np.array(elems, dtype=np.int64)
+        except OverflowError:                           # beyond 64 bits
+            raise IndexError(f"index out of range [0, {n}): {elems}") from None
     if elems.ndim != 1 or elems.size and elems.dtype.kind not in "iu":
         raise TypeError(f"indices must be flat integers, got {elems.tolist()}")
     arr = elems.astype(np.int64, copy=False)
-    if _any(arr.view(np.uint64) >= n):                  # negatives read huge
+    if arr.size and arr.view(np.uint64).max() >= n:     # negatives read huge
         raise IndexError(f"index out of range [0, {n}): {arr.tolist()}")
     return arr
 
@@ -144,21 +143,6 @@ def _indices(elems, n: int) -> np.ndarray:
 def _nonzero(mask) -> np.ndarray:
     """A 1-D mask's true indices, at ~1/4 the cost of np.flatnonzero."""
     return mask.nonzero()[0]
-
-
-_SMALL = 1 << 13      # entries up to which counting beats the reductions
-
-
-def _all(a) -> bool:
-    """a.all(), by a count if ``a`` is small: ``ndarray.all``/``any`` reach
-    C through a Python-level wrapper that costs ~1 us, more than counting
-    a few thousand entries; on larger arrays they win, stopping early."""
-    return np.count_nonzero(a) == a.size if a.size < _SMALL else bool(a.all())
-
-
-def _any(a) -> bool:
-    """a.any(), by a count if ``a`` is small, like ``_all``."""
-    return np.count_nonzero(a) > 0 if a.size < _SMALL else bool(a.any())
 
 
 def _carrier(mask) -> tuple[int, ...]:
@@ -179,7 +163,7 @@ def _first_bad_tuple(bad, n: int = 0,
     The chunked checks, which read only whether there is one, build
     their generator rows lo:hi along another axis."""
     if not callable(bad):       # any() is ~100x faster than an empty argwhere
-        return tuple(np.argwhere(bad)[0].tolist()) if _any(bad) else None
+        return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
     step = max(1, _BLOCK // width)
     for lo in range(0, n, step):
         hit = _first_bad_tuple(bad(lo, min(n, lo + step)))
@@ -196,12 +180,12 @@ class FiniteGroup:
     def __init__(self, table):
         table = _as_table(table)
         n = table.shape[0]
-        if _any(table.view(np.uint64) >= n):            # negatives read huge
+        if table.min() < 0 or table.max() >= n:
             raise NotAGroupError("table entries out of range")
         rng = np.arange(n)
         bad_row = (np.sort(table, axis=1) != rng).any(axis=1)
         bad_col = (np.sort(table, axis=0) != rng[:, None]).any(axis=0)
-        if _any(bad_row | bad_col):
+        if (bad_row | bad_col).any():
             a = int(np.argmax(bad_row | bad_col))
             kind = "row" if bad_row[a] else "column"
             raise NotAGroupError(f"{kind} {a} is not a permutation (not a Latin square)",
@@ -221,9 +205,9 @@ class FiniteGroup:
         if not len(ident):
             raise NotAGroupError("no two-sided identity")
         e = int(ident[0])
-        inverses = (table == e).argmax(axis=1)
+        inverses = np.argmax(table == e, axis=1)
         no_inverse = table[inverses, rng] != e
-        if _any(no_inverse):
+        if no_inverse.any():
             a = int(np.argmax(no_inverse))
             raise NotAGroupError(f"element {a} has no two-sided inverse",
                                  witness=(a,))
@@ -275,7 +259,7 @@ class FiniteGroup:
     def _is_subgroup(self, mask) -> bool:
         """Nonempty and closed under products, which suffices when finite."""
         c = _nonzero(mask)
-        return c.size > 0 and _all(mask[self.table[c[:, None], c]])
+        return c.size > 0 and bool(mask[self.table[c[:, None], c]].all())
 
     def subgroup_generated(self, gens) -> tuple[int, ...]:
         return _carrier(self._closure(self.mask(gens)))
@@ -293,8 +277,8 @@ class FiniteGroup:
 
     def is_normal(self, carrier) -> bool:
         mask = self.mask(carrier)
-        return self._is_subgroup(mask) and _all(
-            mask[self.conj_table[:, mask]])
+        return self._is_subgroup(mask) and bool(
+            mask[self.conj_table[:, mask]].all())
 
     def all_subgroups(self) -> list[tuple[int, ...]]:
         """Every subgroup as a join of cyclic subgroups (the cyclic
@@ -304,7 +288,7 @@ class FiniteGroup:
         n, rng = self.order, np.arange(self.order)
         cyclic = np.zeros((n, n), dtype=bool)      # cyclic[g] masks <g>
         power = rng
-        while not _all(cyclic[rng, power]):
+        while not cyclic[rng, power].all():
             cyclic[rng, power] = True
             power = self.table[power, rng]
         _, cyclic_gens = np.unique(cyclic, axis=0, return_index=True)
@@ -327,7 +311,7 @@ class FiniteGroup:
         """The unvalidated group on the classes of a partition, with class
         map ``proj`` and least elements ``reps``; for ``quotient`` only."""
         image = object.__new__(FiniteGroup)
-        image.table = proj[self.table[reps[:, None], reps]]
+        image.table = proj[self.table[np.ix_(reps, reps)]]
         image.inverses = proj[self.inverses[reps]]
         image.table.setflags(write=False)
         image.inverses.setflags(write=False)
@@ -339,7 +323,7 @@ class FiniteGroup:
     def __eq__(self, other):
         return (isinstance(other, FiniteGroup)
                 and self.order == other.order
-                and _all(self.table == other.table))
+                and (self.table == other.table).all())
 
     def __hash__(self):
         return hash((self.order, self.table.tobytes()))
@@ -390,7 +374,7 @@ def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     if n1 * n2 > ORDER_CAP:
         raise ValidationError(f"product order {n1 * n2} exceeds cap {ORDER_CAP}")
     a1, a2 = np.divmod(np.arange(n1 * n2), n2)
-    return FiniteGroup(g1.table[a1[:, None], a1] * n2 + g2.table[a2[:, None], a2])
+    return FiniteGroup(g1.table[np.ix_(a1, a1)] * n2 + g2.table[np.ix_(a2, a2)])
 
 
 # ---------------------------------------------------------------- braces
@@ -442,7 +426,7 @@ class SkewBrace:
         return self._star
 
     def is_trivial(self) -> bool:
-        return _all(self.dot.table == self.circ.table)
+        return bool((self.dot.table == self.circ.table).all())
 
     def __eq__(self, other):
         return (isinstance(other, SkewBrace)
@@ -527,7 +511,7 @@ class BraceMap:
         return _carrier(self.images == self.target.identity)
 
     def is_surjective(self) -> bool:
-        return _all(self.target.dot._mask(self.images))
+        return bool(self.target.dot._mask(self.images).all())
 
     def __eq__(self, other):
         return (isinstance(other, BraceMap) and self.source == other.source

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CrossCheckError, NormalityError
 from .hopf import Element, HopfBrace
-from .skewbrace import BraceMap, SkewBrace, _all, _carrier, _nonzero
+from .skewbrace import BraceMap, SkewBrace, _carrier, _nonzero
 
 
 class Subbrace:
@@ -62,24 +62,24 @@ class Subbrace:
     def is_strong(self) -> bool:
         """Stable under the lambda action of every element."""
         lam = self.parent.base.lambda_table
-        return _all(self.mask[lam[:, self.elements]])
+        return bool(self.mask[lam[:, self.elements]].all())
 
     def is_normal(self) -> bool:
         """Definition-based: dot-normal, circ-normal and lambda-stable."""
         base, c, mask = self.parent.base, self.elements, self.mask
-        return (_all(mask[base.dot.conj_table[:, c]])
-                and _all(mask[base.circ.conj_table[:, c]])
-                and _all(mask[base.lambda_table[:, c]]))
+        return bool(mask[base.dot.conj_table[:, c]].all()
+                    and mask[base.circ.conj_table[:, c]].all()
+                    and mask[base.lambda_table[:, c]].all())
 
     def is_normal_via_star(self) -> bool:
         """Equivalent characterization: dot-normal plus two-sided star absorption."""
         base, c, mask = self.parent.base, self.elements, self.mask
         st = base.star_table
-        return (_all(mask[base.dot.conj_table[:, c]])
-                and _all(mask[st[:, c]]) and _all(mask[st[c]]))
+        return bool(mask[base.dot.conj_table[:, c]].all()
+                    and mask[st[:, c]].all() and mask[st[c]].all())
 
     def contains(self, other: "Subbrace") -> bool:
-        return _all(other.mask <= self.mask)
+        return bool((other.mask <= self.mask).all())
 
     def __eq__(self, other):
         return (isinstance(other, Subbrace) and self.parent == other.parent

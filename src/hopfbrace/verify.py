@@ -48,7 +48,7 @@ from .hopf import Element, HopfBrace, Tensor2, random_element
 from .series import (gamma_series, hopf_center, left_series,
                      relative_commutator, right_series, socle_annihilator,
                      star_closure_subbrace)
-from .skewbrace import _all, _first_bad_tuple
+from .skewbrace import _first_bad_tuple
 from .subobjects import whole_subbrace
 
 DEFAULT_SEED = 7349
@@ -345,7 +345,7 @@ def verify_propositions(H: HopfBrace, max_n: int = 10,
     hz = hopf_center(H)
     _prop(report, "hopf-center-strong", hz.is_strong(), hz.carrier)
     d, z = base.dot.table, hz.elements
-    _prop(report, "hopf-center-commutes", _all(d[z] == d[:, z].T),
+    _prop(report, "hopf-center-commutes", (d[z] == d[:, z].T).all(),
           hz.carrier)
 
     if not H.characteristic:
@@ -362,11 +362,11 @@ def verify_propositions(H: HopfBrace, max_n: int = 10,
               soc.annihilator_space.contains_space(soc.annihilator_span))
         s, a = soc.socle.elements, soc.annihilator.elements
         _prop(report, "antipodes-agree-on-socle",
-              _all(base.dot.inverses[s] == base.circ.inverses[s]),
+              (base.dot.inverses[s] == base.circ.inverses[s]).all(),
               soc.socle.carrier)
         _prop(report, "socle-circ-closed", base.circ.is_subgroup(s))
         _prop(report, "annihilator-star-absorbs-products",
-              _all(base.star_table[:, d[a[:, None], a]] == base.identity))
+              (base.star_table[:, d[a[:, None], a]] == base.identity).all())
 
     for k, term in enumerate(right.terms):
         rel = relative_commutator(term, H)
