@@ -5,10 +5,11 @@ is sound here because every Hopf subalgebra of a group algebra in
 characteristic zero is a subgroup algebra.  The gamma series carries an
 enforced per-step cross-check against the Huq commutator.  The
 abelianisations are quotients by generated subbraces; ``quotient``
-checks, rather than assumes, that these are normal.  Socle, annihilator
-and center enter ``Subbrace`` as the masks computed here; series terms
-and commutators as the tuples of the dot group's closure methods.  The
-coincidence orbits are read off their leaders, the g with label[g] == g.
+checks, rather than assumes, that these are normal.  Every series term,
+commutator, socle, annihilator and center enters ``Subbrace`` as a
+carrier mask: the dot group's closures and center return masks.  The
+coincidence orbits are read off their leaders, the g with label[g] == g,
+with no call to numpy's ``unique``.
 """
 
 from __future__ import annotations
@@ -107,14 +108,14 @@ def huq_commutator(I: Subbrace, H: HopfBrace) -> Subbrace:
     gens = (dot._mask(dot.table[dot.conj_table[c], dot.inverses])
             | dot._mask(circ.table[circ.conj_table[c], circ.inverses])
             | dot._mask(base.star_table[c]))
-    return Subbrace(H, dot.normal_closure(_nonzero(gens)))
+    return Subbrace._of_mask(H, dot.normal_closure(_nonzero(gens)))
 
 
 def hopf_center(H: HopfBrace) -> Subbrace:
     """The Hopf center of the dot-structure: for a group algebra with
     diagonal comultiplication this is the subgroup algebra of the
     group-theoretic center."""
-    return Subbrace._of_mask(H, H.base.dot._central())
+    return Subbrace._of_mask(H, H.base.dot.center())
 
 
 # ------------------------------------------------------- socle/annihilator
@@ -188,7 +189,7 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
             "socle/annihilator computation is defined over the rationals only")
     base = H.base
     n = H.dim
-    central = base.dot._central()
+    central = base.dot.center()
     center = _nonzero(central).tolist()
     st = base.star_table
     fixed = base.lambda_table == np.arange(n)        # lambda_g(b) == b

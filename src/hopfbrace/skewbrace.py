@@ -32,15 +32,16 @@ triple, built in blocks of the same number of entries by
 every pair and triple witness.  The lambda table is built eagerly, for
 the check; the star table, like the conjugation table, on first use.
 
-Inside the package a carrier is a boolean mask, a sorted tuple only at
-the API edge.  Caller indices pass one check, ``_indices``; the package
-masks its own gathered index arrays (up to n^2 entries) unchecked, with
-``FiniteGroup._mask``, and reads a mask's true entries with
-``_nonzero``; no query path calls ``np.unique``, whose first call
-imports ``numpy.ma``.  A closure is a BFS under right multiplication by
-the generators alone (in a finite group g^-1 is a positive power of g),
-a normal closure one closure of all conjugates of the generators, read
-off the cached table conj_table[a, x] = a x a^-1.
+A carrier is a boolean mask, a sorted tuple only at the API edge:
+``subgroup_generated``, ``normal_closure``, ``center`` and
+``BraceMap.kernel`` all return masks.  Caller indices pass one check,
+``_indices``; the package masks its own gathered index arrays (up to
+n^2 entries) unchecked, with ``FiniteGroup._mask``, and reads a mask's
+true entries with ``_nonzero``; it never calls numpy's ``unique``,
+whose first call imports ``numpy.ma``.  A closure is a BFS under right
+multiplication by the generators alone (in a finite group g^-1 is a
+positive power of g), a normal closure one closure of all conjugates of
+the generators, read off the cached table conj_table[a, x] = a x a^-1.
 """
 
 from __future__ import annotations
@@ -143,10 +144,6 @@ def _indices(elems, n: int) -> np.ndarray:
 def _nonzero(mask) -> np.ndarray:
     """A 1-D mask's true indices, at ~1/4 the cost of np.flatnonzero."""
     return mask.nonzero()[0]
-
-
-def _carrier(mask) -> tuple[int, ...]:
-    return tuple(_nonzero(mask).tolist())
 
 
 _BLOCK = 1 << 17      # entries of a swept mismatch array built at once
@@ -253,24 +250,21 @@ class FiniteGroup:
             frontier = _nonzero(new)
         return mask
 
-    def _central(self) -> np.ndarray:
-        return (self.table == self.table.T).all(axis=1)
-
     def _is_subgroup(self, mask) -> bool:
         """Nonempty and closed under products, which suffices when finite."""
         c = _nonzero(mask)
         return c.size > 0 and bool(mask[self.table[c[:, None], c]].all())
 
-    def subgroup_generated(self, gens) -> tuple[int, ...]:
-        return _carrier(self._closure(self.mask(gens)))
+    def subgroup_generated(self, gens) -> np.ndarray:
+        """The mask of the subgroup generated by caller indices."""
+        return self._closure(self.mask(gens))
 
-    def normal_closure(self, gens) -> tuple[int, ...]:
+    def normal_closure(self, gens) -> np.ndarray:
         """A conjugation-closed set generates a normal subgroup."""
-        conjugates = self._mask(self.conj_table[:, self.mask(gens)])
-        return _carrier(self._closure(conjugates))
+        return self._closure(self._mask(self.conj_table[:, self.mask(gens)]))
 
-    def center(self) -> tuple[int, ...]:
-        return _carrier(self._central())
+    def center(self) -> np.ndarray:
+        return (self.table == self.table.T).all(axis=1)
 
     def is_subgroup(self, carrier) -> bool:
         return self._is_subgroup(self.mask(carrier))
@@ -279,33 +273,6 @@ class FiniteGroup:
         mask = self.mask(carrier)
         return self._is_subgroup(mask) and bool(
             mask[self.conj_table[:, mask]].all())
-
-    def all_subgroups(self) -> list[tuple[int, ...]]:
-        """Every subgroup as a join of cyclic subgroups (the cyclic
-        extension method, Holt-Eick-O'Brien, Handbook of Computational
-        Group Theory, 3.4): each found subgroup is joined with every
-        cyclic subgroup outside it, deduplicated by bitmask."""
-        n, rng = self.order, np.arange(self.order)
-        cyclic = np.zeros((n, n), dtype=bool)      # cyclic[g] masks <g>
-        power = rng
-        while not cyclic[rng, power].all():
-            cyclic[rng, power] = True
-            power = self.table[power, rng]
-        _, cyclic_gens = np.unique(cyclic, axis=0, return_index=True)
-        trivial = rng == self.identity
-        found = {np.packbits(trivial).tobytes(): (self.identity,)}
-        frontier = [trivial]
-        while frontier:
-            nxt = []
-            for sub in frontier:
-                for g in cyclic_gens[~sub[cyclic_gens]]:
-                    join = self._closure(sub | (rng == g))
-                    key = np.packbits(join).tobytes()
-                    if key not in found:
-                        found[key] = _carrier(join)
-                        nxt.append(join)
-            frontier = nxt
-        return sorted(found.values(), key=lambda s: (len(s), s))
 
     def _image(self, proj, reps) -> "FiniteGroup":
         """The unvalidated group on the classes of a partition, with class
@@ -507,8 +474,9 @@ class BraceMap:
     def __call__(self, g: int) -> int:
         return int(self.images[_index(g, self.source.order)])
 
-    def kernel_set(self) -> tuple[int, ...]:
-        return _carrier(self.images == self.target.identity)
+    def kernel(self) -> np.ndarray:
+        """The mask of the elements sent to the target identity."""
+        return self.images == self.target.identity
 
     def is_surjective(self) -> bool:
         return bool(self.target.dot._mask(self.images).all())

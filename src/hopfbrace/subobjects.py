@@ -4,15 +4,15 @@ certified by their projection (one construction, see ``quotient``).
 In characteristic zero every Hopf subalgebra of a group algebra is a
 subgroup algebra, and all generators arising here (star values,
 commutators, conjugates) are group-like, so subobjects are represented
-by subgroups of the dot-group.  A ``Subbrace`` checks its indices and
-that they form a subgroup once, on the mask it builds.  A carrier mask
-the package builds itself (socle, annihilator, center, kernel, whole,
-trivial) enters through ``Subbrace._of_mask``, with the subgroup check
-and no index check; closures still come as tuples from
-``FiniteGroup.subgroup_generated``/``normal_closure``, the names through
-which the benchmark's tracer sees them.  The predicates are uncached
-gathers over the mask; ``_require_normal`` is the one normality guard.
-A quotient reads its coset leaders as the g with rep[g] == g.
+by subgroups of the dot-group.  The public constructor checks a
+caller's indices and that they form a subgroup, on the mask it builds.
+Every subbrace the package builds (closures, commutators, socle,
+annihilator, center, kernel, whole, trivial) enters as its carrier mask
+through ``Subbrace._of_mask``, with the same subgroup check and no index
+check.  The predicates are uncached gathers over the mask;
+``_require_normal`` is the one normality guard.  A quotient reads its
+coset leaders as the g with rep[g] == g; nothing here calls numpy's
+``unique``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CrossCheckError, NormalityError
 from .hopf import Element, HopfBrace
-from .skewbrace import BraceMap, SkewBrace, _carrier, _nonzero
+from .skewbrace import BraceMap, SkewBrace, _nonzero
 
 
 class Subbrace:
@@ -41,11 +41,12 @@ class Subbrace:
         return sub
 
     def _adopt(self, parent: HopfBrace, mask) -> None:
+        carrier = tuple(_nonzero(mask).tolist())
         if not parent.base.dot._is_subgroup(mask):
-            raise ValueError(f"{_carrier(mask)} is not a dot-subgroup")
+            raise ValueError(f"{carrier} is not a dot-subgroup")
         mask.setflags(write=False)
         self.parent = parent
-        self.carrier = _carrier(mask)
+        self.carrier = carrier
         self.mask = mask
 
     @property
@@ -94,7 +95,7 @@ class Subbrace:
 
 def generated_subbrace(H: HopfBrace, gens) -> Subbrace:
     """Smallest subgroup-algebra subobject containing the given group-likes."""
-    return Subbrace(H, H.base.dot.subgroup_generated(gens))
+    return Subbrace._of_mask(H, H.base.dot.subgroup_generated(gens))
 
 
 def trivial_subbrace(H: HopfBrace) -> Subbrace:
@@ -148,8 +149,7 @@ def _require_normal(B: Subbrace, H: HopfBrace) -> None:
 
 def hopf_kernel(f: HopfMorphism) -> Subbrace:
     """Kernel subobject: group-likes sent to the target identity."""
-    return Subbrace._of_mask(f.source,
-                             f.map.images == f.map.target.identity)
+    return Subbrace._of_mask(f.source, f.map.kernel())
 
 
 def quotient(H: HopfBrace, B: Subbrace) -> tuple[HopfBrace, HopfMorphism]:

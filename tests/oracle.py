@@ -6,6 +6,7 @@ is that series sizes, socle carriers, commutators and centrality verdicts
 computed here are an independent cross-check for the engine.
 """
 
+from functools import cache
 from itertools import permutations
 
 
@@ -340,6 +341,19 @@ def all_subgroups(table):
                     nxt.append(bigger)
         frontier = nxt
     return found
+
+
+def subgroups(table):
+    """``all_subgroups`` as sorted tuples, smallest first, computed once
+    per table (a list of rows or anything with ``tolist``)."""
+    rows = table.tolist() if hasattr(table, "tolist") else table
+    return _subgroups(tuple(map(tuple, rows)))
+
+
+@cache
+def _subgroups(rows):
+    return sorted((tuple(sorted(s)) for s in all_subgroups(rows)),
+                  key=lambda s: (len(s), s))
 
 
 def central_hopfcoc(dot, circ, kernel):

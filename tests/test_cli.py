@@ -240,6 +240,54 @@ def test_check_central_sign_map(tmp_path, capsys):
     assert doc["witness_hopfcoc"] == [3, 1]
 
 
+HUMAN_OUTPUT = {
+    "series": """\
+radical_c4: right series (max 10)
+  term 1: size 4  carrier [0, 1, 2, 3]  (0, 1, 2, 3)
+  term 2: size 2  carrier [0, 2]  (0, 2)
+           generators [0, 2]
+  term 3: size 1  carrier [0]  (0)
+           generators [0]
+  stabilized: False   nil class: 3
+""",
+    "invariants": """\
+radical_c4: invariants
+  socle      (Soc): [0, 2]  (0, 2)  space dim 3  [strictly larger than the group-like span]
+  annihilator(Ann): [0, 2]  (0, 2)  space dim 3  [strictly larger than the group-like span]
+  hopf center: [0, 1, 2, 3]  (0, 1, 2, 3)
+  dim of star-abelianization (products fused): 2
+  dim of full abelianization: 2
+  star-trivial space dim 3; product-coincidence space dim 3  [conditions differ; separators exist]
+    star-trivial but products differ: g1 - g3
+    products coincide but not star-trivial: g1 + g3
+""",
+    "check-central": """\
+opposite:S3 -> trivial:C2: central-extension verdicts
+  kernel: [0, 3, 4]  (e, (1 2 3), (1 3 2))
+  central for the Hopf-algebra adjunction: False  witness (3, 1)
+  Huq-central: False  witness (3, 1)
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HUMAN_OUTPUT))
+def test_human_readable_output_is_pinned(tmp_path, capsys, command):
+    """The text reports, which the ``--json`` goldens do not cover, with
+    the run-dependent ``elapsed:`` line left out."""
+    sign = tmp_path / "sign.json"
+    hb.save_map([0, 1, 1, 0, 0, 1], sign, source="opposite:S3",
+                target="trivial:C2")
+    argv = {"series": ["series", "radical_c4", "--kind", "right"],
+            "invariants": ["invariants", "radical_c4"],
+            "check-central": ["check-central", "opposite:S3",
+                              "--map", str(sign)]}[command]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    assert lines[-1].startswith("elapsed: ")
+    assert "".join(lines[:-1]) == HUMAN_OUTPUT[command]
+
+
 def test_check_central_identity_map(tmp_path, capsys):
     path = tmp_path / "ident.json"
     hb.save_map(list(range(6)), path, source="opposite:S3",
@@ -566,14 +614,16 @@ print(json.dumps(loaded))
 
 def test_queries_leave_numpy_ma_unloaded():
     """A plain ``np.unique`` imports ``numpy.ma`` (~17 ms and ~1.6 MB on
-    first use); no query path needs it.  A fresh interpreter, so that no
-    other test can have loaded it first."""
+    first use); the package never calls it, on any command.  A fresh
+    interpreter, so that no other test can have loaded it first."""
     name = "prod:radical_c4,trivial:S3"
     argvs = [["invariants", name, "--json"],
              ["series", name, "--kind", "gamma", "--json"],
              ["check-central", name, "--json", "--map",
               str(MAPS / "projection-prod-radical_c4-trivial-S3-1.json")],
-             ["verify", name, "--suite", "propositions", "--json"]]
+             ["verify", name, "--suite", "propositions", "--json"],
+             ["validate", name],
+             ["verify", name, "--json"]]
     src = str(Path(hb.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", NO_MASKED_ARRAYS, json.dumps(argvs)],

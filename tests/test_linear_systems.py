@@ -39,7 +39,7 @@ def fiber_loop_rows(value, domain, n, skip):
 
 def reference_socle_spaces(H):
     base, n, e = H.base, H.dim, H.base.identity
-    center = base.dot.center()
+    center = np.flatnonzero(base.dot.center()).tolist()
     st = base.star_table
     outside = [Element({g: 1}) for g in range(n) if g not in center]
     soc_rows = outside + fiber_loop_rows(
@@ -131,7 +131,7 @@ def test_exact_factorization_brace_matches_the_reference():
     coincidence orbits take three min-label steps to settle, where every
     catalog brace takes at most one."""
     G = hb.symmetric_group(4)
-    c4 = G.subgroup_generated([17])           # 17 is (2, 3, 1, 0)
+    c4 = np.flatnonzero(G.subgroup_generated([17]))   # 17 is (2, 3, 1, 0)
     assert len(c4) == 4
     assert_matches_reference(hb.HopfBrace(
         factorization_brace(G, range(6), c4)))

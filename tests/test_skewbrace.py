@@ -95,7 +95,8 @@ def test_star_examples(radical_c4, opp_s3):
             expected = g.table[g.table[g.table[g.inverses[a], b], a],
                                g.inverses[b]]
             assert opp_s3.star_table[a, b] == expected
-    assert g.subgroup_generated(np.unique(opp_s3.star_table)) == (0, 3, 4)
+    assert carrier(g.subgroup_generated(np.unique(opp_s3.star_table))) \
+        == (0, 3, 4)
 
 
 def test_star_two_computations_agree(catalog):
@@ -118,22 +119,28 @@ def test_circ_decomposes_through_lambda(catalog):
                         == brace.dot.table[a, brace.lambda_table[a, b]])
 
 
+def carrier(mask):
+    """A carrier mask's indices, as the sorted tuple of the API edge."""
+    return tuple(np.flatnonzero(mask).tolist())
+
+
 def test_subgroup_generated():
     s3 = hb.symmetric_group(3)
-    assert s3.subgroup_generated([3]) == (0, 3, 4)
-    assert s3.subgroup_generated([]) == (0,)
+    assert carrier(s3.subgroup_generated([3])) == (0, 3, 4)
+    assert carrier(s3.subgroup_generated([])) == (0,)
     c4 = hb.cyclic_group(4)
-    assert c4.subgroup_generated([2]) == (0, 2)
-    sub = s3.subgroup_generated([1, 3])
-    assert s3.subgroup_generated(sub) == sub
+    assert carrier(c4.subgroup_generated([2])) == (0, 2)
+    sub = carrier(s3.subgroup_generated([1, 3]))
+    assert carrier(s3.subgroup_generated(sub)) == sub
 
 
 def test_normal_closure():
     s3 = hb.symmetric_group(3)
-    assert s3.normal_closure([1]) == tuple(range(6))
+    assert carrier(s3.normal_closure([1])) == tuple(range(6))
     c4 = hb.cyclic_group(4)
-    assert c4.normal_closure([2]) == c4.subgroup_generated([2])
-    assert s3.normal_closure([]) == (0,)
+    assert carrier(c4.normal_closure([2])) \
+        == carrier(c4.subgroup_generated([2]))
+    assert carrier(s3.normal_closure([])) == (0,)
 
 
 @pytest.mark.parametrize("call", [
@@ -153,9 +160,9 @@ def test_user_indices_are_refused_not_coerced(call):
 
 
 def test_center():
-    assert hb.symmetric_group(3).center() == (0,)
-    assert hb.cyclic_group(5).center() == (0, 1, 2, 3, 4)
-    assert len(hb.dihedral_group(4).center()) == 2
+    assert carrier(hb.symmetric_group(3).center()) == (0,)
+    assert carrier(hb.cyclic_group(5).center()) == (0, 1, 2, 3, 4)
+    assert len(carrier(hb.dihedral_group(4).center())) == 2
 
 
 def group_quotient(g, carrier):
@@ -189,13 +196,13 @@ def test_quotient_group():
 def test_morphism_validation(radical_c4):
     c2 = hb.trivial_brace(hb.cyclic_group(2))
     f = hb.BraceMap(radical_c4, c2, [0, 1, 0, 1])
-    assert f.kernel_set() == (0, 2)
+    assert carrier(f.kernel()) == (0, 2)
     assert f.is_surjective()
     triv = hb.trivial_brace(hb.symmetric_group(3))
     ident = hb.BraceMap(triv, triv, list(range(6)))
-    assert ident.kernel_set() == (0,)
+    assert carrier(ident.kernel()) == (0,)
     zero = hb.BraceMap(triv, triv, [0] * 6)
-    assert zero.kernel_set() == tuple(range(6))
+    assert carrier(zero.kernel()) == tuple(range(6))
     with pytest.raises(hb.MorphismError):
         hb.BraceMap(radical_c4, c2, [0, 1, 1, 0])
 
@@ -251,10 +258,10 @@ def test_constructors_refuse_bad_tables_and_sizes(make, arg):
 
 
 def test_all_subgroups_counts():
-    assert len(hb.cyclic_group(4).all_subgroups()) == 3
-    assert len(hb.symmetric_group(3).all_subgroups()) == 6
-    assert len(hb.dihedral_group(4).all_subgroups()) == 10
-    assert len(hb.symmetric_group(4).all_subgroups()) == 30
+    assert len(oracle.subgroups(hb.cyclic_group(4).table)) == 3
+    assert len(oracle.subgroups(hb.symmetric_group(3).table)) == 6
+    assert len(oracle.subgroups(hb.dihedral_group(4).table)) == 10
+    assert len(oracle.subgroups(hb.symmetric_group(4).table)) == 30
 
 
 @pytest.mark.parametrize("table", [
