@@ -11,6 +11,11 @@ from hopfbrace.skewbrace import _generating_set
 from test_ladder import LADDER
 
 
+def carrier(mask):
+    """A carrier mask's indices, as the sorted tuple of the API edge."""
+    return tuple(np.flatnonzero(mask).tolist())
+
+
 def test_validate_trivial_c2():
     t = [[0, 1], [1, 0]]
     b = hb.validate_skew_brace(t, t)
@@ -117,11 +122,6 @@ def test_circ_decomposes_through_lambda(catalog):
             for b in range(brace.order):
                 assert (brace.circ.table[a, b]
                         == brace.dot.table[a, brace.lambda_table[a, b]])
-
-
-def carrier(mask):
-    """A carrier mask's indices, as the sorted tuple of the API edge."""
-    return tuple(np.flatnonzero(mask).tolist())
 
 
 def test_subgroup_generated():
