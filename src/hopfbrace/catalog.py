@@ -157,13 +157,26 @@ def save_brace(brace: SkewBrace, path, name: str = "brace") -> None:
 
 
 _INT64 = range(-2**63, 2**63)
+# The most bytes read from a brace or map file.  A brace of order
+# ORDER_CAP saved by save_brace takes ~0.6 MB (~0.84 MB at indent=2).
+MAX_FILE_BYTES = 8 * 2**20
+# A read allocates the bytes it asks for, so a file is read in two steps:
+# up to this many first, and the rest of the cap only if the file is longer.
+_FIRST_READ = 2**16
 
 
 def _read_json(path):
-    """The file's JSON document; any failure to read it is a BraceFileError."""
+    """The file's JSON document; any failure to read it, or a file longer
+    than MAX_FILE_BYTES, is a BraceFileError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(_FIRST_READ)
+            if len(data) == _FIRST_READ:
+                data += fh.read(MAX_FILE_BYTES + 1 - _FIRST_READ)
+        if len(data) > MAX_FILE_BYTES:
+            raise BraceFileError(
+                f"{path}: longer than the cap of {MAX_FILE_BYTES} bytes")
+        return json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise BraceFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "

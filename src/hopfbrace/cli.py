@@ -1,11 +1,14 @@
 """Command-line interface: validate, series, invariants, check-central,
 verify.
 
-Exit codes: 0 success, 1 verification failure, 2 input/parse error.
-The --json form is deterministic and byte-identical for a fixed seed
-(wall-clock timing is only ever printed on the human-readable path).
-The argument parser is built on the first ``main`` call and reused for
-the rest of the process, and each call loads each distinct input once.
+Each command computes one results document: ``--json`` prints it,
+byte-identical for a fixed seed, and otherwise the command's renderer
+turns it into a text report ending in a wall-clock ``elapsed:`` line.
+Exit codes: 0 success, 1 verification failure, 2 input/parse error
+(brace and map files are capped at ``catalog.MAX_FILE_BYTES``), and
+``CLOSED_OUTPUT`` (141) for a stdout closed before the output was
+written.  The argument parser is built on the first ``main`` call and
+reused, and each call loads each distinct input once.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 import time
 
 from . import __version__
-from .catalog import (BraceDescriptor, builtin_catalog, load_map, resolve)
+from .catalog import builtin_catalog, load_map, resolve
 from .errors import BraceFileError, MorphismError, ValidationError
 from .extensions import analyze_extension, centrality_consequences
 from .hopf import HopfBrace
@@ -29,6 +32,7 @@ from .subobjects import HopfMorphism
 from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, SUITES, verify_suite
 
 SEED_ENV = "HOPFBRACE_SEED"
+CLOSED_OUTPUT = 141     # 128 + SIGPIPE, as a shell reports a killed writer
 
 
 def _error(message) -> int:
@@ -37,96 +41,140 @@ def _error(message) -> int:
     return 2
 
 
-def _engine() -> dict:
-    return {"name": "hopfbrace", "version": __version__}
+def _document(command: str, desc, results, **fields) -> dict:
+    """A command's results document; ``desc`` is the brace it is about."""
+    if desc is not None:
+        fields["brace"] = {"name": desc.name, "order": desc.order,
+                           "construction": desc.construction}
+    return {"engine": {"name": "hopfbrace", "version": __version__},
+            "command": command, "results": results, **fields}
 
 
-def _brace_doc(desc: BraceDescriptor) -> dict:
-    return {"name": desc.name, "order": desc.order,
-            "construction": desc.construction}
-
-
-def _emit(doc: dict, as_json: bool, lines: list[str], started: float) -> None:
-    if as_json:
+def _emit(args, doc: dict, render, *context) -> int:
+    """Print ``doc`` as JSON, or as the text report ``render(doc, *context)``
+    and the elapsed time; exit code 1 if the document is not ``ok``."""
+    if args.json:
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
-        for line in lines:
-            print(line)
-        print(f"elapsed: {time.perf_counter() - started:.3f}s")
+        print(*render(doc, *context), sep="\n")
+        print(f"elapsed: {time.perf_counter() - args.started:.3f}s")
+    return 0 if doc.get("ok", True) else 1
 
 
 def _carrier_str(carrier, names) -> str:
-    idx = ", ".join(str(g) for g in carrier)
-    if names:
-        pretty = ", ".join(names[g] for g in carrier)
-        return f"[{idx}]  ({pretty})"
-    return f"[{idx}]"
+    idx = f"[{', '.join(map(str, carrier))}]"
+    return f"{idx}  ({', '.join(names[g] for g in carrier)})" if names else idx
 
 
-def _vector_str(vec) -> str:
+def _vector_str(vec: dict) -> str:
+    """A separator of a document, {index: coefficient}, as ``g1 - 2*g3``."""
     bits = []
     for idx, val in vec.items():
-        sign = "-" if val < 0 else "+"
-        mag = abs(val)
-        coeff = "" if mag == 1 else f"{mag}*"
-        bits.append(f"{sign} {coeff}g{idx}")
-    out = " ".join(bits)
-    return out[2:] if out.startswith("+ ") else out
+        mag = val.lstrip("-")
+        coeff = "" if mag == "1" else f"{mag}*"
+        bits.append(f"{'-' if val.startswith('-') else '+'} {coeff}g{idx}")
+    return " ".join(bits).removeprefix("+ ")
+
+
+# --------------------------------------------------------------- renderers
+# Each turns its command's document into the lines of the text report;
+# ``names`` are the brace's element names, shown beside carrier indices.
+
+def _validate_text(doc):
+    yield (f"{doc['brace']['name']}: valid skew brace of order "
+           f"{doc['brace']['order']}")
+
+
+def _series_text(doc, names, max_n):
+    r = doc["results"]
+    yield f"{doc['brace']['name']}: {r['kind']} series (max {max_n})"
+    for term in r["terms"]:
+        yield (f"  term {term['index']}: size {term['size']}  carrier "
+               f"{_carrier_str(term['carrier'], names)}")
+        if term["generators"]:
+            yield f"           generators {term['generators']}"
+    yield f"  stabilized: {r['stabilized']}   nil class: {r['nil_class']}"
+
+
+def _invariants_text(doc, names):
+    r = doc["results"]
+    yield f"{doc['brace']['name']}: invariants"
+    for label, key in (("socle      (Soc)", "socle"),
+                       ("annihilator(Ann)", "annihilator")):
+        yield (f"  {label}: {_carrier_str(r[key + '_carrier'], names)}  "
+               f"space dim {r[key + '_space_dim']}"
+               + ("  [strictly larger than the group-like span]"
+                  if r[key + "_space_strict"] else ""))
+    yield f"  hopf center: {_carrier_str(r['hopf_center_carrier'], names)}"
+    yield (f"  dim of star-abelianization (products fused): "
+           f"{r['dim_star_abelianization']}")
+    yield f"  dim of full abelianization: {r['dim_full_abelianization']}"
+    yield (f"  star-trivial space dim {r['star_trivial_space_dim']}; "
+           f"product-coincidence space dim "
+           f"{r['product_coincidence_space_dim']}"
+           + ("" if r["star_trivial_equals_coincidence"]
+              else "  [conditions differ; separators exist]"))
+    for key, label in (("separator_star_trivial_only",
+                        "star-trivial but products differ"),
+                       ("separator_coincidence_only",
+                        "products coincide but not star-trivial")):
+        if key in r:
+            yield f"    {label}: {_vector_str(r[key])}"
+
+
+def _check_central_text(doc, names, target):
+    r = doc["results"]
+    yield f"{doc['brace']['name']} -> {target}: central-extension verdicts"
+    yield f"  kernel: {_carrier_str(r['kernel_carrier'], names)}"
+    for label, key in (("central for the Hopf-algebra adjunction", "hopfcoc"),
+                       ("Huq-central", "huq")):
+        witness = r["witness_" + key]
+        yield (f"  {label}: {r['central_' + key]}"
+               + (f"  witness {tuple(witness)}" if witness else ""))
+    if "consequence_violations" in r:
+        yield (f"  products agree against the kernel: "
+               f"{not r['consequence_violations']}")
+
+
+def _verify_text(doc):
+    yield f"seed: {doc['seed']}   samples: {doc['samples']}"
+    for entry in doc["results"]:
+        yield ("  {brace:34s} {suite:12s} {status}  ({basis_checks} basis, "
+               "{random_checks} random)").format(
+                   status="FAIL" if entry["violations"] else "ok", **entry)
+        for v in entry["violations"]:
+            yield f"      violation: {v}"
 
 
 # ---------------------------------------------------------------- commands
 
 def cmd_validate(args) -> int:
-    started = time.perf_counter()
-    desc, brace = resolve(args.input)
-    doc = {"engine": _engine(), "command": "validate",
-           "brace": _brace_doc(desc), "results": {"valid": True}}
-    _emit(doc, args.json,
-          [f"{desc.name}: valid skew brace of order {desc.order}"], started)
-    return 0
+    desc, _ = resolve(args.input)
+    doc = _document("validate", desc, {"valid": True})
+    return _emit(args, doc, _validate_text)
 
 
 def cmd_series(args) -> int:
-    started = time.perf_counter()
     if args.max < 1:
         return _error(f"--max must be at least 1, got {args.max}")
     desc, brace = resolve(args.input)
-    H = HopfBrace(brace)
-    runner = {"left": left_series, "right": right_series,
-              "gamma": gamma_series}[args.kind]
-    result = runner(H, args.max)
-    terms = []
-    lines = [f"{desc.name}: {args.kind} series (max {args.max})"]
-    for k, term in enumerate(result.terms):
-        gens = sorted(result.generators[k])
-        terms.append({"index": k + 1, "size": term.dim,
-                      "carrier": list(term.carrier),
-                      "generators": gens})
-        lines.append(f"  term {k + 1}: size {term.dim}  carrier "
-                     f"{_carrier_str(term.carrier, desc.element_names)}")
-        if gens:
-            lines.append(f"           generators {gens}")
-    lines.append(f"  stabilized: {result.stabilized}   "
-                 f"nil class: {result.nil_class}")
-    doc = {"engine": _engine(), "command": "series",
-           "brace": _brace_doc(desc),
-           "results": {"kind": args.kind, "terms": terms,
-                       "stabilized": result.stabilized,
-                       "nil_class": result.nil_class}}
-    _emit(doc, args.json, lines, started)
-    return 0
+    result = {"left": left_series, "right": right_series,
+              "gamma": gamma_series}[args.kind](HopfBrace(brace), args.max)
+    terms = [{"index": k + 1, "size": term.dim,
+              "carrier": list(term.carrier), "generators": sorted(gens)}
+             for k, (term, gens) in enumerate(zip(result.terms,
+                                                  result.generators))]
+    doc = _document("series", desc, {"kind": args.kind, "terms": terms,
+                                     "stabilized": result.stabilized,
+                                     "nil_class": result.nil_class})
+    return _emit(args, doc, _series_text, desc.element_names, args.max)
 
 
 def cmd_invariants(args) -> int:
-    started = time.perf_counter()
     desc, brace = resolve(args.input)
     H = HopfBrace(brace)
     soc = socle_annihilator(H)
-    hz = hopf_center(H)
-    F, _ = star_abelianization(H)
-    ab, _ = full_abelianization(H)
     coin = coincidence_report(H)
-    names = desc.element_names
     results = {
         "socle_carrier": list(soc.socle.carrier),
         "annihilator_carrier": list(soc.annihilator.carrier),
@@ -134,48 +182,23 @@ def cmd_invariants(args) -> int:
         "annihilator_space_dim": soc.annihilator_space.dim,
         "socle_space_strict": soc.socle_strict,
         "annihilator_space_strict": soc.annihilator_strict,
-        "hopf_center_carrier": list(hz.carrier),
-        "dim_star_abelianization": F.dim,
-        "dim_full_abelianization": ab.dim,
+        "hopf_center_carrier": list(hopf_center(H).carrier),
+        "dim_star_abelianization": star_abelianization(H)[0].dim,
+        "dim_full_abelianization": full_abelianization(H)[0].dim,
         "star_trivial_space_dim": coin.star_trivial_space.dim,
         "product_coincidence_space_dim": coin.coincidence_space.dim,
         "star_trivial_equals_coincidence": coin.equivalent,
     }
-    lines = [
-        f"{desc.name}: invariants",
-        f"  socle      (Soc): {_carrier_str(soc.socle.carrier, names)}  "
-        f"space dim {soc.socle_space.dim}"
-        + ("  [strictly larger than the group-like span]"
-           if soc.socle_strict else ""),
-        f"  annihilator(Ann): {_carrier_str(soc.annihilator.carrier, names)}  "
-        f"space dim {soc.annihilator_space.dim}"
-        + ("  [strictly larger than the group-like span]"
-           if soc.annihilator_strict else ""),
-        f"  hopf center: {_carrier_str(hz.carrier, names)}",
-        f"  dim of star-abelianization (products fused): {F.dim}",
-        f"  dim of full abelianization: {ab.dim}",
-        f"  star-trivial space dim {coin.star_trivial_space.dim}; "
-        f"product-coincidence space dim {coin.coincidence_space.dim}"
-        + ("" if coin.equivalent else "  [conditions differ; separators exist]"),
-    ]
-    if coin.separator_star_only is not None:
-        results["separator_star_trivial_only"] = \
-            {str(k): str(v) for k, v in coin.separator_star_only.items()}
-        lines.append(f"    star-trivial but products differ: "
-                     f"{_vector_str(coin.separator_star_only)}")
-    if coin.separator_coincidence_only is not None:
-        results["separator_coincidence_only"] = \
-            {str(k): str(v) for k, v in coin.separator_coincidence_only.items()}
-        lines.append(f"    products coincide but not star-trivial: "
-                     f"{_vector_str(coin.separator_coincidence_only)}")
-    doc = {"engine": _engine(), "command": "invariants",
-           "brace": _brace_doc(desc), "results": results}
-    _emit(doc, args.json, lines, started)
-    return 0
+    for key, vec in (("separator_star_trivial_only", coin.separator_star_only),
+                     ("separator_coincidence_only",
+                      coin.separator_coincidence_only)):
+        if vec is not None:
+            results[key] = {str(k): str(v) for k, v in vec.items()}
+    doc = _document("invariants", desc, results)
+    return _emit(args, doc, _invariants_text, desc.element_names)
 
 
 def cmd_check_central(args) -> int:
-    started = time.perf_counter()
     load = functools.cache(resolve)     # a map may name the input again
     desc, brace = load(args.input)
     map_doc = load_map(args.map)
@@ -194,31 +217,19 @@ def cmd_check_central(args) -> int:
         "kernel_carrier": list(report.kernel.carrier),
         "central_hopfcoc": report.central_hopfcoc,
         "central_huq": report.central_huq,
-        "witness_hopfcoc": list(report.witness_hopfcoc)
-        if report.witness_hopfcoc else None,
-        "witness_huq": list(report.witness_huq) if report.witness_huq else None,
+        "witness_hopfcoc":
+            report.witness_hopfcoc and list(report.witness_hopfcoc),
+        "witness_huq": report.witness_huq and list(report.witness_huq),
     }
-    lines = [
-        f"{desc.name} -> {tdesc.name}: central-extension verdicts",
-        f"  kernel: {_carrier_str(report.kernel.carrier, desc.element_names)}",
-        f"  central for the Hopf-algebra adjunction: {report.central_hopfcoc}"
-        + (f"  witness {report.witness_hopfcoc}"
-           if report.witness_hopfcoc else ""),
-        f"  Huq-central: {report.central_huq}"
-        + (f"  witness {report.witness_huq}" if report.witness_huq else ""),
-    ]
     if report.central_hopfcoc:
-        bad = centrality_consequences(f)
-        results["consequence_violations"] = [list(p) for p in bad]
-        lines.append(f"  products agree against the kernel: {not bad}")
-    doc = {"engine": _engine(), "command": "check-central",
-           "brace": _brace_doc(desc), "results": results}
-    _emit(doc, args.json, lines, started)
-    return 0
+        results["consequence_violations"] = \
+            [list(p) for p in centrality_consequences(f)]
+    doc = _document("check-central", desc, results)
+    return _emit(args, doc, _check_central_text, desc.element_names,
+                 tdesc.name)
 
 
 def cmd_verify(args) -> int:
-    started = time.perf_counter()
     seed = args.seed
     if seed is None:
         env = os.environ.get(SEED_ENV)
@@ -234,31 +245,19 @@ def cmd_verify(args) -> int:
         return _error("give a brace or --all")
     targets = builtin_catalog() if args.all else [resolve(args.input)]
     suites = list(SUITES) if args.suite == "all" else [args.suite]
-    lines = [f"seed: {seed}   samples: {args.samples}"]
     entries = []
-    failed = False
     for desc, brace in targets:
         H = HopfBrace(brace)
         for suite in suites:
             report = verify_suite(H, suite, samples=args.samples, seed=seed,
                                   label=desc.name, max_n=args.max)
-            entry = {"brace": desc.name, "suite": suite,
-                     "basis_checks": report.basis_checks,
-                     "random_checks": report.random_checks,
-                     "violations": [str(v) for v in report.violations]}
-            entries.append(entry)
-            status = "ok" if report.ok else "FAIL"
-            lines.append(f"  {desc.name:34s} {suite:12s} {status}  "
-                         f"({report.basis_checks} basis, "
-                         f"{report.random_checks} random)")
-            for v in report.violations:
-                lines.append(f"      violation: {v}")
-            failed = failed or not report.ok
-    doc = {"engine": _engine(), "command": "verify",
-           "seed": seed, "samples": args.samples,
-           "results": entries, "ok": not failed}
-    _emit(doc, args.json, lines, started)
-    return 1 if failed else 0
+            entries.append({"brace": desc.name, "suite": suite,
+                            "basis_checks": report.basis_checks,
+                            "random_checks": report.random_checks,
+                            "violations": list(map(str, report.violations))})
+    doc = _document("verify", None, entries, seed=seed, samples=args.samples,
+                    ok=not any(entry["violations"] for entry in entries))
+    return _emit(args, doc, _verify_text)
 
 
 # ------------------------------------------------------------------ parser
@@ -275,32 +274,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output (deterministic)")
-
     p = sub.add_parser("validate", help="validate a brace file or catalog name")
     p.add_argument("input")
-    common(p)
 
     p = sub.add_parser("series", help="compute a central series")
     p.add_argument("input")
     p.add_argument("--kind", choices=("left", "right", "gamma"),
                    default="right")
     p.add_argument("--max", type=int, default=10)
-    common(p)
 
     p = sub.add_parser("invariants",
                        help="socle, annihilator, center, abelianisations")
     p.add_argument("input")
-    common(p)
 
     p = sub.add_parser("check-central",
                        help="central-extension verdicts for a morphism")
     p.add_argument("input")
     p.add_argument("--map", required=True,
                    help="JSON file {source, target, images}")
-    common(p)
 
     p = sub.add_parser("verify", help="run identity/proposition suites")
     p.add_argument("input", nargs="?")
@@ -313,26 +304,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--max", type=int, default=10,
                    help="series depth for the propositions suite")
-    common(p)
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true",
+                       help="machine-readable output (deterministic)")
     return parser
 
 
 def main(argv=None) -> int:
     """Run one command.  An input that fails to load ends here, the same
     way for every command: a parse error exits 2 with one ``error:``
-    line, a brace that fails validation exits 1 with its witness."""
-    args = build_parser().parse_args(argv)
-    # Looked up on each call rather than kept in the parser, so that a
-    # handler replaced on this module (a tracing span) is the one that runs.
-    handler = globals()["cmd_" + args.command.replace("-", "_")]
+    line, a brace that fails validation exits 1 with its witness.  A
+    closed stdout, up to the last flush, exits ``CLOSED_OUTPUT``."""
     try:
-        return handler(args)
-    except BraceFileError as exc:
-        return _error(exc)
-    except ValidationError as exc:
-        print(f"invalid brace: {exc} (witness: {exc.witness})", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        try:
+            args = build_parser().parse_args(argv)
+            args.started = time.perf_counter()
+            # Looked up on each call, so that a handler replaced on this
+            # module (a tracing span) is the one that runs.
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
+        except BraceFileError as exc:
+            return _error(exc)
+        except ValidationError as exc:
+            print(f"invalid brace: {exc} (witness: {exc.witness})",
+                  file=sys.stderr)
+            return 1
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # As the Python docs' SIGPIPE note advises: point stdout at devnull,
+        # so that the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_OUTPUT

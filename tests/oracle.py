@@ -74,8 +74,11 @@ def identity_of(table):
 
 
 def inverses_of(table):
+    return _inverses(table, identity_of(table))
+
+
+def _inverses(table, e):
     n = len(table)
-    e = identity_of(table)
     inv = [None] * n
     for a in range(n):
         for b in range(n):
@@ -121,26 +124,39 @@ def is_skew_brace(dot, circ):
     return True
 
 
+# The public functions below scan for the identity and the inverses once
+# per call and hand them to the private ones, which take them as given.
+
 def lam(dot, circ, a, b):
-    inv = inverses_of(dot)
+    return _lam(dot, circ, inverses_of(dot), a, b)
+
+
+def _lam(dot, circ, inv, a, b):
     return dot[inv[a]][circ[a][b]]
 
 
 def star(dot, circ, a, b):
-    inv = inverses_of(dot)
-    return dot[lam(dot, circ, a, b)][inv[b]]
+    return _star(dot, circ, inverses_of(dot), a, b)
+
+
+def _star(dot, circ, inv, a, b):
+    return dot[_lam(dot, circ, inv, a, b)][inv[b]]
 
 
 def star_table(dot, circ):
     n = len(dot)
-    return [[star(dot, circ, a, b) for b in range(n)] for a in range(n)]
+    inv = inverses_of(dot)
+    return [[_star(dot, circ, inv, a, b) for b in range(n)] for a in range(n)]
 
 
 # ------------------------------------------------------------- subgroups
 
 def closure(table, gens):
     e = identity_of(table)
-    inv = inverses_of(table)
+    return _closure(table, e, _inverses(table, e), gens)
+
+
+def _closure(table, e, inv, gens):
     cur = {e} | {g for g in gens} | {inv[g] for g in gens}
     while True:
         new = {table[a][b] for a in cur for b in cur} | {inv[a] for a in cur}
@@ -151,10 +167,11 @@ def closure(table, gens):
 
 def normal_closure(table, gens):
     n = len(table)
-    inv = inverses_of(table)
+    e = identity_of(table)
+    inv = _inverses(table, e)
     gens = set(gens)
     while True:
-        cur = closure(table, gens)
+        cur = _closure(table, e, inv, gens)
         conj = {table[table[a][x]][inv[a]] for a in range(n) for x in cur}
         if conj <= cur:
             return cur
@@ -168,7 +185,10 @@ def center(table):
 
 
 def commutator(table, a, b):
-    inv = inverses_of(table)
+    return _commutator(table, inverses_of(table), a, b)
+
+
+def _commutator(table, inv, a, b):
     return table[table[table[a][b]][inv[a]]][inv[b]]
 
 
@@ -205,6 +225,7 @@ def right_series(dot, circ, max_n=10):
 
 def gamma_series(dot, circ, max_n=10):
     n = len(dot)
+    inv = inverses_of(dot)
     st = star_table(dot, circ)
     terms = [frozenset(range(n))]
     while len(terms) <= max_n:
@@ -214,7 +235,7 @@ def gamma_series(dot, circ, max_n=10):
             for h in range(n):
                 gens.add(st[i][h])
                 gens.add(st[h][i])
-                gens.add(commutator(dot, h, i))
+                gens.add(_commutator(dot, inv, h, i))
         nxt = closure(dot, gens)
         terms.append(nxt)
         if nxt == prev or len(nxt) == 1:
@@ -224,19 +245,21 @@ def gamma_series(dot, circ, max_n=10):
 
 def huq_commutator(dot, circ, carrier):
     n = len(dot)
+    dinv, cinv = inverses_of(dot), inverses_of(circ)
     st = star_table(dot, circ)
     gens = set()
     for i in carrier:
         for h in range(n):
-            gens.add(commutator(dot, i, h))
-            gens.add(commutator(circ, i, h))
+            gens.add(_commutator(dot, dinv, i, h))
+            gens.add(_commutator(circ, cinv, i, h))
             gens.add(st[i][h])
     return normal_closure(dot, gens)
 
 
 def relative_commutator(dot, circ, carrier):
     n = len(dot)
-    inv = inverses_of(dot)
+    e = identity_of(dot)
+    inv = _inverses(dot, e)
     st = star_table(dot, circ)
     gens = set()
     for i in carrier:
@@ -246,22 +269,25 @@ def relative_commutator(dot, circ, carrier):
             gens.add(s)
             for k in range(n):
                 gens.add(dot[dot[k][s]][inv[k]])
-    return closure(dot, gens)
+    return _closure(dot, e, inv, gens)
 
 
 # ------------------------------------------------------------ socle etc.
 
 def soc_carrier(dot, circ):
     n = len(dot)
-    z = center(dot)
-    return frozenset(g for g in z
-                     if all(lam(dot, circ, g, b) == b for b in range(n)))
+    inv = inverses_of(dot)
+    return frozenset(g for g in center(dot)
+                     if all(_lam(dot, circ, inv, g, b) == b
+                            for b in range(n)))
 
 
 def ann_carrier(dot, circ):
     n = len(dot)
+    inv = inverses_of(dot)
     return frozenset(g for g in soc_carrier(dot, circ)
-                     if all(lam(dot, circ, b, g) == g for b in range(n)))
+                     if all(_lam(dot, circ, inv, b, g) == g
+                            for b in range(n)))
 
 
 def star_closure(dot, circ):
@@ -274,7 +300,8 @@ def ab_closure(dot, circ):
     n = len(dot)
     st = star_table(dot, circ)
     gens = {st[a][b] for a in range(n) for b in range(n)}
-    gens |= {commutator(dot, a, b) for a in range(n) for b in range(n)}
+    inv = inverses_of(dot)
+    gens |= {_commutator(dot, inv, a, b) for a in range(n) for b in range(n)}
     return normal_closure(dot, gens)
 
 
@@ -290,7 +317,7 @@ def is_normal_subbrace(dot, circ, carrier):
                 return False
             if circ[circ[a][b]][cinv[a]] not in s:
                 return False
-            if lam(dot, circ, a, b) not in s:
+            if _lam(dot, circ, dinv, a, b) not in s:
                 return False
     return True
 
@@ -304,9 +331,9 @@ def is_normal_via_star(dot, circ, carrier):
         for b in s:
             if dot[dot[a][b]][dinv[a]] not in s:
                 return False
-            if star(dot, circ, a, b) not in s:
+            if _star(dot, circ, dinv, a, b) not in s:
                 return False
-            if star(dot, circ, b, a) not in s:
+            if _star(dot, circ, dinv, b, a) not in s:
                 return False
     return True
 
@@ -326,6 +353,7 @@ def all_subgroups(table):
     """Every subgroup of the table's group, by closure BFS."""
     n = len(table)
     e = identity_of(table)
+    inv = _inverses(table, e)
     trivial = frozenset([e])
     found = {trivial}
     frontier = [trivial]
@@ -335,7 +363,7 @@ def all_subgroups(table):
             for g in range(n):
                 if g in sub:
                     continue
-                bigger = closure(table, set(sub) | {g})
+                bigger = _closure(table, e, inv, set(sub) | {g})
                 if bigger not in found:
                     found.add(bigger)
                     nxt.append(bigger)
@@ -358,10 +386,10 @@ def _subgroups(rows):
 
 def central_hopfcoc(dot, circ, kernel):
     n = len(dot)
+    e = identity_of(dot)
     st = star_table(dot, circ)
     for i in sorted(kernel):
         for h in range(n):
-            e = identity_of(dot)
             if st[i][h] != e or st[h][i] != e:
                 return False, (i, h)
     return True, None

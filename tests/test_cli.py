@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -135,8 +136,10 @@ def test_unreadable_files_exit_2_with_one_line(tmp_path, capsys):
     with a line break, which must not split the diagnostic."""
     (tmp_path / "dir").mkdir()
     (tmp_path / "latin1.json").write_bytes(b'{"name": "\xe9"}')
+    (tmp_path / "utf16.json").write_text('{"images": [0]}', encoding="utf-16")
     (tmp_path / "deep.json").write_text("[" * 100_000)
-    for stem in ("missing", "dir", "latin1.json", "deep.json", "a\nb"):
+    for stem in ("missing", "dir", "latin1.json", "utf16.json", "deep.json",
+                 "a\nb"):
         path = str(tmp_path / stem)
         for argv in (["validate", path],
                      ["check-central", "radical_c4", "--map", path]):
@@ -241,6 +244,13 @@ def test_check_central_sign_map(tmp_path, capsys):
 
 
 HUMAN_OUTPUT = {
+    "validate": """\
+radical_c4: valid skew brace of order 4
+""",
+    "verify": """\
+seed: 7349   samples: 32
+  radical_c4                         propositions ok  (36 basis, 0 random)
+""",
     "series": """\
 radical_c4: right series (max 10)
   term 1: size 4  carrier [0, 1, 2, 3]  (0, 1, 2, 3)
@@ -271,13 +281,17 @@ opposite:S3 -> trivial:C2: central-extension verdicts
 
 
 @pytest.mark.parametrize("command", sorted(HUMAN_OUTPUT))
-def test_human_readable_output_is_pinned(tmp_path, capsys, command):
+def test_human_readable_output_is_pinned(tmp_path, capsys, monkeypatch,
+                                        command):
     """The text reports, which the ``--json`` goldens do not cover, with
     the run-dependent ``elapsed:`` line left out."""
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
     sign = tmp_path / "sign.json"
     hb.save_map([0, 1, 1, 0, 0, 1], sign, source="opposite:S3",
                 target="trivial:C2")
-    argv = {"series": ["series", "radical_c4", "--kind", "right"],
+    argv = {"validate": ["validate", "radical_c4"],
+            "verify": ["verify", "radical_c4", "--suite", "propositions"],
+            "series": ["series", "radical_c4", "--kind", "right"],
             "invariants": ["invariants", "radical_c4"],
             "check-central": ["check-central", "opposite:S3",
                               "--map", str(sign)]}[command]
@@ -321,14 +335,22 @@ def test_check_central_map_names_must_be_strings(tmp_path, field, value):
     assert repr(field) in line
 
 
-def parse_error_in_child(*argv):
-    """Run the CLI in a child process, expect exit 2 with nothing on stdout
-    and one ``error:`` line on stderr, and return that line."""
+CHILD_MEMORY = 2**30        # bytes of address space for a CLI child
+
+
+def limit_child_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+
+def parse_error_in_child(*argv, timeout=120):
+    """Run the CLI in a child process with at most ``CHILD_MEMORY`` of
+    address space, expect exit 2 with nothing on stdout and one
+    ``error:`` line on stderr, and return that line."""
     src = str(Path(hb.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-m", "hopfbrace", *argv],
                           capture_output=True, text=True, env=env,
-                          timeout=120)
+                          timeout=timeout, preexec_fn=limit_child_memory)
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
@@ -364,6 +386,58 @@ def test_order_above_the_cap_is_a_parse_error(tmp_path):
                                 "dot_table": cyclic, "circ_table": cyclic}))
     line = parse_error_in_child("validate", str(path))
     assert f"field 'order' {n} exceeds the cap {ORDER_CAP}" in line
+
+
+def pad_to(path, size):
+    """Append spaces, which JSON ignores, until the file has ``size``
+    bytes."""
+    with open(path, "ab") as fh:
+        fh.write(b" " * (size - path.stat().st_size))
+
+
+def test_files_past_the_byte_cap_are_refused(tmp_path, capsys, radical_c4):
+    """A brace or map file longer than ``MAX_FILE_BYTES`` is refused
+    before it is parsed, however valid it is, and an endless file is
+    read no further than the cap."""
+    cap = catalog.MAX_FILE_BYTES
+    brace, big_map = tmp_path / "rc4.json", tmp_path / "c2.map.json"
+    hb.save_brace(radical_c4, brace, name="rc4")
+    hb.save_map([0, 1, 0, 1], big_map, source=str(brace), target="trivial:C2")
+    pad_to(brace, cap)
+    assert run(capsys, "validate", str(brace))[0] == 0
+    pad_to(brace, cap + 1)
+    pad_to(big_map, cap + 1)
+    for argv in (["validate", str(brace)], ["validate", "/dev/zero"],
+                 ["check-central", "radical_c4", "--map", str(big_map)]):
+        line = parse_error_in_child(*argv, timeout=30)
+        assert f"longer than the cap of {cap} bytes" in line, line
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["verify", "radical_c4", "--json"],
+                                  ["series", "radical_c4"]],
+                         ids=["verify-json", "series-text"])
+def test_closed_stdout_exits_141_with_nothing_on_stderr(argv, buffered):
+    """The reader closed stdout before the child wrote.  Buffered, the
+    write fails at ``main``'s last flush; unbuffered, at the first
+    print.  Either way the child exits 141 (128 + SIGPIPE) with no
+    traceback and no "Exception ignored" from the flush at exit."""
+    src = str(Path(hb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hopfbrace", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+    assert cli.CLOSED_OUTPUT == 141
 
 
 @pytest.mark.parametrize("name", [5, True, None], ids=["int", "true", "null"])

@@ -49,25 +49,9 @@ def test_propositions_suite_passes(ladder):
     assert report.basis_checks > 0
 
 
-@pytest.fixture
-def fast_oracle(monkeypatch):
-    """The oracle with inverses and star tables memoised per table; the
-    oracle recomputes them, an O(n^2) scan, on every call."""
-    for name in ("inverses_of", "star_table"):
-        raw, memo = getattr(oracle, name), {}
-
-        def cached(*tables, raw=raw, memo=memo):
-            key = tuple(map(id, tables))
-            if key not in memo:
-                memo[key] = (tables, raw(*tables))
-            return memo[key][1]
-
-        monkeypatch.setattr(oracle, name, cached)
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(LADDER))
-def test_series_and_commutators_agree_with_the_oracle(fast_oracle, name):
+def test_series_and_commutators_agree_with_the_oracle(name):
     brace = LADDER[name][0]()
     H = hb.HopfBrace(brace)
     dot, circ = brace.dot.table.tolist(), brace.circ.table.tolist()
@@ -86,5 +70,5 @@ def test_series_and_commutators_agree_with_the_oracle(fast_oracle, name):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(LADDER))
-def test_abelianization_kernels_agree_with_the_oracle(fast_oracle, name):
+def test_abelianization_kernels_agree_with_the_oracle(name):
     assert_abelianization_kernels_match_the_oracle(LADDER[name][0]())
