@@ -27,7 +27,6 @@ class BraceDescriptor:
     name: str
     order: int
     construction: str                   # trivial | opposite | radical_c4 | product | file
-    notes: str = ""
     element_names: tuple[str, ...] = field(default=())
 
 
@@ -97,7 +96,6 @@ def _catalog() -> tuple[tuple[BraceDescriptor, SkewBrace], ...]:
         b = trivial_brace(group)
         entries.append((BraceDescriptor(
             name=f"trivial:{gname}", order=b.order, construction="trivial",
-            notes=f"both products equal the {gname} product",
             element_names=names), b))
 
     for gname in ("S3", "D4", "A4", "S4"):
@@ -105,13 +103,11 @@ def _catalog() -> tuple[tuple[BraceDescriptor, SkewBrace], ...]:
         b = opposite_brace(group)
         entries.append((BraceDescriptor(
             name=f"opposite:{gname}", order=b.order, construction="opposite",
-            notes=f"circ is the opposite {gname} product (a o b = b.a)",
             element_names=names), b))
 
     rc4 = radical_c4_brace()
     entries.append((BraceDescriptor(
         name="radical_c4", order=4, construction="radical_c4",
-        notes="Z/4 with a.b = a+b, a o b = a+b+2ab",
         element_names=_cyclic_names(4)), rc4))
 
     built = {d.name: (d, b) for d, b in entries}
@@ -121,7 +117,6 @@ def _catalog() -> tuple[tuple[BraceDescriptor, SkewBrace], ...]:
         b = direct_product(b1, b2)
         entries.append((BraceDescriptor(
             name=f"prod:{n1},{n2}", order=b.order, construction="product",
-            notes=f"direct product of {n1} and {n2}",
             element_names=_pair_names(d1.element_names, d2.element_names)),
             b))
 
@@ -230,9 +225,8 @@ def load_brace(path) -> tuple[BraceDescriptor, SkewBrace]:
                 f"{path}: field {tname!r} has {kind} entry {bad!r}")
     brace = validate_skew_brace(doc["dot_table"], doc["circ_table"],
                                 identity=doc["identity"])
-    desc = BraceDescriptor(name=name, order=brace.order,
-                           construction="file", notes=f"loaded from {path}")
-    return desc, brace
+    return BraceDescriptor(name=name, order=brace.order,
+                           construction="file"), brace
 
 
 def save_map(images, path, source: str = "", target: str = "") -> None:

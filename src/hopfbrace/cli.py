@@ -262,11 +262,22 @@ def cmd_verify(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops an OSError from printing help or the version; let
+    one on stdout reach ``main``, like any other failed write there."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout and message:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process.  Reusing it is safe: every parse
     starts from a fresh Namespace, and no default is mutable."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hopfbrace",
         description="Exact engine for finite skew braces and their "
                     "group-algebra Hopf braces: series, socle/annihilator, "

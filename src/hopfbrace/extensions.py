@@ -43,8 +43,8 @@ def _first_pair(carrier: tuple[int, ...], bad) -> tuple[int, int] | None:
 
 def check_central_hopfcoc(f: HopfMorphism) -> ExtensionReport:
     """Central for the plain-Hopf-algebra adjunction: every star product
-    between the kernel and the source is trivial (the conjugation
-    generators of the relative commutator are then trivial as well)."""
+    between the kernel and the source is trivial, so that the relative
+    commutator, the normal closure of those star products, is trivial."""
     kernel = _require_surjective(f)
     base = f.source.base
     st, c, e = base.star_table, kernel.elements, base.identity

@@ -90,13 +90,17 @@ def gamma_series(H: HopfBrace, max_n: int = 10) -> SeriesResult:
 
 
 def relative_commutator(I: Subbrace, H: HopfBrace) -> Subbrace:
-    """Commutator relative to the plain-Hopf-algebra adjunction: generated
-    by i*h, h*i and all dot-conjugates of the h*i family."""
+    """Commutator relative to the plain-Hopf-algebra adjunction: the
+    subgroup generated by i*h and all dot-conjugates of h*i, computed as
+    the normal closure of I*H and H*I.  The two are equal: star-lemma-1
+    with first argument i, i*(x.h) = (i*x).x.(i*h).x^-1, gives
+    x.(i*h).x^-1 = (i*x)^-1.(i*(x.h)), so <I*H> is dot-normal, hence so
+    is the generated subgroup, which then contains the normal closure.
+    ``tests/oracle.py`` keeps the definition with the conjugates."""
     _require_normal(I, H)
     st, dot, c = H.base.star_table, H.base.dot, I.elements
-    hi = dot._mask(st[:, c])
-    gens = dot._mask(st[c]) | dot._mask(dot.conj_table[:, hi])
-    return generated_subbrace(H, _nonzero(gens))
+    gens = dot._mask(st[c]) | dot._mask(st[:, c])
+    return Subbrace._of_mask(H, dot.normal_closure(_nonzero(gens)))
 
 
 def huq_commutator(I: Subbrace, H: HopfBrace) -> Subbrace:

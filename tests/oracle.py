@@ -152,17 +152,18 @@ def star_table(dot, circ):
 # ------------------------------------------------------------- subgroups
 
 def closure(table, gens):
-    e = identity_of(table)
-    return _closure(table, e, _inverses(table, e), gens)
+    return _closure(table, identity_of(table), gens)
 
 
-def _closure(table, e, inv, gens):
-    cur = {e} | {g for g in gens} | {inv[g] for g in gens}
-    while True:
-        new = {table[a][b] for a in cur for b in cur} | {inv[a] for a in cur}
-        if new <= cur:
-            return frozenset(cur)
-        cur |= new
+def _closure(table, e, gens):
+    """Breadth-first from the identity, each round multiplying only the
+    newest elements by the generators: in a finite group the words in
+    the generators, without inverses, are the whole subgroup."""
+    cur, frontier = {e}, {e}
+    while frontier:
+        frontier = {table[a][g] for a in frontier for g in gens} - cur
+        cur |= frontier
+    return frozenset(cur)
 
 
 def normal_closure(table, gens):
@@ -171,7 +172,7 @@ def normal_closure(table, gens):
     inv = _inverses(table, e)
     gens = set(gens)
     while True:
-        cur = _closure(table, e, inv, gens)
+        cur = _closure(table, e, gens)
         conj = {table[table[a][x]][inv[a]] for a in range(n) for x in cur}
         if conj <= cur:
             return cur
@@ -269,7 +270,7 @@ def relative_commutator(dot, circ, carrier):
             gens.add(s)
             for k in range(n):
                 gens.add(dot[dot[k][s]][inv[k]])
-    return _closure(dot, e, inv, gens)
+    return _closure(dot, e, gens)
 
 
 # ------------------------------------------------------------ socle etc.
@@ -350,12 +351,13 @@ def quotient_by_cosets(table, carrier):
 
 
 def all_subgroups(table):
-    """Every subgroup of the table's group, by closure BFS."""
+    """Every subgroup of the table's group, by closure BFS: each subgroup
+    is closed from the generators that first reached it, plus one more
+    element."""
     n = len(table)
     e = identity_of(table)
-    inv = _inverses(table, e)
     trivial = frozenset([e])
-    found = {trivial}
+    found = {trivial: ()}
     frontier = [trivial]
     while frontier:
         nxt = []
@@ -363,12 +365,13 @@ def all_subgroups(table):
             for g in range(n):
                 if g in sub:
                     continue
-                bigger = _closure(table, e, inv, set(sub) | {g})
+                gens = found[sub] + (g,)
+                bigger = _closure(table, e, gens)
                 if bigger not in found:
-                    found.add(bigger)
+                    found[bigger] = gens
                     nxt.append(bigger)
         frontier = nxt
-    return found
+    return set(found)
 
 
 def subgroups(table):

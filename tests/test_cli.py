@@ -416,8 +416,9 @@ def test_files_past_the_byte_cap_are_refused(tmp_path, capsys, radical_c4):
 @pytest.mark.parametrize("buffered", [True, False],
                          ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [["verify", "radical_c4", "--json"],
-                                  ["series", "radical_c4"]],
-                         ids=["verify-json", "series-text"])
+                                  ["series", "radical_c4"], ["--help"],
+                                  ["--version"]],
+                         ids=["verify-json", "series-text", "help", "version"])
 def test_closed_stdout_exits_141_with_nothing_on_stderr(argv, buffered):
     """The reader closed stdout before the child wrote.  Buffered, the
     write fails at ``main``'s last flush; unbuffered, at the first

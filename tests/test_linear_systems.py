@@ -152,6 +152,9 @@ def test_brace_with_a_smaller_annihilator_matches_the_reference():
                                                            (0, 1))
     assert soc.socle_space != soc.annihilator_space
     assert_matches_reference(H)
+    # Soc*H is trivial and the dot group abelian: only the circ
+    # commutators give [Soc, H]
+    assert hb.huq_commutator(soc.socle, H).carrier == (0, 1)
 
 
 ORDER_96 = {

@@ -5,6 +5,8 @@ import pytest
 import hopfbrace as hb
 import oracle
 from hopfbrace.hopf import Element
+from hopfbrace.skewbrace import product_group, validate_skew_brace
+from test_linear_systems import factorization_brace
 
 
 def H_of(brace):
@@ -136,6 +138,56 @@ def test_relative_commutator_normal_and_contained(catalog):
             rel = hb.relative_commutator(term, H)
             assert rel.is_normal()
             assert term.contains(rel)
+
+
+def sign_brace_c6():
+    """C6 with a o b = a + (-1)^a b: Soc = <2>, and H*H = <2> as well."""
+    a = np.arange(6)
+    circ = (a[:, None] + np.where(a % 2, -1, 1)[:, None] * a) % 6
+    return H_of(validate_skew_brace(hb.cyclic_group(6).table, circ,
+                                    identity=0))
+
+
+# Each test below pins one generator family: on its brace, the result
+# changes when the family is left out.  The dot-conjugates of h*i need
+# no pin: ``relative_commutator`` proves them redundant.
+
+def test_relative_commutator_needs_i_star_h():
+    """S3 = C2.A3 as an exact factorization brace: [A3, H] = A3, while the
+    normal closure of H*A3 alone is trivial."""
+    H = H_of(factorization_brace(hb.symmetric_group(3), [0, 1], [0, 3, 4]))
+    assert hb.relative_commutator(hb.Subbrace(H, (0, 3, 4)), H).carrier \
+        == (0, 3, 4)
+
+
+def test_huq_commutator_needs_the_circ_commutators():
+    """The dot group is abelian and Soc*H is trivial, so only the circ
+    commutators of Soc with H are not trivial."""
+    H = sign_brace_c6()
+    soc = hb.socle_annihilator(H).socle
+    assert soc.carrier == (0, 2, 4)
+    assert hb.huq_commutator(soc, H).carrier == (0, 2, 4)
+
+
+def test_gamma_series_needs_h_star_i():
+    """On the same C6 brace, H*H = <2> but every i*h is trivial for i in
+    <2>: the third term comes from the h*i alone."""
+    assert [t.carrier for t in hb.gamma_series(sign_brace_c6()).terms] \
+        == [tuple(range(6)), (0, 2, 4), (0, 2, 4)]
+
+
+def test_gamma_series_needs_i_star_h():
+    """C2 x C4 (index 4 x1 + x2) with lambda_a(b) = (b1 + [a2/2] b2 mod 2,
+    (-1)^a2 b2 mod 4) and a o b = a.lambda_a(b): the term (0, 4) is
+    reached through i*h alone."""
+    G = product_group(hb.cyclic_group(2), hb.cyclic_group(4))
+    x1, x2 = np.divmod(np.arange(8), 4)
+    lam = (4 * ((x1 + (x2 // 2)[:, None] * x2) % 2)
+           + np.where(x2 % 2, -1, 1)[:, None] * x2 % 4)
+    H = H_of(validate_skew_brace(G.table, G.table[np.arange(8)[:, None], lam],
+                                 identity=0))
+    assert [t.carrier for t in hb.gamma_series(H).terms] \
+        == [tuple(range(8)), (0, 2, 4, 6), (0, 4), (0,)]
 
 
 # ------------------------------------------------------------- hopf center
@@ -348,7 +400,7 @@ def test_closures_go_through_the_closure_methods(monkeypatch, opp_s3):
     whole = hb.whole_subbrace(H)
     for call, reached in (
             (lambda: hb.generated_subbrace(H, [1]), {"subgroup_generated"}),
-            (lambda: hb.relative_commutator(whole, H), {"subgroup_generated"}),
+            (lambda: hb.relative_commutator(whole, H), {"normal_closure"}),
             (lambda: hb.huq_commutator(whole, H), {"normal_closure"}),
             (lambda: hb.gamma_series(H),
              {"subgroup_generated", "normal_closure"})):
