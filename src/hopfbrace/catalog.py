@@ -210,6 +210,7 @@ def load_brace(path) -> tuple[BraceDescriptor, SkewBrace]:
     if not isinstance(name, str):
         raise BraceFileError(f"{path}: field 'name' must be a string, "
                              f"got {name!r}")
+    tables = []
     for tname in ("dot_table", "circ_table"):
         t = doc[tname]
         if (not isinstance(t, list) or len(t) != order
@@ -223,8 +224,8 @@ def load_brace(path) -> tuple[BraceDescriptor, SkewBrace]:
             kind = "an out-of-range" if type(bad) is int else "a non-integer"
             raise BraceFileError(
                 f"{path}: field {tname!r} has {kind} entry {bad!r}")
-    brace = validate_skew_brace(doc["dot_table"], doc["circ_table"],
-                                identity=doc["identity"])
+        tables.append(np.array(flat, dtype=np.int64).reshape(order, order))
+    brace = validate_skew_brace(*tables, identity=doc["identity"])
     return BraceDescriptor(name=name, order=brace.order,
                            construction="file"), brace
 

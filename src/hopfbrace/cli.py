@@ -250,7 +250,7 @@ def cmd_verify(args) -> int:
         H = HopfBrace(brace)
         for suite in suites:
             report = verify_suite(H, suite, samples=args.samples, seed=seed,
-                                  label=desc.name, max_n=args.max)
+                                  max_n=args.max)
             entries.append({"brace": desc.name, "suite": suite,
                             "basis_checks": report.basis_checks,
                             "random_checks": report.random_checks,

@@ -19,7 +19,6 @@ from .subobjects import HopfMorphism, Subbrace, hopf_kernel
 
 @dataclass
 class ExtensionReport:
-    morphism: HopfMorphism
     surjective: bool
     kernel: Subbrace
     central_hopfcoc: bool | None = None
@@ -50,7 +49,7 @@ def check_central_hopfcoc(f: HopfMorphism) -> ExtensionReport:
     st, c, e = base.star_table, kernel.elements, base.identity
     witness = _first_pair(kernel.carrier, (st[c] != e) | (st[:, c].T != e))
     return ExtensionReport(
-        morphism=f, surjective=True, kernel=kernel,
+        surjective=True, kernel=kernel,
         central_hopfcoc=witness is None, witness_hopfcoc=witness)
 
 
@@ -64,7 +63,7 @@ def check_central_huq(f: HopfMorphism) -> ExtensionReport:
     bad = (ak != ka) | (ka != o[:, c].T) | (ka != o[c])
     witness = _first_pair(kernel.carrier, bad)
     return ExtensionReport(
-        morphism=f, surjective=True, kernel=kernel,
+        surjective=True, kernel=kernel,
         central_huq=witness is None, witness_huq=witness)
 
 

@@ -21,14 +21,13 @@ import numpy as np
 from .errors import CrossCheckError, PrimeFieldError
 from .hopf import Element, HopfBrace
 from .linalg import Subspace, common_nullspace, indicator, span_of_indices
-from .skewbrace import _nonzero
+from .skewbrace import _integer, _nonzero
 from .subobjects import (HopfMorphism, Subbrace, _require_normal,
                          generated_subbrace, quotient, whole_subbrace)
 
 
 @dataclass
 class SeriesResult:
-    kind: str                      # "left" | "right" | "gamma"
     terms: list[Subbrace]
     generators: list[tuple[int, ...]]   # generators[i] generated terms[i]
     stabilized: bool
@@ -38,8 +37,8 @@ class SeriesResult:
         return [t.dim for t in self.terms]
 
 
-def _run_series(H: HopfBrace, kind: str, max_n: int, step) -> SeriesResult:
-    if max_n < 1:
+def _run_series(H: HopfBrace, max_n: int, step) -> SeriesResult:
+    if _integer(max_n) < 1:
         raise ValueError("max_n must be at least 1")
     terms = [whole_subbrace(H)]
     gens: list[tuple[int, ...]] = [()]
@@ -55,19 +54,19 @@ def _run_series(H: HopfBrace, kind: str, max_n: int, step) -> SeriesResult:
     if terms[0].is_trivial():
         stabilized = True
     nil_class = len(terms) if terms[-1].is_trivial() else None
-    return SeriesResult(kind, terms, gens, stabilized, nil_class)
+    return SeriesResult(terms, gens, stabilized, nil_class)
 
 
 def left_series(H: HopfBrace, max_n: int = 10) -> SeriesResult:
     """H, H*H, H*(H*H), ...; every term is a strong subbrace."""
     st, dot = H.base.star_table, H.base.dot
-    return _run_series(H, "left", max_n, lambda c: dot._mask(st[:, c]))
+    return _run_series(H, max_n, lambda c: dot._mask(st[:, c]))
 
 
 def right_series(H: HopfBrace, max_n: int = 10) -> SeriesResult:
     """H, H*H, (H*H)*H, ...; every term is a normal subbrace."""
     st, dot = H.base.star_table, H.base.dot
-    return _run_series(H, "right", max_n, lambda c: dot._mask(st[c]))
+    return _run_series(H, max_n, lambda c: dot._mask(st[c]))
 
 
 def gamma_series(H: HopfBrace, max_n: int = 10) -> SeriesResult:
@@ -79,7 +78,7 @@ def gamma_series(H: HopfBrace, max_n: int = 10) -> SeriesResult:
         comm = dot.table[dot.conj_table[:, c], dot.inverses[c]]
         return dot._mask(st[c]) | dot._mask(st[:, c]) | dot._mask(comm)
 
-    result = _run_series(H, "gamma", max_n, step)
+    result = _run_series(H, max_n, step)
     for n in range(1, len(result.terms)):
         huq = huq_commutator(result.terms[n - 1], H)
         if huq.carrier != result.terms[n].carrier:
@@ -254,13 +253,9 @@ def full_abelianization(H: HopfBrace) -> tuple[HopfBrace, HopfMorphism]:
 
 @dataclass
 class NilpotencyReport:
-    max_n: int
     left: SeriesResult
     right: SeriesResult
     gamma: SeriesResult
-    left_class: int | None
-    right_class: int | None
-    gamma_class: int | None
     adjunction_class: int | None   # least n with [H^(n), H] trivial
 
 
@@ -273,10 +268,7 @@ def nilpotency_report(H: HopfBrace, max_n: int = 10) -> NilpotencyReport:
         if relative_commutator(term, H).is_trivial():
             adjunction_class = n
             break
-    return NilpotencyReport(
-        max_n=max_n, left=left, right=right, gamma=gamma,
-        left_class=left.nil_class, right_class=right.nil_class,
-        gamma_class=gamma.nil_class, adjunction_class=adjunction_class)
+    return NilpotencyReport(left, right, gamma, adjunction_class)
 
 
 # ------------------------------------------------- coincidence diagnostics

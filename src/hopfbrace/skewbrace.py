@@ -57,7 +57,9 @@ ORDER_CAP = 200
 
 
 def _as_table(table) -> np.ndarray:
-    """One owned int64 copy of a nonempty square integer table."""
+    """One owned int64 copy of a nonempty square integer table.  Rows
+    that are not one array have their entries typed by the rule of
+    ``_integral``: numpy reads a bool among integers as 0 or 1."""
     try:
         arr = np.array(table)
     except ValueError:                                  # ragged rows
@@ -69,6 +71,11 @@ def _as_table(table) -> np.ndarray:
         raise ValidationError(f"order {arr.shape[0]} exceeds cap {ORDER_CAP}")
     if arr.dtype.kind not in "iu":
         raise ValidationError(f"table entries must be integers, got {arr.dtype}")
+    if not isinstance(table, np.ndarray):
+        bad = {type(x) for row in table for x in row} - {int}
+        if not _integral(bad):
+            raise ValidationError("table entries must be integers, got "
+                                  + ", ".join(sorted(t.__name__ for t in bad)))
     return arr.astype(np.int64, copy=False)
 
 
@@ -411,7 +418,7 @@ def validate_skew_brace(dot_table, circ_table, identity: int | None = None) -> S
     first violated axiom and its witnessing tuple."""
     dot = FiniteGroup(dot_table)
     circ = FiniteGroup(circ_table)
-    if identity is not None and (dot.identity != identity or circ.identity != identity):
+    if identity is not None and {dot.identity, circ.identity} != {_integer(identity)}:
         raise IdentityMismatchError(
             f"declared identity {identity} but tables have "
             f"dot={dot.identity}, circ={circ.identity}")

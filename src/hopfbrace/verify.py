@@ -48,7 +48,7 @@ from .hopf import Element, HopfBrace, Tensor2, random_element
 from .series import (gamma_series, hopf_center, left_series,
                      relative_commutator, right_series, socle_annihilator,
                      star_closure_subbrace)
-from .skewbrace import _first_bad_tuple
+from .skewbrace import _first_bad_tuple, _integer
 from .subobjects import whole_subbrace
 
 DEFAULT_SEED = 7349
@@ -67,8 +67,6 @@ class Violation:
 
 @dataclass
 class CheckReport:
-    suite: str
-    label: str
     basis_checks: int = 0
     random_checks: int = 0
     violations: list[Violation] = field(default_factory=list)
@@ -76,11 +74,6 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def extend(self, other: "CheckReport") -> None:
-        self.basis_checks += other.basis_checks
-        self.random_checks += other.random_checks
-        self.violations.extend(other.violations)
 
 
 # ------------------------------------------------------- identity registry
@@ -257,43 +250,43 @@ def _rng(seed):
     return random.Random(DEFAULT_SEED if seed is None else seed)
 
 
-def _run_suite(H: HopfBrace, suite: str, samples: int, seed: int | None,
-               label: str) -> CheckReport:
-    report = CheckReport(suite, label or repr(H))
-    rng = _rng(seed)
+def _run_suite(H: HopfBrace, name: str, samples: int,
+               seed: int | None) -> CheckReport:
+    """The identities of one suite, or the one identity of this name, in
+    registry order.  Each lemma clause draws from a fresh ``_rng(seed)``,
+    so that ``verify_star_lemma(H, k)`` reproduces clause k of the lemma
+    suite; the identities of any other suite share one RNG."""
+    report, rng = CheckReport(), _rng(seed)
     for ident in REGISTRY.values():
-        if ident.suite == suite:
+        if name in (ident.suite, ident.name):
+            if ident.suite == "lemma":
+                rng = _rng(seed)
             _check_identity(H, ident, rng, samples, report)
     return report
 
 
 def verify_hopf_brace_axiom(H: HopfBrace, samples: int = DEFAULT_SAMPLES,
-                            seed: int | None = None,
-                            label: str = "") -> CheckReport:
+                            seed: int | None = None) -> CheckReport:
     """The two-products compatibility law, on all basis triples and on
     random rational combinations."""
-    return _run_suite(H, "axioms", samples, seed, label)
+    return _run_suite(H, "axioms", samples, seed)
 
 
 def verify_star_lemma(H: HopfBrace, clause: int,
                       samples: int = DEFAULT_SAMPLES,
-                      seed: int | None = None, label: str = "") -> CheckReport:
+                      seed: int | None = None) -> CheckReport:
     """One clause (1..4) of the star-product lemma."""
-    if clause not in (1, 2, 3, 4):
+    if _integer(clause) not in (1, 2, 3, 4):
         raise ValueError("clause must be 1, 2, 3 or 4")
-    report = CheckReport("lemma", label or repr(H))
-    _check_identity(H, REGISTRY[f"star-lemma-{int(clause)}"], _rng(seed),
-                    samples, report)
-    return report
+    return _run_suite(H, f"star-lemma-{clause}", samples, seed)
 
 
 def verify_structure_identities(H: HopfBrace, samples: int = DEFAULT_SAMPLES,
-                                seed: int | None = None,
-                                label: str = "") -> CheckReport:
+                                seed: int | None = None) -> CheckReport:
     """The derived structural equalities: both products through the
     action, both antipodes through the action, module-algebra laws and
     the coalgebra compatibility of action and star product."""
-    return _run_suite(H, "structure", samples, seed, label)
+    return _run_suite(H, "structure", samples, seed)
 
 
 # ------------------------------------------------------ proposition checks
@@ -304,13 +297,12 @@ def _prop(report, name, ok, witness=None):
         report.violations.append(Violation(name, "proposition", witness))
 
 
-def verify_propositions(H: HopfBrace, max_n: int = 10,
-                        label: str = "") -> CheckReport:
+def verify_propositions(H: HopfBrace, max_n: int = 10) -> CheckReport:
     """Every proved structural statement, checked on one brace: series
     normality/strongness, descending chains, the gamma/Huq equality, the
     normality and inclusion facts for socle and annihilator, and the
     relative-commutator facts."""
-    report = CheckReport("propositions", label or repr(H))
+    report = CheckReport()
     base = H.base
 
     left = left_series(H, max_n)
@@ -394,17 +386,9 @@ SUITES = ("axioms", "lemma", "structure", "propositions")
 
 
 def verify_suite(H: HopfBrace, suite: str, samples: int = DEFAULT_SAMPLES,
-                 seed: int | None = None, label: str = "",
-                 max_n: int = 10) -> CheckReport:
-    if suite == "axioms":
-        return verify_hopf_brace_axiom(H, samples, seed, label)
-    if suite == "lemma":
-        report = CheckReport("lemma", label or repr(H))
-        for clause in (1, 2, 3, 4):
-            report.extend(verify_star_lemma(H, clause, samples, seed, label))
-        return report
-    if suite == "structure":
-        return verify_structure_identities(H, samples, seed, label)
+                 seed: int | None = None, max_n: int = 10) -> CheckReport:
     if suite == "propositions":
-        return verify_propositions(H, max_n, label)
+        return verify_propositions(H, max_n)
+    if suite in SUITES:
+        return _run_suite(H, suite, samples, seed)
     raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")

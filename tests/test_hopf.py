@@ -160,6 +160,10 @@ def test_basis_mismatch_rejected(H):
     gf5 = hb.HopfBrace(hb.radical_c4_brace(), 5)
     with pytest.raises(ValueError):
         H.star(H.basis(1), gf5.basis(1))
+    with pytest.raises(ValueError, match="characteristics"):
+        H.basis(1) + gf5.basis(1)
+    with pytest.raises(ValueError, match="characteristics"):
+        hb.HopfMorphism(H, gf5, range(4))
 
 
 def test_prime_field_mode(radical_c4):
@@ -185,6 +189,8 @@ def test_prime_field_refuses_socle(radical_c4):
     H5 = hb.HopfBrace(radical_c4, 5)
     with pytest.raises(hb.PrimeFieldError):
         hb.socle_annihilator(H5)
+    with pytest.raises(hb.PrimeFieldError):
+        hb.coincidence_report(H5)
 
 
 def test_prime_field_must_be_prime():

@@ -38,7 +38,7 @@ def test_nilpotency_report_sizes(ladder):
     assert report.right.sizes() == sizes
     assert report.gamma.sizes() == sizes
     assert report.left.stabilized and report.right.stabilized
-    assert (report.left_class, report.right_class, report.gamma_class,
+    assert (report.left.nil_class, report.right.nil_class, report.gamma.nil_class,
             report.adjunction_class) == (None, None, None, None)
 
 

@@ -78,6 +78,9 @@ def test_max_n_truncates(radical_c4):
     assert res.sizes() == [4, 2] and res.nil_class is None
     with pytest.raises(ValueError):
         hb.left_series(H_of(radical_c4), max_n=0)
+    for max_n in (2.5, 2.0, True):
+        with pytest.raises(TypeError):
+            hb.left_series(H_of(radical_c4), max_n=max_n)
 
 
 # ------------------------------------------------------------ commutators
@@ -319,14 +322,14 @@ def test_abelianization_dims_against_oracle(catalog):
 
 def test_nilpotency_report_values(radical_c4, opp_s3):
     rep = hb.nilpotency_report(H_of(radical_c4))
-    assert (rep.left_class, rep.right_class, rep.gamma_class,
+    assert (rep.left.nil_class, rep.right.nil_class, rep.gamma.nil_class,
             rep.adjunction_class) == (3, 3, 3, 2)
     rep = hb.nilpotency_report(H_of(opp_s3), max_n=10)
-    assert (rep.left_class, rep.right_class, rep.gamma_class,
+    assert (rep.left.nil_class, rep.right.nil_class, rep.gamma.nil_class,
             rep.adjunction_class) == (None, None, None, None)
     triv_ab = hb.trivial_brace(hb.cyclic_group(4))
     rep = hb.nilpotency_report(H_of(triv_ab))
-    assert (rep.left_class, rep.right_class, rep.gamma_class,
+    assert (rep.left.nil_class, rep.right.nil_class, rep.gamma.nil_class,
             rep.adjunction_class) == (2, 2, 2, 1)
 
 
@@ -334,8 +337,8 @@ def test_nilpotency_trivial_nonabelian(triv_s3):
     # trivial braces are right nilpotent (class 2) but the gamma series
     # sees the group's lower central series
     rep = hb.nilpotency_report(H_of(triv_s3))
-    assert rep.left_class == 2 and rep.right_class == 2
-    assert rep.gamma_class is None
+    assert rep.left.nil_class == 2 and rep.right.nil_class == 2
+    assert rep.gamma.nil_class is None
     assert rep.adjunction_class == 1
 
 

@@ -33,6 +33,9 @@ def test_identity_mismatch_reported():
     dot = oracle.cyclic_table(4)
     with pytest.raises(hb.IdentityMismatchError):
         hb.validate_skew_brace(dot, dot, identity=1)
+    for identity in (0.0, False, True, np.float64(0)):
+        with pytest.raises(TypeError):
+            hb.validate_skew_brace(dot, dot, identity=identity)
 
 
 def test_not_a_group_names_failing_row():
@@ -248,6 +251,15 @@ def test_constructed_groups_match_oracle_tables():
     (hb.cyclic_group, 0), (hb.cyclic_group, 2.0),
     (hb.dihedral_group, True), (hb.dihedral_group, 101),
     (hb.symmetric_group, -1), (hb.symmetric_group, 0), (hb.symmetric_group, 5),
+    pytest.param(hb.FiniteGroup, np.zeros((201, 201), int),
+                 id="table-above-cap"),
+    pytest.param(hb.FiniteGroup, [[0, 2], [2, 0]], id="entries-out-of-range"),
+    pytest.param(lambda groups: hb.skewbrace.product_group(*groups),
+                 (hb.cyclic_group(15), hb.cyclic_group(14)),
+                 id="product-above-cap"),
+    pytest.param(lambda groups: hb.SkewBrace(*groups),
+                 (hb.cyclic_group(2), hb.cyclic_group(3)),
+                 id="brace-orders-differ"),
 ])
 def test_constructors_refuse_bad_tables_and_sizes(make, arg):
     """A size is an integer, never a bool, that fits the order cap (S_n:
@@ -274,6 +286,19 @@ def test_non_integer_tables_are_refused_not_truncated(table):
     with pytest.raises(hb.ValidationError) as info:
         hb.FiniteGroup(np.array(table))
     assert "integers" in str(info.value)
+
+
+@pytest.mark.parametrize("table", [
+    [[0, True], [True, 0]],
+    [[0, 1], [1, False]],
+    ((0, np.True_), (np.True_, 0)),
+], ids=["bools", "one-bool", "numpy-bools-in-tuples"])
+def test_bools_in_row_tables_are_refused(table):
+    """numpy reads rows of ints and bools as one int64 array, so each of
+    these would be C2; rows are typed entry by entry, like indices."""
+    for make in (hb.FiniteGroup, lambda t: hb.validate_skew_brace(t, t)):
+        with pytest.raises(hb.ValidationError, match="integers, got bool"):
+            make(table)
 
 
 # ------------------------------------- differential test against the oracle

@@ -197,7 +197,7 @@ def test_index_arrays_and_bools_are_refused(C4, call):
 
 
 @pytest.mark.parametrize("images", [[0, True, 2, 3], np.ones(4, dtype=bool),
-                                    np.array([0, 1, 2, -1])])
+                                    np.array([0, 1, 2, -1]), [1, 0, 3, 2]])
 def test_bool_and_negative_images_are_refused(C4, images):
     with pytest.raises(hb.MorphismError):
         hb.HopfMorphism(C4, C4, images)

@@ -19,7 +19,7 @@ GOLDEN_SEED_99 = Path(__file__).parent / "data" / "verify_all_seed99.json"
 def test_axiom_suite_passes_on_catalog(catalog):
     for desc, brace in catalog:
         H = hb.HopfBrace(brace)
-        report = hb.verify_hopf_brace_axiom(H, samples=8, label=desc.name)
+        report = hb.verify_hopf_brace_axiom(H, samples=8)
         assert report.ok, [str(v) for v in report.violations]
         assert report.basis_checks == brace.order ** 3
         assert report.random_checks == 8
@@ -35,8 +35,12 @@ def test_lemma_suite_all_clauses(catalog):
 
 
 def test_lemma_rejects_bad_clause(radical_c4):
+    H = hb.HopfBrace(radical_c4)
     with pytest.raises(ValueError):
-        hb.verify_star_lemma(hb.HopfBrace(radical_c4), 5)
+        hb.verify_star_lemma(H, 5)
+    for clause in (1.0, True, np.float64(2)):
+        with pytest.raises(TypeError):
+            hb.verify_star_lemma(H, clause)
 
 
 def test_structure_suite(catalog):
@@ -49,7 +53,7 @@ def test_structure_suite(catalog):
 def test_propositions_suite(catalog):
     for desc, brace in catalog:
         H = hb.HopfBrace(brace)
-        report = hb.verify_propositions(H, label=desc.name)
+        report = hb.verify_propositions(H)
         assert report.ok, (desc.name, [str(v) for v in report.violations])
 
 
@@ -81,7 +85,7 @@ def test_verifier_catches_planted_violation():
     tampered.circ.table[1, 0], tampered.circ.table[1, 1] = (
         int(tampered.circ.table[1, 1]), int(tampered.circ.table[1, 0]))
 
-    report = CheckReport("axioms", "tampered")
+    report = CheckReport()
     _check_identity(hb.HopfBrace(tampered), REGISTRY["compatibility"],
                     random.Random(0), 0, report)
     assert not report.ok
@@ -213,7 +217,7 @@ def test_element_layer_agrees_with_basis_layer(catalog):
 
 
 def _layers(H, ident, samples=8):
-    report = CheckReport(ident.suite, "mutant")
+    report = CheckReport()
     _check_identity(H, ident, random.Random(3), samples, report)
     return {v.layer for v in report.violations}
 
@@ -300,7 +304,7 @@ def test_sliced_witnesses_match_the_full_broadcast(by_name, name, block,
     for ident in REGISTRY.values():
         if not ident.basis:
             continue
-        report = CheckReport(ident.suite, name)
+        report = CheckReport()
         _check_identity(H, ident, random.Random(0), 0, report)
         checks, mism = ref.basis_sweep(H.base, ident)
         witness = ref.first_true(mism)
