@@ -104,9 +104,10 @@ def _integral(types) -> bool:
 
 
 def _integer(i) -> int:
-    """One caller index with no range, by the rule of ``_integral``."""
+    """One caller integer with no range (an index, an identity, a lemma
+    clause or a series length), by the rule of ``_integral``."""
     if not _integral((type(i),)):
-        raise TypeError(f"an index must be an integer, got {i!r}")
+        raise TypeError(f"expected an integer, got {i!r}")
     return int(i)
 
 
