@@ -2,7 +2,9 @@
 the constructions they replaced: per-h fiber loops that keep duplicate
 rows, and coincidence rows built by a triple loop over (h, x, g), all
 solved by the dict-of-Fraction reference solver in ``reference_linalg``.
-The order-96 braces run under ``pytest -m slow``.
+Tier-1 runs them on the catalog, a few hand-built braces and a fixed
+sample of ``tests/corpus.py``; the whole corpus and the order-96 braces
+run under ``pytest -m slow``.
 """
 
 from dataclasses import replace
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 import hopfbrace as hb
 import hopfbrace.series as series
 import reference_linalg as ref
@@ -169,6 +172,62 @@ ORDER_96 = {
 @pytest.mark.parametrize("name", sorted(ORDER_96))
 def test_order_96_spaces_match_the_reference(name):
     assert_matches_reference(hb.HopfBrace(ORDER_96[name]()))
+
+
+# Every corpus brace of orders 2-7, 9 and 10, and fixed ones of orders 8
+# and 12 by their index in ``corpus.braces``: at order 8, Ann != Soc at 1
+# (C8) and 38 (C2^3), orbits of two or three min-label steps at 11, 26
+# (C4xC2) and 80 (C2^3), and the first D4 and Q8 braces; at order 12,
+# Ann != Soc at 3 (C12, two steps) and 8 (C6xC2), three steps at 22 (A4),
+# the first D6 brace, and two steps at 104 (Dic3).
+CORPUS_SAMPLE = {**dict.fromkeys((2, 3, 4, 5, 6, 7, 9, 10)),
+                 8: (1, 11, 26, 38, 80, 266, 286), 12: (3, 8, 22, 60, 104)}
+
+
+def corpus_braces(order, picks=None):
+    braces = corpus.braces(order)
+    for i in range(len(braces)) if picks is None else picks:
+        _, dot, circ = braces[i]
+        yield hb.HopfBrace(validate_skew_brace(dot, circ))
+
+
+def min_label_steps(H):
+    """Rounds of g -> the least label over g and every g' with
+    g' o h = g.h, from label[g] = g, until no label changes."""
+    d, o, n = H.base.dot.table.tolist(), H.base.circ.table.tolist(), H.dim
+    where = [{o[g][h]: g for g in range(n)} for h in range(n)]
+    moves = [[where[h][d[g][h]] for h in range(n)] for g in range(n)]
+    label, steps = list(range(n)), 0
+    while (nxt := [min(label[m] for m in moves[g]) for g in range(n)]) != label:
+        label, steps = nxt, steps + 1
+    return steps
+
+
+@pytest.mark.parametrize("order", sorted(CORPUS_SAMPLE))
+def test_corpus_sample_matches_the_reference(order):
+    for H in corpus_braces(order, CORPUS_SAMPLE[order]):
+        assert_matches_reference(H)
+
+
+def test_corpus_sample_has_every_kind():
+    """At least one brace with Ann != Soc, one with a socle or
+    annihilator space larger than its group-like span, and one whose
+    orbits take more than one min-label step."""
+    kinds = {"ann != soc": 0, "strict": 0, "steps > 1": 0}
+    for order, picks in CORPUS_SAMPLE.items():
+        for H in corpus_braces(order, picks):
+            soc = hb.socle_annihilator(H)
+            kinds["ann != soc"] += soc.socle != soc.annihilator
+            kinds["strict"] += soc.socle_strict or soc.annihilator_strict
+            kinds["steps > 1"] += min_label_steps(H) > 1
+    assert all(kinds.values()), kinds
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("order", sorted(corpus.GROUPS))
+def test_corpus_matches_the_reference(order):
+    for H in corpus_braces(order):
+        assert_matches_reference(H)
 
 
 def test_fiber_rows_are_the_distinct_loop_rows_sorted(catalog):
