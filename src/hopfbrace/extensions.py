@@ -8,7 +8,7 @@ carrier order, so reports are byte-stable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,11 +33,26 @@ def _require_surjective(f: HopfMorphism) -> Subbrace:
     return hopf_kernel(f)
 
 
-def _first_pair(carrier: tuple[int, ...], bad) -> tuple[int, int] | None:
+def _first_pair(kernel: Subbrace, bad) -> tuple[int, int] | None:
     """The first (k, x) in carrier order, then x order, with bad[i, x]
-    for k = carrier[i]; None when no pair is bad."""
+    for k = kernel.carrier[i]; None when no pair is bad."""
     hit = _first_bad_tuple(bad)
-    return None if hit is None else (carrier[hit[0]], hit[1])
+    return None if hit is None else (kernel.carrier[hit[0]], hit[1])
+
+
+def _hopfcoc(kernel: Subbrace) -> dict:
+    base = kernel.parent.base
+    st, c, e = base.star_table, kernel.elements, base.identity
+    hit = _first_pair(kernel, (st[c] != e) | (st[:, c].T != e))
+    return {"central_hopfcoc": hit is None, "witness_hopfcoc": hit}
+
+
+def _huq(kernel: Subbrace) -> dict:
+    base = kernel.parent.base
+    d, o, c = base.dot.table, base.circ.table, kernel.elements
+    ka, ak = d[c], d[:, c].T            # k.a and a.k, row k, column a
+    hit = _first_pair(kernel, (ak != ka) | (ka != o[:, c].T) | (ka != o[c]))
+    return {"central_huq": hit is None, "witness_huq": hit}
 
 
 def check_central_hopfcoc(f: HopfMorphism) -> ExtensionReport:
@@ -45,26 +60,14 @@ def check_central_hopfcoc(f: HopfMorphism) -> ExtensionReport:
     between the kernel and the source is trivial, so that the relative
     commutator, the normal closure of those star products, is trivial."""
     kernel = _require_surjective(f)
-    base = f.source.base
-    st, c, e = base.star_table, kernel.elements, base.identity
-    witness = _first_pair(kernel.carrier, (st[c] != e) | (st[:, c].T != e))
-    return ExtensionReport(
-        surjective=True, kernel=kernel,
-        central_hopfcoc=witness is None, witness_hopfcoc=witness)
+    return ExtensionReport(True, kernel, **_hopfcoc(kernel))
 
 
 def check_central_huq(f: HopfMorphism) -> ExtensionReport:
     """Huq-central: kernel elements commute with everything for both
     products, and all four products agree on such pairs."""
     kernel = _require_surjective(f)
-    base = f.source.base
-    d, o, c = base.dot.table, base.circ.table, kernel.elements
-    ka, ak = d[c], d[:, c].T            # k.a and a.k, row k, column a
-    bad = (ak != ka) | (ka != o[:, c].T) | (ka != o[c])
-    witness = _first_pair(kernel.carrier, bad)
-    return ExtensionReport(
-        surjective=True, kernel=kernel,
-        central_huq=witness is None, witness_huq=witness)
+    return ExtensionReport(True, kernel, **_huq(kernel))
 
 
 def centrality_consequences(f: HopfMorphism) -> list[tuple[int, int]]:
@@ -82,7 +85,6 @@ def centrality_consequences(f: HopfMorphism) -> list[tuple[int, int]]:
 
 
 def analyze_extension(f: HopfMorphism) -> ExtensionReport:
-    """Both verdicts on one report (the checks stay independent)."""
-    hopfcoc, huq = check_central_hopfcoc(f), check_central_huq(f)
-    return replace(hopfcoc, central_huq=huq.central_huq,
-                   witness_huq=huq.witness_huq)
+    """Both verdicts, each checked on its own, from one kernel."""
+    kernel = _require_surjective(f)
+    return ExtensionReport(True, kernel, **_hopfcoc(kernel), **_huq(kernel))

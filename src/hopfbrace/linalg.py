@@ -147,7 +147,7 @@ def common_nullspace(constraint_rows: Iterable[Element], ambient: int) -> Subspa
         den = lcm(*(basis[p][p] for p in terms))
         nums = {p: -x * (den // basis[p][p]) for p, x in terms.items()}
         nums[f] = den
-        rows.append(Element._make(nums, den, 0) if terms else indicator([f]))
+        rows.append(Element._make(nums, den, 0))
     return Subspace(ambient, tuple(rows))
 
 

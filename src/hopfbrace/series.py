@@ -7,9 +7,9 @@ enforced per-step cross-check against the Huq commutator.  The
 abelianisations are quotients by generated subbraces; ``quotient``
 checks, rather than assumes, that these are normal.  Every series term,
 commutator, socle, annihilator and center enters ``Subbrace`` as a
-carrier mask: the dot group's closures and center return masks.  The
-coincidence orbits are read off their leaders, the g with label[g] == g,
-with no call to numpy's ``unique``.
+carrier mask: the dot group's closures and center return masks.  Every
+linear system's rows, and the coincidence orbits, come from one grouping,
+``_fiber_rows``, with no call to numpy's ``unique``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CrossCheckError, PrimeFieldError
 from .hopf import Element, HopfBrace
-from .linalg import Subspace, common_nullspace, indicator, span_of_indices
+from .linalg import Subspace, common_nullspace, span_of_indices
 from .skewbrace import _integer, _nonzero
 from .subobjects import (HopfMorphism, Subbrace, _require_normal,
                          generated_subbrace, quotient, whole_subbrace)
@@ -149,18 +149,19 @@ class SocleData:
         return self.annihilator_space.dim > self.annihilator.dim
 
 
-def _fiber_rows(table, domain: list[int], skip) -> list[Element]:
-    """For each column h, one 0/1 row per fiber of g -> table[g, h] over
-    ``domain`` except the fiber of value ``skip[h]``, g given by its place
-    in ``domain``; distinct and sorted, cut from one stable key sort."""
-    sub = table[domain]
-    pos, h = (sub != np.asarray(skip)).nonzero()
-    keys = h * sub.shape[1] + sub[pos, h]
+def _fiber_rows(sub, skip) -> list[Element]:
+    """For each column h, one 0/1 row per fiber of g -> sub[g, h] except
+    the fiber of value ``skip`` (a scalar, or one per column), g given by
+    its row in ``sub``; distinct and sorted, cut from one stable key sort."""
+    pos, h = (sub != skip).nonzero()
+    if not pos.size:
+        return []
+    keys = sub[pos, h] * sub.shape[1] + h
     order = keys.argsort(kind="stable")
     keys, pos = keys[order], pos[order].tolist()
     cuts = [0, *((keys[1:] != keys[:-1]).nonzero()[0] + 1).tolist(), len(pos)]
-    return [indicator(f) for f in sorted(
-        {tuple(pos[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b})]
+    return [Element._canonical(dict.fromkeys(f, 1), 1, 0) for f in sorted(
+        {tuple(pos[a:b]) for a, b in zip(cuts, cuts[1:])})]
 
 
 def _check_group_likes(data: SocleData) -> SocleData:
@@ -190,8 +191,7 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
     if H.characteristic:
         raise PrimeFieldError(
             "socle/annihilator computation is defined over the rationals only")
-    base = H.base
-    n = H.dim
+    base, n = H.base, H.dim
     central = base.dot.center()
     center = _nonzero(central).tolist()
     st = base.star_table
@@ -199,9 +199,8 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
     soc_mask = central & fixed.all(axis=1)
     ann_mask = soc_mask & fixed.all(axis=0)
 
-    skip = [base.identity] * n
-    soc_rows = _fiber_rows(st, center, skip)
-    ann_rows = soc_rows + _fiber_rows(st.T, center, skip)
+    soc_rows = _fiber_rows(st[center], base.identity)
+    ann_rows = soc_rows + _fiber_rows(st[:, center].T, base.identity)
 
     def solve(rows):            # over the center, then e_i -> e_center[i]
         return Subspace(n, tuple(Element._canonical(
@@ -297,17 +296,15 @@ def coincidence_report(H: HopfBrace) -> CoincidenceReport:
     g' has g' o h = x: every coincidence row is e_g - e_g'.  A vector
     solves them all iff it is constant on the orbits of the permutations
     g -> g' (one per h), so the orbit indicators, sorted by least element,
-    are the space's canonical reduced echelon basis.  Equal canonical
-    bases mean equal spaces, with no separators to search for."""
+    are the space's canonical reduced echelon basis: the fiber rows of
+    g -> label[g], the least element of g's orbit.  Equal canonical bases
+    mean equal spaces, with no separators to search for."""
     if H.characteristic:
         raise PrimeFieldError("coincidence diagnostics need rationals")
-    base = H.base
-    n = H.dim
-    domain = list(range(n))
-    star_space = common_nullspace(
-        _fiber_rows(base.lambda_table, domain, domain), n)
-
+    base, n = H.base, H.dim
     cols = np.arange(n)
+    star_space = common_nullspace(_fiber_rows(base.lambda_table, cols), n)
+
     # moves[g, h] = g' with g' o h = g.h (argsort inverts each column of
     # the circ table); column e is the identity map, so each min-label
     # step can only lower the labels
@@ -315,9 +312,7 @@ def coincidence_report(H: HopfBrace) -> CoincidenceReport:
     label = cols
     while (label != (nxt := label[moves].min(axis=1))).any():
         label = nxt
-    coin_space = Subspace(n, tuple(
-        indicator(_nonzero(label == least).tolist())
-        for least in _nonzero(label == cols)))        # orbit leaders
+    coin_space = Subspace(n, tuple(_fiber_rows(label[:, None], -1)))
 
     differ = star_space != coin_space
     sep_star = next((r for r in star_space.rows

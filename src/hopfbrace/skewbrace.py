@@ -20,17 +20,20 @@ one only for an ``_image`` group, which is never tested:
 
 S leaves out the identity e, which counts as reached from the start: e
 passes both tests unchecked, as a two-sided identity is associative in
-the middle and lambda_a(e) = a^-1 . (a o e) = e.  (Light's test finds
-e before it runs; a table without one fails it, so "no two-sided
-identity" is raised after it.)  Both checks run over chunks of
-generators, at most ``_BLOCK`` = 2^17 entries (n^2 per generator) at a
-time, up to the first failing chunk: one chunk below order ~48, three
-generators at a time at order 192.  Only a rejected pair pays for the
-full sweep that finds the witness, the lexicographically first failing
-triple, built in blocks of the same number of entries by
-``_first_bad_tuple``, the one search behind every chunked check and
-every pair and triple witness.  The lambda table is built eagerly, for
-the check; the star table, like the conjugation table, on first use.
+the middle and lambda_a(e) = a^-1 . (a o e) = e.  Light's test finds e
+first, if there is one, and nothing is refused after it: an associative
+Latin square is a group.  (Take r with a.r = a; each x is y.a, so
+x.r = y.(a.r) = x, and r is a right identity; likewise some l is a left
+one, and l = l.r = r.  If a.b = e = c.a, then c = c.(a.b) = (c.a).b = b.)
+Both checks run over chunks of generators, at most ``_BLOCK`` = 2^17
+entries (n^2 per generator) at a time, up to the first failing chunk:
+one chunk below order ~48, three generators at a time at order 192.
+Only a rejected pair pays for the full sweep that finds the witness, the
+lexicographically first failing triple, built in blocks of the same
+number of entries by ``_first_bad_tuple``, the one search behind every
+chunked check and every pair and triple witness.  The lambda table is
+built eagerly, for the check; the star table, like the conjugation
+table, on first use.
 
 A carrier is a boolean mask, a sorted tuple only at the API edge:
 ``subgroup_generated``, ``normal_closure``, ``center`` and
@@ -167,8 +170,9 @@ def _first_bad_tuple(bad, n: int = 0,
     that fails; its first hit, offset by the block start, is the witness.
     The chunked checks, which read only whether there is one, build
     their generator rows lo:hi along another axis."""
-    if not callable(bad):       # any() is ~100x faster than an empty argwhere
-        return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
+    if not callable(bad):       # argmax: the first hit, in row-major order
+        return (tuple(map(int, np.unravel_index(bad.argmax(), bad.shape)))
+                if bad.any() else None)
     step = max(1, _BLOCK // width)
     for lo in range(0, n, step):
         hit = _first_bad_tuple(bad(lo, min(n, lo + step)))
@@ -207,15 +211,8 @@ class FiniteGroup:
                 n, n * n)
             raise NotAGroupError(f"associativity fails at triple {triple}",
                                  witness=triple)
-        if not len(ident):
-            raise NotAGroupError("no two-sided identity")
         e = int(ident[0])
-        inverses = np.argmax(table == e, axis=1)
-        no_inverse = table[inverses, rng] != e
-        if no_inverse.any():
-            a = int(np.argmax(no_inverse))
-            raise NotAGroupError(f"element {a} has no two-sided inverse",
-                                 witness=(a,))
+        inverses = np.argmax(table == e, axis=1)       # a . a^-1 == e
         table.setflags(write=False)
         inverses.setflags(write=False)
         self.table = table
@@ -258,9 +255,9 @@ class FiniteGroup:
             frontier = _nonzero(new)
         return mask
 
-    def _is_subgroup(self, mask) -> bool:
-        """Nonempty and closed under products, which suffices when finite."""
-        c = _nonzero(mask)
+    def _is_subgroup(self, mask, c) -> bool:
+        """Whether ``mask``, whose true indices are ``c``, is nonempty and
+        closed under products, which suffices when finite."""
         return c.size > 0 and bool(mask[self.table[c[:, None], c]].all())
 
     def subgroup_generated(self, gens) -> np.ndarray:
@@ -275,12 +272,14 @@ class FiniteGroup:
         return (self.table == self.table.T).all(axis=1)
 
     def is_subgroup(self, carrier) -> bool:
-        return self._is_subgroup(self.mask(carrier))
+        mask = self.mask(carrier)
+        return self._is_subgroup(mask, _nonzero(mask))
 
     def is_normal(self, carrier) -> bool:
         mask = self.mask(carrier)
-        return self._is_subgroup(mask) and bool(
-            mask[self.conj_table[:, mask]].all())
+        c = _nonzero(mask)
+        return self._is_subgroup(mask, c) and bool(
+            mask[self.conj_table[:, c]].all())
 
     def _image(self, proj, reps) -> "FiniteGroup":
         """The unvalidated group on the classes of a partition, with class

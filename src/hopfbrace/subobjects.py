@@ -41,12 +41,12 @@ class Subbrace:
         return sub
 
     def _adopt(self, parent: HopfBrace, mask) -> None:
-        carrier = tuple(_nonzero(mask).tolist())
-        if not parent.base.dot._is_subgroup(mask):
-            raise ValueError(f"{carrier} is not a dot-subgroup")
+        c = _nonzero(mask)
+        if not parent.base.dot._is_subgroup(mask, c):
+            raise ValueError(f"{tuple(c.tolist())} is not a dot-subgroup")
         mask.setflags(write=False)
         self.parent = parent
-        self.carrier = carrier
+        self.carrier = tuple(c.tolist())
         self.mask = mask
 
     @property

@@ -1,6 +1,7 @@
 import pytest
 
 import hopfbrace as hb
+import hopfbrace.extensions as extensions
 import oracle
 
 
@@ -41,6 +42,26 @@ def test_sign_witness_reproducible(opp_s3):
         hb.HopfMorphism(H, T, [0, 1, 1, 0, 0, 1])).witness_hopfcoc
         for _ in range(5)}
     assert seen == {(3, 1)}
+
+
+def test_analyze_extension_builds_one_kernel(opp_s3, monkeypatch):
+    """One kernel serves both verdicts, and they are the two checks'."""
+    H = hb.HopfBrace(opp_s3)
+    T = hb.HopfBrace(hb.trivial_brace(hb.cyclic_group(2)))
+    f = hb.HopfMorphism(H, T, [0, 1, 1, 0, 0, 1])
+    kernels = []
+
+    def counted(g):
+        kernels.append(hb.hopf_kernel(g))
+        return kernels[-1]
+
+    monkeypatch.setattr(extensions, "hopf_kernel", counted)
+    r = hb.analyze_extension(f)
+    assert len(kernels) == 1 and r.kernel is kernels[0]
+    cc, huq = hb.check_central_hopfcoc(f), hb.check_central_huq(f)
+    assert r == hb.ExtensionReport(
+        True, cc.kernel, cc.central_hopfcoc, huq.central_huq,
+        cc.witness_hopfcoc, huq.witness_huq)
 
 
 def test_trivial_s3_huq_witness(triv_s3):
@@ -127,3 +148,7 @@ def test_verdicts_match_oracle(catalog):
             assert cc.witness_hopfcoc == want_cc_witness
             assert huq.central_huq == want_huq
             assert huq.witness_huq == want_huq_witness
+            r = hb.analyze_extension(pi)
+            assert (r.central_hopfcoc, r.witness_hopfcoc, r.central_huq,
+                    r.witness_huq) == (want_cc, want_cc_witness, want_huq,
+                                       want_huq_witness)

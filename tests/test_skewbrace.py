@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import hopfbrace as hb
 import oracle
-from hopfbrace.skewbrace import _generating_set
+from hopfbrace.skewbrace import _first_bad_tuple, _generating_set
 from test_ladder import LADDER
 
 
@@ -457,6 +458,37 @@ def test_light_test_rejects_when_first_bad_middle_is_outside_generators():
         hb.FiniteGroup(t)
     assert info.value.witness == (0, 1, 0)
     assert str(info.value) == "associativity fails at triple (0, 1, 0)"
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(bool, array_shapes(min_dims=1, max_dims=3, max_side=5)),
+       st.booleans(), st.booleans())
+def test_witness_is_the_first_argwhere_row(bad, clear, transpose):
+    """On boolean arrays of one to three dimensions, all-false ones and
+    transposed views among them."""
+    if clear:
+        bad[...] = False
+    if transpose:
+        bad = bad.T
+    got = _first_bad_tuple(bad)
+    if not bad.any():
+        assert got is None
+        return
+    assert got == tuple(np.argwhere(bad)[0].tolist())
+    assert {type(i) for i in got} == {int}
+
+
+def test_the_witness_search_builds_no_array_of_the_hits():
+    """``np.argwhere`` would build all 40,000 hits of this array, 640 kB
+    of indices, to keep the first."""
+    bad = np.ones((200, 200), dtype=bool)
+    tracemalloc.start()
+    try:
+        assert _first_bad_tuple(bad) == (0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
 
 
 def test_validating_order_192_allocates_no_cubic_array():
