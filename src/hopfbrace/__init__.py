@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .errors import (BraceFileError, CompatibilityError, CrossCheckError,
                      IdentityMismatchError, MorphismError, NormalityError,
-                     NotAGroupError, PrimeFieldError, ValidationError)
+                     NotAGroupError, ValidationError)
 from .linalg import Subspace, common_nullspace
 from .skewbrace import (BraceMap, FiniteGroup, SkewBrace, cyclic_group,
                         dihedral_group, direct_product, opposite_brace,
@@ -13,8 +13,7 @@ from .skewbrace import (BraceMap, FiniteGroup, SkewBrace, cyclic_group,
                         validate_skew_brace)
 from .hopf import Element, HopfBrace, Tensor2, random_element
 from .subobjects import (HopfMorphism, Subbrace, generated_subbrace,
-                         hopf_kernel, quotient,
-                         trivial_subbrace, whole_subbrace)
+                         hopf_kernel, quotient, whole_subbrace)
 from .series import (CoincidenceReport, NilpotencyReport, SeriesResult,
                      SocleData, coincidence_report, full_abelianization,
                      gamma_series, hopf_center, huq_commutator, left_series,

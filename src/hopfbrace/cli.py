@@ -223,7 +223,7 @@ def cmd_check_central(args) -> int:
     }
     if report.central_hopfcoc:
         results["consequence_violations"] = \
-            [list(p) for p in centrality_consequences(f)]
+            [list(p) for p in centrality_consequences(report)]
     doc = _document("check-central", desc, results)
     return _emit(args, doc, _check_central_text, desc.element_names,
                  tdesc.name)

@@ -33,9 +33,5 @@ class CrossCheckError(AssertionError):
     """Two independent characterizations that must agree disagreed."""
 
 
-class PrimeFieldError(ValueError):
-    """Prime-field mode used where only rationals are allowed."""
-
-
 class BraceFileError(ValueError):
     """A brace or map file failed to parse; message carries diagnostics."""

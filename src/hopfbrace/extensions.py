@@ -70,18 +70,18 @@ def check_central_huq(f: HopfMorphism) -> ExtensionReport:
     return ExtensionReport(True, kernel, **_huq(kernel))
 
 
-def centrality_consequences(f: HopfMorphism) -> list[tuple[int, int]]:
-    """For a hopfcoc-central extension, the two products must agree
-    whenever one argument is in the kernel; returns violating pairs
-    (always empty: this is a proved consequence, kept as a check)."""
-    report = check_central_hopfcoc(f)
+def centrality_consequences(report: ExtensionReport) -> list[tuple[int, int]]:
+    """For a hopfcoc-central extension, given its report from
+    ``check_central_hopfcoc`` or ``analyze_extension``, the two products
+    must agree whenever one argument is in the kernel; returns violating
+    pairs (always empty: this is a proved consequence, kept as a check)."""
     if not report.central_hopfcoc:
         raise ValueError("morphism is not a hopfcoc-central extension")
-    base = f.source.base
-    d, o, c = base.dot.table, base.circ.table, report.kernel.elements
+    kernel = report.kernel
+    base = kernel.parent.base
+    d, o, c = base.dot.table, base.circ.table, kernel.elements
     bad = (d[:, c] != o[:, c]).T | (d[c] != o[c])
-    carrier = report.kernel.carrier
-    return [(carrier[i], int(x)) for i, x in np.argwhere(bad)]
+    return [(kernel.carrier[i], int(x)) for i, x in np.argwhere(bad)]
 
 
 def analyze_extension(f: HopfMorphism) -> ExtensionReport:

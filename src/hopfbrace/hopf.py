@@ -2,53 +2,37 @@
 
 The coalgebra structure is the group-like one (diagonal comultiplication),
 so every Sweedler leg of a basis element is that element and all identity
-checks can be evaluated basis-wise and extended bilinearly.  Scalars lie
-in the rationals (characteristic 0, the default) or, for element
-arithmetic and identity verification only, in GF(p).  An element keeps
-int numerators over one positive int denominator (the layout of FLINT's
-``fmpq_poly``), normalized once per result, so the bilinear products are
-integer multiply-adds and equality compares dicts and ints.  Scalars must
-be ints or other exact rationals; floats, decimals and strings are refused.
-Characteristic-0 elements are also the vectors of ``linalg``: the socle,
-annihilator and coincidence spaces are subspaces of H itself.
+checks can be evaluated basis-wise and extended bilinearly.  Scalars are
+exact rationals: ints or other ``numbers.Rational``s; floats, decimals and
+strings are a ``TypeError``.  An element keeps int numerators over one
+positive int denominator (the layout of FLINT's ``fmpq_poly``), normalized
+once per result, so the bilinear products are integer multiply-adds and
+equality compares dicts and ints.  Elements are also the vectors of
+``linalg``: the socle, annihilator and coincidence spaces are subspaces of
+H itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from numbers import Rational
 
-from .errors import PrimeFieldError
 from .skewbrace import SkewBrace, _index, _integer
 
 
-def _field_name(p: int) -> str:
-    return f"GF({p})" if p else "QQ"
-
-
-def _scalar(c, p: int) -> tuple[int, int]:
-    """An exact scalar as (numerator, positive denominator) in
-    characteristic ``p``; in GF(p) the denominator is inverted, so it is 1."""
+def _scalar(c) -> tuple[int, int]:
+    """An exact scalar as (numerator, positive denominator)."""
     if type(c) is int:
-        num, den = c, 1
-    elif isinstance(c, Rational):
-        num, den = int(c.numerator), int(c.denominator)
-    else:
-        raise TypeError(f"scalars must be exact rationals, "
-                        f"got {type(c).__name__} {c!r}")
-    if not p or den == 1:
-        return num, den
-    if den % p == 0:
-        raise PrimeFieldError(f"denominator {den} not invertible mod {p}")
-    return num * pow(den, -1, p), 1
+        return c, 1
+    if isinstance(c, Rational):
+        return int(c.numerator), int(c.denominator)
+    raise TypeError(f"scalars must be exact rationals, "
+                    f"got {type(c).__name__} {c!r}")
 
 
-def _normal(nums: dict, den: int, p: int) -> tuple[dict, int]:
-    """Canonical form: no zero numerator; gcd(den, *nums) == 1 over QQ,
-    numerators in [0, p) over den == 1 in GF(p)."""
-    if p:
-        return {k: r for k, n in nums.items() if (r := n % p)}, 1
+def _normal(nums: dict, den: int) -> tuple[dict, int]:
+    """Canonical form: no zero numerator and gcd(den, *nums) == 1."""
     nums = {k: n for k, n in nums.items() if n}
     g = gcd(den, *nums.values())
     if g == 1:
@@ -58,34 +42,33 @@ def _normal(nums: dict, den: int, p: int) -> tuple[dict, int]:
 
 class _Combination:
     """Immutable linear combination: integer numerators over one positive
-    denominator, in characteristic ``p``, always in canonical form."""
+    denominator, always in canonical form."""
 
-    __slots__ = ("nums", "den", "p")
+    __slots__ = ("nums", "den")
 
-    def __init__(self, terms=(), characteristic: int = 0):
+    def __init__(self, terms=()):
         items = terms.items() if hasattr(terms, "items") else terms
-        pairs = [(self._key(k), _scalar(c, characteristic)) for k, c in items]
+        pairs = [(self._key(k), _scalar(c)) for k, c in items]
         den = lcm(*(d for _, (_, d) in pairs))
         nums = {}
         for k, (n, d) in pairs:
             nums[k] = nums.get(k, 0) + n * (den // d)
-        self._fill(*_normal(nums, den, characteristic), characteristic)
+        self._fill(*_normal(nums, den))
 
-    def _fill(self, nums, den, p):
+    def _fill(self, nums, den):
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "p", p)
 
     @classmethod
-    def _make(cls, nums: dict, den: int, p: int):
+    def _make(cls, nums: dict, den: int):
         """From raw int numerators over ``den > 0``: normalize once."""
-        return cls._canonical(*_normal(nums, den, p), p)
+        return cls._canonical(*_normal(nums, den))
 
     @classmethod
-    def _canonical(cls, nums: dict, den: int, p: int):
+    def _canonical(cls, nums: dict, den: int):
         """From numerators already in ``_normal``'s canonical form."""
         out = object.__new__(cls)
-        out._fill(nums, den, p)
+        out._fill(nums, den)
         return out
 
     def __setattr__(self, *_):
@@ -93,20 +76,18 @@ class _Combination:
 
     @property
     def coeffs(self) -> dict:
-        """Key -> nonzero exact scalar (``Fraction``, or int in GF(p))."""
-        if self.p:
-            return dict(self.nums)
+        """Key -> nonzero ``Fraction``."""
         return {k: Fraction(n, self.den) for k, n in self.nums.items()}
 
     def items(self):
         return sorted(self.coeffs.items())
 
     def __eq__(self, other):
-        return (type(other) is type(self) and self.p == other.p
-                and self.den == other.den and self.nums == other.nums)
+        return (type(other) is type(self) and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.p, self.den, frozenset(self.nums.items())))
+        return hash((self.den, frozenset(self.nums.items())))
 
 
 class Element(_Combination):
@@ -116,21 +97,19 @@ class Element(_Combination):
     _key = staticmethod(_integer)
 
     def __add__(self, other: "Element") -> "Element":
-        if other.p != self.p:
-            raise ValueError("elements of different characteristics")
         a, b = self.den, other.den
         out = {k: n * b for k, n in self.nums.items()}
         for k, n in other.nums.items():
             out[k] = out.get(k, 0) + n * a
-        return Element._make(out, a * b, self.p)
+        return Element._make(out, a * b)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + other.scale(-1)
 
     def scale(self, c) -> "Element":
-        num, den = _scalar(c, self.p)
+        num, den = _scalar(c)
         return Element._make({k: num * n for k, n in self.nums.items()},
-                             den * self.den, self.p)
+                             den * self.den)
 
     def __repr__(self):
         if not self.nums:
@@ -154,47 +133,32 @@ class Tensor2(_Combination):
 
 
 class HopfBrace:
-    """The linearization k[G] of a skew brace, carrying both products,
-    the diagonal comultiplication, the counit and both antipodes, over
-    the rationals (``characteristic=0``) or over GF(p)."""
+    """The linearization k[G] of a skew brace over the rationals, carrying
+    both products, the diagonal comultiplication, the counit and both
+    antipodes."""
 
-    __slots__ = ("base", "characteristic", "dim")
+    __slots__ = ("base", "dim")
 
-    def __init__(self, base: SkewBrace, characteristic: int = 0):
-        p = characteristic
-        if isinstance(p, bool) or not isinstance(p, int):
-            raise TypeError(f"characteristic must be an int, got "
-                            f"{type(p).__name__} {p!r}")
-        if p and (p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1))):
-            raise ValueError(f"{p} is not prime")
-        if p and base.order % p == 0:
-            raise PrimeFieldError(
-                f"characteristic {p} divides the carrier order "
-                f"{base.order}; this degenerate case is refused")
+    def __init__(self, base: SkewBrace):
         self.base = base
-        self.characteristic = p
         self.dim = base.order
 
     # ------------------------------------------------------ constructors
 
     def basis(self, g: int) -> Element:
-        return Element._make({_index(g, self.dim): 1}, 1, self.characteristic)
+        return Element._make({_index(g, self.dim): 1}, 1)
 
     def one(self) -> Element:
         return self.basis(self.base.identity)
 
     def element(self, coeffs) -> Element:
-        el = Element(coeffs, self.characteristic)
+        el = Element(coeffs)
         if any(not 0 <= g < self.dim for g in el.nums):
             raise IndexError("coefficient index out of range")
         return el
 
     def _own(self, *elements):
         for x in elements:
-            if x.p != self.characteristic:
-                raise ValueError(
-                    f"element over {_field_name(x.p)} does not match "
-                    f"{_field_name(self.characteristic)}")
             if x.nums and max(x.nums) >= self.dim:
                 raise ValueError("element index outside this basis")
 
@@ -208,7 +172,7 @@ class HopfBrace:
             for h, b in y.nums.items():
                 k = int(row[h])
                 out[k] = out.get(k, 0) + a * b
-        return Element._make(out, x.den * y.den, self.characteristic)
+        return Element._make(out, x.den * y.den)
 
     def dot(self, x: Element, y: Element) -> Element:
         return self._bilinear(self.base.dot.table, x, y)
@@ -234,7 +198,7 @@ class HopfBrace:
         for g, n in x.nums.items():
             h = int(mapping[g])
             out[h] = out.get(h, 0) + n
-        return Element._make(out, x.den, x.p)
+        return Element._make(out, x.den)
 
     def antipode_dot(self, x: Element) -> Element:
         """S: basis element to its dot-inverse, extended linearly."""
@@ -244,40 +208,31 @@ class HopfBrace:
         """T: basis element to its circ-inverse, extended linearly."""
         return self._relabel(self.base.circ.inverses, x)
 
-    def counit(self, x: Element):
+    def counit(self, x: Element) -> Fraction:
         self._own(x)
-        if x.p:
-            return sum(x.nums.values()) % x.p
         return Fraction(sum(x.nums.values()), x.den)
 
     def comultiply(self, x: Element) -> Tensor2:
         self._own(x)
-        return Tensor2._make({(g, g): n for g, n in x.nums.items()},
-                             x.den, x.p)
+        return Tensor2._make({(g, g): n for g, n in x.nums.items()}, x.den)
 
     def __eq__(self, other):
         return self is other or (
-            isinstance(other, HopfBrace) and self.base == other.base
-            and self.characteristic == other.characteristic)
+            isinstance(other, HopfBrace) and self.base == other.base)
 
     def __repr__(self):
-        return (f"HopfBrace(dim={self.dim}, "
-                f"field={_field_name(self.characteristic)})")
+        return f"HopfBrace(dim={self.dim})"
 
 
 _NONZERO_NUMERATORS = tuple(k for k in range(-9, 10) if k)
 
 
 def random_element(H: HopfBrace, rng, terms: int = 2) -> Element:
-    """Random sparse element with the given number of nonzero terms.  Over
-    QQ each coefficient is a nonzero numerator in [-9, 9] over a
-    denominator in [1, 4], brought to the lcm of the drawn denominators."""
+    """Random sparse element with the given number of nonzero terms: each
+    coefficient is a nonzero numerator in [-9, 9] over a denominator in
+    [1, 4], brought to the lcm of the drawn denominators."""
     support = rng.sample(range(H.dim), min(terms, H.dim))
-    p = H.characteristic
-    if p:
-        return Element._make({g: rng.randint(1, p - 1) for g in support},
-                             1, p)
     drawn = [(g, rng.choice(_NONZERO_NUMERATORS), rng.randint(1, 4))
              for g in support]
     den = lcm(*(d for _, _, d in drawn))
-    return Element._make({g: num * (den // d) for g, num, d in drawn}, den, 0)
+    return Element._make({g: num * (den // d) for g, num, d in drawn}, den)

@@ -1,7 +1,7 @@
 """Exact rational subspaces of a Hopf brace, in reduced echelon form.
 
-Vectors are characteristic-0 ``hopf.Element``s: the socle, annihilator,
-star-trivial and coincidence spaces are subspaces of H = k[G] itself.
+Vectors are ``hopf.Element``s: the socle, annihilator, star-trivial and
+coincidence spaces are subspaces of H = k[G] itself.
 Subspaces keep their canonical RREF basis, so equality of values is
 equality of spaces.  Elimination is fraction-free Gauss-Jordan over the
 elements' int numerators (a row's denominator does not change its span),
@@ -13,7 +13,6 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Iterable
 
-from .errors import PrimeFieldError
 from .hopf import Element
 from .skewbrace import _integers
 
@@ -21,15 +20,11 @@ from .skewbrace import _integers
 def indicator(indices: Iterable[int]) -> Element:
     """The 0/1 element with a one at each of ``indices``: integers other
     than bools, by the rule of ``skewbrace._integral``."""
-    return Element._canonical(dict.fromkeys(_integers(indices), 1), 1, 0)
+    return Element._canonical(dict.fromkeys(_integers(indices), 1), 1)
 
 
 def _check(vec: Element, ambient: int) -> Element:
-    """Refuse a vector over GF(p) or with an index outside the space."""
-    if vec.p:
-        raise PrimeFieldError(
-            f"linear systems are solved over the rationals only, "
-            f"got a vector over GF({vec.p})")
+    """Refuse a vector with an index outside the space."""
     if any(not 0 <= i < ambient for i in vec.nums):
         raise IndexError(f"{vec} outside ambient dimension {ambient}")
     return vec
@@ -147,7 +142,7 @@ def common_nullspace(constraint_rows: Iterable[Element], ambient: int) -> Subspa
         den = lcm(*(basis[p][p] for p in terms))
         nums = {p: -x * (den // basis[p][p]) for p, x in terms.items()}
         nums[f] = den
-        rows.append(Element._make(nums, den, 0))
+        rows.append(Element._make(nums, den))
     return Subspace(ambient, tuple(rows))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CrossCheckError, PrimeFieldError
+from .errors import CrossCheckError
 from .hopf import Element, HopfBrace
 from .linalg import Subspace, common_nullspace, span_of_indices
 from .skewbrace import _integer, _nonzero
@@ -160,7 +160,7 @@ def _fiber_rows(sub, skip) -> list[Element]:
     order = keys.argsort(kind="stable")
     keys, pos = keys[order], pos[order].tolist()
     cuts = [0, *((keys[1:] != keys[:-1]).nonzero()[0] + 1).tolist(), len(pos)]
-    return [Element._canonical(dict.fromkeys(f, 1), 1, 0) for f in sorted(
+    return [Element._canonical(dict.fromkeys(f, 1), 1) for f in sorted(
         {tuple(pos[a:b]) for a, b in zip(cuts, cuts[1:])})]
 
 
@@ -188,9 +188,6 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
     reported rather than asserted away.  Both spaces lie in span{e_z : z
     central}, so they are solved in the sorted center's coordinates; the
     embedding back keeps index order, so the bases stay canonical."""
-    if H.characteristic:
-        raise PrimeFieldError(
-            "socle/annihilator computation is defined over the rationals only")
     base, n = H.base, H.dim
     central = base.dot.center()
     center = _nonzero(central).tolist()
@@ -204,7 +201,7 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
 
     def solve(rows):            # over the center, then e_i -> e_center[i]
         return Subspace(n, tuple(Element._canonical(
-            {center[i]: x for i, x in r.nums.items()}, r.den, 0)
+            {center[i]: x for i, x in r.nums.items()}, r.den)
             for r in common_nullspace(rows, len(center)).rows))
 
     return _check_group_likes(SocleData(
@@ -299,8 +296,6 @@ def coincidence_report(H: HopfBrace) -> CoincidenceReport:
     are the space's canonical reduced echelon basis: the fiber rows of
     g -> label[g], the least element of g's orbit.  Equal canonical bases
     mean equal spaces, with no separators to search for."""
-    if H.characteristic:
-        raise PrimeFieldError("coincidence diagnostics need rationals")
     base, n = H.base, H.dim
     cols = np.arange(n)
     star_space = common_nullspace(_fiber_rows(base.lambda_table, cols), n)

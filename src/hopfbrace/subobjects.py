@@ -7,7 +7,7 @@ commutators, conjugates) are group-like, so subobjects are represented
 by subgroups of the dot-group.  The public constructor checks a
 caller's indices and that they form a subgroup, on the mask it builds.
 Every subbrace the package builds (closures, commutators, socle,
-annihilator, center, kernel, whole, trivial) enters as its carrier mask
+annihilator, center, kernel, whole) enters as its carrier mask
 through ``Subbrace._of_mask``, with the same subgroup check and no index
 check.  The predicates are uncached gathers over the mask;
 ``_require_normal`` is the one normality guard.  A quotient reads its
@@ -98,10 +98,6 @@ def generated_subbrace(H: HopfBrace, gens) -> Subbrace:
     return Subbrace._of_mask(H, H.base.dot.subgroup_generated(gens))
 
 
-def trivial_subbrace(H: HopfBrace) -> Subbrace:
-    return Subbrace._of_mask(H, H.base.dot._mask(H.base.identity))
-
-
 def whole_subbrace(H: HopfBrace) -> Subbrace:
     return Subbrace._of_mask(H, np.ones(H.dim, dtype=bool))
 
@@ -112,9 +108,6 @@ class HopfMorphism:
     __slots__ = ("map", "source", "target")
 
     def __init__(self, source: HopfBrace, target: HopfBrace, images):
-        if source.characteristic != target.characteristic:
-            raise ValueError("source and target have different "
-                             "characteristics")
         self.map = BraceMap(source.base, target.base, images)
         self.source = source
         self.target = target
@@ -167,7 +160,7 @@ def quotient(H: HopfBrace, B: Subbrace) -> tuple[HopfBrace, HopfMorphism]:
     leader = rep == np.arange(H.dim)                    # least of its coset
     reps, proj = _nonzero(leader), (leader.cumsum() - 1)[rep]   # its rank
     qbase = SkewBrace(dot._image(proj, reps), circ._image(proj, reps))
-    Q = HopfBrace(qbase, H.characteristic)
+    Q = HopfBrace(qbase)
     pi = HopfMorphism(H, Q, proj)
     if hopf_kernel(pi).carrier != B.carrier:
         raise CrossCheckError("projection kernel does not recover the subbrace")

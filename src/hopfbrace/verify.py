@@ -166,17 +166,15 @@ def _basis_ops(base) -> dict:
 
 def _element_ops(H: HopfBrace) -> dict:
     """The operations on elements: the HopfBrace arithmetic."""
-    p = H.characteristic
-
     def pair(x, y):
         return Tensor2._make({(g, h): a * b for g, a in x.nums.items()
-                              for h, b in y.nums.items()}, x.den * y.den, p)
+                              for h, b in y.nums.items()}, x.den * y.den)
 
     return {"__builtins__": {},
             "dot": H.dot, "circ": H.circ, "act": H.act, "star": H.star,
             "S": H.antipode_dot, "T": H.antipode_circ, "one": H.one,
             "eps": H.counit, "scale": lambda x, c: x.scale(c),
-            "mul": (lambda a, b: a * b % p) if p else mul,
+            "mul": mul,
             "comul": H.comultiply, "pair": pair}
 
 
@@ -201,7 +199,7 @@ def _evaluate(side: Side, ops: dict, H: HopfBrace, args: dict):
         for key, n in value.nums.items():
             out[key] = out.get(key, 0) + coeff * n
     legs_den = prod(args[v].den for v in side.repeated)
-    return kind._make(out, den * legs_den, H.characteristic)
+    return kind._make(out, den * legs_den)
 
 
 # ------------------------------------------------------------ check driver
@@ -340,25 +338,23 @@ def verify_propositions(H: HopfBrace, max_n: int = 10) -> CheckReport:
     _prop(report, "hopf-center-commutes", (d[z] == d[:, z].T).all(),
           hz.carrier)
 
-    if not H.characteristic:
-        soc = socle_annihilator(H)
-        _prop(report, "socle-normal", soc.socle.is_normal(),
-              soc.socle.carrier)
-        _prop(report, "annihilator-normal", soc.annihilator.is_normal(),
-              soc.annihilator.carrier)
-        _prop(report, "annihilator-inside-socle",
-              soc.socle.contains(soc.annihilator))
-        _prop(report, "socle-span-inside-space",
-              soc.socle_space.contains_space(soc.socle_span))
-        _prop(report, "annihilator-span-inside-space",
-              soc.annihilator_space.contains_space(soc.annihilator_span))
-        s, a = soc.socle.elements, soc.annihilator.elements
-        _prop(report, "antipodes-agree-on-socle",
-              (base.dot.inverses[s] == base.circ.inverses[s]).all(),
-              soc.socle.carrier)
-        _prop(report, "socle-circ-closed", base.circ.is_subgroup(s))
-        _prop(report, "annihilator-star-absorbs-products",
-              (base.star_table[:, d[a[:, None], a]] == base.identity).all())
+    soc = socle_annihilator(H)
+    _prop(report, "socle-normal", soc.socle.is_normal(), soc.socle.carrier)
+    _prop(report, "annihilator-normal", soc.annihilator.is_normal(),
+          soc.annihilator.carrier)
+    _prop(report, "annihilator-inside-socle",
+          soc.socle.contains(soc.annihilator))
+    _prop(report, "socle-span-inside-space",
+          soc.socle_space.contains_space(soc.socle_span))
+    _prop(report, "annihilator-span-inside-space",
+          soc.annihilator_space.contains_space(soc.annihilator_span))
+    s, a = soc.socle.elements, soc.annihilator.elements
+    _prop(report, "antipodes-agree-on-socle",
+          (base.dot.inverses[s] == base.circ.inverses[s]).all(),
+          soc.socle.carrier)
+    _prop(report, "socle-circ-closed", base.circ.is_subgroup(s))
+    _prop(report, "annihilator-star-absorbs-products",
+          (base.star_table[:, d[a[:, None], a]] == base.identity).all())
 
     for k, term in enumerate(right.terms):
         rel = relative_commutator(term, H)

@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import pytest
 
 import hopfbrace as hb
 import hopfbrace.extensions as extensions
 import oracle
+from hopfbrace import cli
+
+MAPS = Path(__file__).parent / "data" / "maps"
 
 
 def test_radical_c4_mod2_central_both(radical_c4):
@@ -11,7 +16,7 @@ def test_radical_c4_mod2_central_both(radical_c4):
     r = hb.analyze_extension(pi)
     assert r.central_hopfcoc and r.central_huq
     assert r.kernel.carrier == (0, 2)
-    assert hb.centrality_consequences(pi) == []
+    assert hb.centrality_consequences(r) == []
 
 
 def test_identity_morphism_central(opp_s3):
@@ -19,7 +24,7 @@ def test_identity_morphism_central(opp_s3):
     r = hb.analyze_extension(hb.HopfMorphism.identity(H))
     assert r.central_hopfcoc and r.central_huq
     assert r.kernel.carrier == (0,)
-    assert hb.centrality_consequences(hb.HopfMorphism.identity(H)) == []
+    assert hb.centrality_consequences(r) == []
 
 
 def test_sign_map_not_central_with_witness(opp_s3):
@@ -44,9 +49,10 @@ def test_sign_witness_reproducible(opp_s3):
     assert seen == {(3, 1)}
 
 
-def test_analyze_extension_builds_one_kernel(opp_s3, monkeypatch):
-    """One kernel serves both verdicts; ``test_verdicts_match_oracle``
-    checks the verdicts themselves."""
+def test_analyze_extension_builds_one_kernel(opp_s3, monkeypatch, capsys):
+    """One kernel serves both verdicts, and a ``check-central`` run's
+    consequence check too; ``test_verdicts_match_oracle`` checks the
+    verdicts themselves."""
     H = hb.HopfBrace(opp_s3)
     T = hb.HopfBrace(hb.trivial_brace(hb.cyclic_group(2)))
     f = hb.HopfMorphism(H, T, [0, 1, 1, 0, 0, 1])
@@ -60,6 +66,11 @@ def test_analyze_extension_builds_one_kernel(opp_s3, monkeypatch):
     r = hb.analyze_extension(f)
     assert len(kernels) == 1 and r.kernel is kernels[0]
     assert (r.witness_hopfcoc, r.witness_huq) == ((3, 1), (3, 1))
+    kernels.clear()
+    assert cli.main(["check-central", "radical_c4", "--json", "--map",
+                     str(MAPS / "identity-radical_c4.json")]) == 0
+    assert '"consequence_violations": []' in capsys.readouterr().out
+    assert len(kernels) == 1
 
 
 def test_trivial_s3_huq_witness(triv_s3):
@@ -87,7 +98,7 @@ def test_consequences_requires_centrality(opp_s3):
     T = hb.HopfBrace(hb.trivial_brace(hb.cyclic_group(2)))
     f = hb.HopfMorphism(H, T, [0, 1, 1, 0, 0, 1])
     with pytest.raises(ValueError):
-        hb.centrality_consequences(f)
+        hb.centrality_consequences(hb.check_central_hopfcoc(f))
 
 
 def test_projection_centrality_matches_relative_commutator(catalog):
@@ -122,7 +133,7 @@ def test_quotients_by_annihilator_subbraces_are_central(catalog):
             Q, pi = hb.quotient(H, B)
             r = hb.analyze_extension(pi)
             assert r.central_hopfcoc and r.central_huq, (desc.name, carrier)
-            assert hb.centrality_consequences(pi) == []
+            assert hb.centrality_consequences(r) == []
 
 
 def test_verdicts_match_oracle(catalog):

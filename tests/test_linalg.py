@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_linalg as ref
-from hopfbrace import PrimeFieldError, linalg
+from hopfbrace import linalg
 from hopfbrace.hopf import Element
 from hopfbrace.linalg import Subspace, common_nullspace, span_of_indices
 
@@ -128,20 +128,6 @@ def test_span_of_indices():
         span_of_indices([-1], 4)
 
 
-GF5 = Element({0: 1, 1: 2}, 5)
-
-
-@pytest.mark.parametrize("call", [
-    lambda: Subspace.row_space([v({0: 1}), GF5], 2),
-    lambda: common_nullspace([GF5], 2),
-    lambda: span_of_indices(range(2), 2).contains(GF5),
-    lambda: span_of_indices(range(2), 2).contains_space(Subspace(2, (GF5,))),
-], ids=["row_space", "common_nullspace", "contains", "contains_space"])
-def test_prime_field_vectors_are_refused(call):
-    with pytest.raises(PrimeFieldError, match="GF\\(5\\)"):
-        call()
-
-
 # ------------------------------------------------------- property checks
 
 AMBIENT = 5
@@ -256,14 +242,14 @@ def test_eliminated_rows_are_primitive_and_reduced(system):
 
 def renormalized(vec):
     """The same numerators through ``Element._make``'s normalisation."""
-    return Element._make(dict(vec.nums), vec.den, vec.p)
+    return Element._make(dict(vec.nums), vec.den)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=40), max_size=12))
 def test_indicator_is_built_canonical(indices):
     vec = linalg.indicator(indices)
-    assert vec == Element._make(dict.fromkeys(indices, 1), 1, 0)
+    assert vec == Element._make(dict.fromkeys(indices, 1), 1)
     assert vec == Element(dict.fromkeys(indices, 1))
 
 

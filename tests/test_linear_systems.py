@@ -102,7 +102,7 @@ def assert_matches_reference(H):
         == probed_group_likes(soc.annihilator_space)
     # the embedded rows are filled in without normalising
     for r in soc.socle_space.rows + soc.annihilator_space.rows:
-        assert r == Element._make(dict(r.nums), r.den, 0)
+        assert r == Element._make(dict(r.nums), r.den)
     rep = hb.coincidence_report(H)
     assert (rep.star_trivial_space, rep.coincidence_space,
             rep.separator_star_only, rep.separator_coincidence_only) \

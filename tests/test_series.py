@@ -87,7 +87,8 @@ def test_max_n_truncates(radical_c4):
 
 def test_relative_commutator_values(radical_c4, opp_s3):
     H = H_of(radical_c4)
-    assert hb.relative_commutator(hb.trivial_subbrace(H), H).carrier == (0,)
+    trivial = hb.generated_subbrace(H, [])
+    assert hb.relative_commutator(trivial, H).carrier == (0,)
     assert hb.relative_commutator(hb.Subbrace(H, (0, 2)), H).carrier == (0,)
     Ho = H_of(opp_s3)
     assert hb.relative_commutator(hb.Subbrace(Ho, (0, 3, 4)), Ho).carrier \

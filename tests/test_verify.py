@@ -183,18 +183,6 @@ def test_registry_defines_every_identity_once():
     assert REGISTRY["action-module"].rhs.repeated == ()
 
 
-def test_identity_suites_over_gf5(catalog):
-    """All three identity suites in characteristic 5 on every catalog
-    brace (no catalog order is divisible by 5)."""
-    for desc, brace in catalog:
-        H = hb.HopfBrace(brace, 5)
-        for suite in ("axioms", "lemma", "structure"):
-            report = hb.verify_suite(H, suite, samples=4, seed=5)
-            assert report.ok, (desc.name, suite,
-                               [str(v) for v in report.violations])
-            assert report.random_checks > 0
-
-
 def test_element_layer_agrees_with_basis_layer(catalog):
     """On basis-element arguments the element evaluation of each side is
     the basis element that the basis layer computes."""
