@@ -30,18 +30,16 @@ def projections(name: str) -> tuple:
     return tuple(hb.quotient(H, B)[1] for B in normal if B.is_normal())
 
 
-def scalars():
-    """Exact scalars: ints, and small and huge Fractions."""
-    return st.one_of(st.integers(-40, 40),
-                     st.builds(Fraction, st.integers(-40, 40),
-                               st.integers(1, 36)),
-                     st.builds(Fraction, st.integers(-10**30, 10**30),
-                               st.integers(1, 10**20)))
+SCALARS = st.one_of(st.integers(-40, 40),
+                    st.builds(Fraction, st.integers(-40, 40),
+                              st.integers(1, 36)),
+                    st.builds(Fraction, st.integers(-10**30, 10**30),
+                              st.integers(1, 10**20)))
 
 
 def term_lists(n, max_size=5):
     """(index, scalar) pairs; an index may repeat and a scalar may be 0."""
-    return st.lists(st.tuples(st.integers(0, n - 1), scalars()),
+    return st.lists(st.tuples(st.integers(0, n - 1), SCALARS),
                     max_size=max_size)
 
 
@@ -86,7 +84,7 @@ def test_products_agree_with_the_reference(case):
 def test_linear_operations_agree_with_the_reference(case, data):
     _, H, (xs, ys, _) = case
     (x, rx), (y, ry) = built(H, xs), built(H, ys)
-    c = data.draw(scalars())
+    c = data.draw(SCALARS)
     results = {
         "add": (x + y, ref.add(rx, ry)),
         "sub": (x - y, ref.add(rx, ref.scale(ry, -1))),
