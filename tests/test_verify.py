@@ -7,6 +7,7 @@ import pytest
 
 import hopfbrace as hb
 import reference_verify as ref
+from hopfbrace import verify
 from hopfbrace.cli import main
 from hopfbrace.verify import (REGISTRY, CheckReport, _basis_ops,
                               _check_identity, _element_ops, _evaluate,
@@ -55,6 +56,51 @@ def test_propositions_suite(catalog):
         H = hb.HopfBrace(brace)
         report = hb.verify_propositions(H)
         assert report.ok, (desc.name, [str(v) for v in report.violations])
+
+
+def _break_propositions(monkeypatch):
+    """On radical_c4, make every relative commutator the whole brace and
+    the gamma series' Huq cross-check fail."""
+    def gamma_series(H, max_n):
+        raise hb.CrossCheckError("gamma term 2 differs (planted)")
+
+    monkeypatch.setattr(verify, "relative_commutator",
+                        lambda I, H: hb.whole_subbrace(H))
+    monkeypatch.setattr(verify, "gamma_series", gamma_series)
+
+
+# radical_c4's right series is (0, 1, 2, 3), (0, 2), (0,); its star
+# closure is (0, 2).
+BROKEN_PROPOSITIONS = [
+    ("gamma-huq-equality", "gamma term 2 differs (planted)"),
+    ("relative-commutator-2-inside-argument", (0, 1, 2, 3)),
+    ("relative-commutator-3-inside-argument", (0, 1, 2, 3)),
+    ("star-closure-equals-relative-commutator", None),
+]
+
+
+def test_failing_propositions_are_reported(radical_c4, monkeypatch):
+    """The failure path of the proposition suite: a proposition that does
+    not hold and a gamma step that raises are each a violation, with its
+    layer and witness, and the rest of the suite still runs."""
+    _break_propositions(monkeypatch)
+    report = hb.verify_propositions(hb.HopfBrace(radical_c4))
+    assert [(v.identity, v.witness) for v in report.violations] \
+        == BROKEN_PROPOSITIONS
+    assert {v.layer for v in report.violations} == {"proposition"}
+    # the 36 checks of the intact suite, less the 5 on the gamma terms
+    assert not report.ok and report.basis_checks == 31
+
+
+def test_cli_reports_failing_propositions(capsys, monkeypatch):
+    _break_propositions(monkeypatch)
+    assert main(["verify", "radical_c4", "--suite", "propositions"]) == 1
+    out = capsys.readouterr().out
+    assert "radical_c4" in out and "FAIL" in out
+    assert ("      violation: relative-commutator-2-inside-argument "
+            "[proposition] witness=(0, 1, 2, 3)") in out.splitlines()
+    assert sum(line.startswith("      violation: ")
+               for line in out.splitlines()) == len(BROKEN_PROPOSITIONS)
 
 
 def test_trivial_brace_clause3_collapses():
