@@ -75,12 +75,18 @@ def _pair_names(names1, names2):
 def builtin_catalog() -> list[tuple[BraceDescriptor, SkewBrace]]:
     """The built-in examples: trivial and opposite braces on standard
     groups, the order-4 radical brace, and direct products up to order 48."""
-    return list(_catalog())
+    return list(_catalog().values())
 
 
 @lru_cache(maxsize=1)
-def _catalog() -> tuple[tuple[BraceDescriptor, SkewBrace], ...]:
-    entries: list[tuple[BraceDescriptor, SkewBrace]] = []
+def _catalog() -> dict[str, tuple[BraceDescriptor, SkewBrace]]:
+    """Name -> (descriptor, brace), in catalog order."""
+    entries: dict[str, tuple[BraceDescriptor, SkewBrace]] = {}
+
+    def add(name, construction, brace, names):
+        entries[name] = (BraceDescriptor(name, brace.order, construction,
+                                         names), brace)
+
     c2, s4 = _cyclic_names(2), symmetric_group(4)
     groups = {        # name -> (group, element names)
         "C2": (cyclic_group(2), c2), "C4": (cyclic_group(4), _cyclic_names(4)),
@@ -91,49 +97,29 @@ def _catalog() -> tuple[tuple[BraceDescriptor, SkewBrace], ...]:
         "A4": _alternating_group_4(s4),
         "S4": (s4, _perm_names(4)),
     }
-
     for gname, (group, names) in groups.items():
-        b = trivial_brace(group)
-        entries.append((BraceDescriptor(
-            name=f"trivial:{gname}", order=b.order, construction="trivial",
-            element_names=names), b))
-
+        add(f"trivial:{gname}", "trivial", trivial_brace(group), names)
     for gname in ("S3", "D4", "A4", "S4"):
         group, names = groups[gname]
-        b = opposite_brace(group)
-        entries.append((BraceDescriptor(
-            name=f"opposite:{gname}", order=b.order, construction="opposite",
-            element_names=names), b))
-
-    rc4 = radical_c4_brace()
-    entries.append((BraceDescriptor(
-        name="radical_c4", order=4, construction="radical_c4",
-        element_names=_cyclic_names(4)), rc4))
-
-    built = {d.name: (d, b) for d, b in entries}
+        add(f"opposite:{gname}", "opposite", opposite_brace(group), names)
+    add("radical_c4", "radical_c4", radical_c4_brace(), _cyclic_names(4))
     for n1, n2 in (("radical_c4", "radical_c4"), ("radical_c4", "trivial:S3"),
                    ("opposite:S4", "trivial:C2")):
-        (d1, b1), (d2, b2) = built[n1], built[n2]
-        b = direct_product(b1, b2)
-        entries.append((BraceDescriptor(
-            name=f"prod:{n1},{n2}", order=b.order, construction="product",
-            element_names=_pair_names(d1.element_names, d2.element_names)),
-            b))
-
-    names = [d.name for d, _ in entries]
-    assert len(names) == len(set(names))
-    return tuple(entries)
+        (d1, b1), (d2, b2) = entries[n1], entries[n2]
+        add(f"prod:{n1},{n2}", "product", direct_product(b1, b2),
+            _pair_names(d1.element_names, d2.element_names))
+    return entries
 
 
 def catalog_names() -> list[str]:
-    return [d.name for d, _ in builtin_catalog()]
+    return list(_catalog())
 
 
 def lookup(name: str) -> tuple[BraceDescriptor, SkewBrace]:
-    for desc, brace in builtin_catalog():
-        if desc.name == name:
-            return desc, brace
-    raise KeyError(f"no catalog brace named {name!r}")
+    try:
+        return _catalog()[name]
+    except KeyError:
+        raise KeyError(f"no catalog brace named {name!r}") from None
 
 
 # ----------------------------------------------------------------- file io

@@ -31,6 +31,16 @@ def _scalar(c) -> tuple[int, int]:
                     f"got {type(c).__name__} {c!r}")
 
 
+def _basis_index(i) -> int:
+    """An element's basis index: an integer by the rule of
+    ``skewbrace._integral``, and not negative, so that no table gather
+    wraps it; the upper bound is each brace's own (``HopfBrace._own``)."""
+    i = _integer(i)
+    if i < 0:
+        raise IndexError(f"basis index {i} is negative")
+    return i
+
+
 def _normal(nums: dict, den: int) -> tuple[dict, int]:
     """Canonical form: no zero numerator and gcd(den, *nums) == 1."""
     nums = {k: n for k, n in nums.items() if n}
@@ -94,7 +104,7 @@ class Element(_Combination):
     """Sparse linear combination of group-like basis elements."""
 
     __slots__ = ()
-    _key = staticmethod(_integer)
+    _key = staticmethod(_basis_index)
 
     def __add__(self, other: "Element") -> "Element":
         a, b = self.den, other.den
@@ -126,7 +136,7 @@ class Tensor2(_Combination):
     @staticmethod
     def _key(key) -> tuple[int, int]:
         i, j = key
-        return _integer(i), _integer(j)
+        return _basis_index(i), _basis_index(j)
 
     def __repr__(self):
         return f"Tensor2({dict(self.items())})"
@@ -153,7 +163,7 @@ class HopfBrace:
 
     def element(self, coeffs) -> Element:
         el = Element(coeffs)
-        if any(not 0 <= g < self.dim for g in el.nums):
+        if el.nums and max(el.nums) >= self.dim:
             raise IndexError("coefficient index out of range")
         return el
 

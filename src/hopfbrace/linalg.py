@@ -18,14 +18,14 @@ from .skewbrace import _integers
 
 
 def indicator(indices: Iterable[int]) -> Element:
-    """The 0/1 element with a one at each of ``indices``: integers other
-    than bools, by the rule of ``skewbrace._integral``."""
-    return Element._canonical(dict.fromkeys(_integers(indices), 1), 1)
+    """The 0/1 element with a one at each of ``indices``, which pass the
+    rule of ``Element``'s keys."""
+    return Element._canonical(dict.fromkeys(map(Element._key, indices), 1), 1)
 
 
 def _check(vec: Element, ambient: int) -> Element:
     """Refuse a vector with an index outside the space."""
-    if any(not 0 <= i < ambient for i in vec.nums):
+    if vec.nums and max(vec.nums) >= ambient:
         raise IndexError(f"{vec} outside ambient dimension {ambient}")
     return vec
 

@@ -37,7 +37,7 @@ table, on first use.
 
 A carrier is a boolean mask, a sorted tuple only at the API edge:
 ``subgroup_generated``, ``normal_closure``, ``center`` and
-``BraceMap.kernel`` all return masks.  Caller indices pass one check,
+``HopfMorphism.kernel`` all return masks.  Caller indices pass one check,
 ``_indices``; the package masks its own gathered index arrays (up to
 n^2 entries) unchecked, with ``FiniteGroup._mask``, and reads a mask's
 true entries with ``_nonzero``; it never calls numpy's ``unique``,
@@ -449,11 +449,14 @@ def direct_product(b1: SkewBrace, b2: SkewBrace) -> SkewBrace:
 # -------------------------------------------------------------- morphisms
 
 class BraceMap:
-    """A set map between brace carriers, validated as a homomorphism for
-    both products (hence a brace morphism on group-likes).  ``images`` is
-    a read-only int64 array, like the tables."""
+    """The check that a set map between brace carriers is a homomorphism
+    for both products (hence a brace morphism on group-likes); ``images``
+    is the validated read-only int64 array, like the tables.  The morphism
+    type is ``subobjects.HopfMorphism``, which keeps ``images``; this stays
+    a class only because ``perfbench/tracing.py`` wraps
+    ``BraceMap.__init__`` (span ``skewbrace.validate``)."""
 
-    __slots__ = ("source", "target", "images")
+    __slots__ = ("images",)
 
     def __init__(self, source: SkewBrace, target: SkewBrace, images):
         try:
@@ -474,24 +477,4 @@ class BraceMap:
                     f"not a {name}-homomorphism at pair {pair}",
                     witness=pair)
         img.setflags(write=False)
-        self.source = source
-        self.target = target
         self.images = img
-
-    def __call__(self, g: int) -> int:
-        return int(self.images[_index(g, self.source.order)])
-
-    def kernel(self) -> np.ndarray:
-        """The mask of the elements sent to the target identity."""
-        return self.images == self.target.identity
-
-    def is_surjective(self) -> bool:
-        return bool(self.target.dot._mask(self.images).all())
-
-    def __eq__(self, other):
-        return (isinstance(other, BraceMap) and self.source == other.source
-                and self.target == other.target
-                and np.array_equal(self.images, other.images))
-
-    def __repr__(self):
-        return f"BraceMap(order {self.source.order} -> {self.target.order})"

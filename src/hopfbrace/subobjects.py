@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CrossCheckError, NormalityError
 from .hopf import Element, HopfBrace
-from .skewbrace import BraceMap, SkewBrace, _nonzero
+from .skewbrace import BraceMap, SkewBrace, _index, _nonzero
 
 
 class Subbrace:
@@ -103,23 +103,29 @@ def whole_subbrace(H: HopfBrace) -> Subbrace:
 
 
 class HopfMorphism:
-    """Basis map between Hopf braces; automatically a coalgebra map."""
+    """Basis map between Hopf braces, checked by ``BraceMap`` to be a
+    homomorphism for both products, hence automatically a coalgebra map.
+    ``images`` is its read-only int64 array, like the tables."""
 
-    __slots__ = ("map", "source", "target")
+    __slots__ = ("source", "target", "images")
 
     def __init__(self, source: HopfBrace, target: HopfBrace, images):
-        self.map = BraceMap(source.base, target.base, images)
+        self.images = BraceMap(source.base, target.base, images).images
         self.source = source
         self.target = target
 
     def __call__(self, x: Element | int):
         """The image of a basis index, or of an element of the source."""
         if not isinstance(x, Element):
-            return self.map(x)
-        return self.source._relabel(self.map.images, x)
+            return int(self.images[_index(x, self.source.dim)])
+        return self.source._relabel(self.images, x)
+
+    def kernel(self) -> np.ndarray:
+        """The mask of the elements sent to the target identity."""
+        return self.images == self.target.base.identity
 
     def is_surjective(self) -> bool:
-        return self.map.is_surjective()
+        return bool(self.target.base.dot._mask(self.images).all())
 
     @classmethod
     def identity(cls, H: HopfBrace) -> "HopfMorphism":
@@ -127,7 +133,8 @@ class HopfMorphism:
 
     def __eq__(self, other):
         return (isinstance(other, HopfMorphism) and self.source == other.source
-                and self.target == other.target and self.map == other.map)
+                and self.target == other.target
+                and np.array_equal(self.images, other.images))
 
     def __repr__(self):
         return f"HopfMorphism(dim {self.source.dim} -> {self.target.dim})"
@@ -142,7 +149,7 @@ def _require_normal(B: Subbrace, H: HopfBrace) -> None:
 
 def hopf_kernel(f: HopfMorphism) -> Subbrace:
     """Kernel subobject: group-likes sent to the target identity."""
-    return Subbrace._of_mask(f.source, f.map.kernel())
+    return Subbrace._of_mask(f.source, f.kernel())
 
 
 def quotient(H: HopfBrace, B: Subbrace) -> tuple[HopfBrace, HopfMorphism]:
@@ -150,7 +157,7 @@ def quotient(H: HopfBrace, B: Subbrace) -> tuple[HopfBrace, HopfMorphism]:
 
     Cosets of the carrier under dot and circ coincide for normal
     subbraces, so one coset partition gathers both product tables,
-    unvalidated.  The projection's ``BraceMap`` check certifies them: a
+    unvalidated.  The projection's homomorphism check certifies them: a
     surjection from a brace that is multiplicative for both products
     makes its image a brace.  The kernel cross-check follows.
     """

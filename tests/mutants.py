@@ -84,6 +84,22 @@ MUTANTS = (
             "test_exact_factorization_brace_matches_the_reference",
             "tests/test_linear_systems.py::"
             "test_corpus_sample_matches_the_reference[8]")),
+    Mutant("kernel-not-equal", "subobjects.py",
+           "        return self.images == self.target.base.identity\n",
+           "        return self.images != self.target.base.identity\n",
+           ("tests/test_subobjects.py::test_hopf_kernel_examples",
+            "tests/test_skewbrace.py::test_morphism_validation")),
+    Mutant("always-surjective", "subobjects.py",
+           "        return bool(self.target.base.dot._mask(self.images).all())\n",
+           "        return True\n",
+           ("tests/test_subobjects.py::"
+            "test_morphism_images_are_one_read_only_array",
+            "tests/test_extensions.py::test_non_surjective_rejected")),
+    Mutant("negative-index-accepted", "hopf.py",
+           "    if i < 0:\n"
+           "        raise IndexError(f\"basis index {i} is negative\")\n",
+           "",
+           ("tests/test_hopf.py::test_negative_indices_are_refused[-1]",)),
     Mutant("no-op", "verify.py",
            "    if not ok:\n        report.violations.append(",
            "    if not ok:\n        report.violations.append(",

@@ -110,7 +110,7 @@ def test_morphism_images_agree_with_the_reference(case, data):
     x, rx = built(H, xs)
     got = pi(x)
     assert_canonical(got)
-    assert got.coeffs == ref.relabel(pi.map.images, rx)
+    assert got.coeffs == ref.relabel(pi.images, rx)
 
 
 @settings(max_examples=120, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 
 import hopfbrace as hb
 import reference_hopf as ref
+from hopfbrace import linalg
 from hopfbrace.hopf import random_element
 
 
@@ -183,6 +184,21 @@ def test_non_integer_indices_are_refused(H, key):
         hb.Tensor2({(1, key): 1})
     with pytest.raises(TypeError):
         hb.HopfMorphism.identity(H)(key)
+
+
+@pytest.mark.parametrize("key", [-1, -4, np.int64(-1)])
+def test_negative_indices_are_refused(H, key):
+    """A negative index is refused when the element is built: before, it
+    passed ``_own``'s upper bound and every gather wrapped it, so on
+    radical_c4 g_-1 dotted with g1 gave g0, its antipode g1, its counit 1
+    and its identity image g3."""
+    for call in (lambda: hb.Element({key: 1}),
+                 lambda: H.element({key: 1}),
+                 lambda: hb.Tensor2({(key, 0): 1}),
+                 lambda: hb.Tensor2({(0, key): 1}),
+                 lambda: linalg.indicator([0, key])):
+        with pytest.raises(IndexError):
+            call()
 
 
 def test_integer_like_scalars_and_indices_are_exact(H):

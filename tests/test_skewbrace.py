@@ -174,7 +174,7 @@ def group_quotient(g, carrier):
     quotient, and its projection."""
     H = hb.HopfBrace(hb.trivial_brace(g))
     Q, pi = hb.quotient(H, hb.Subbrace(H, carrier))
-    return Q.base.dot, pi.map.images
+    return Q.base.dot, pi.images
 
 
 def test_quotient_group():
@@ -199,13 +199,14 @@ def test_quotient_group():
 
 def test_morphism_validation(radical_c4):
     c2 = hb.trivial_brace(hb.cyclic_group(2))
-    f = hb.BraceMap(radical_c4, c2, [0, 1, 0, 1])
+    H, C2 = hb.HopfBrace(radical_c4), hb.HopfBrace(c2)
+    f = hb.HopfMorphism(H, C2, [0, 1, 0, 1])
     assert carrier(f.kernel()) == (0, 2)
     assert f.is_surjective()
-    triv = hb.trivial_brace(hb.symmetric_group(3))
-    ident = hb.BraceMap(triv, triv, list(range(6)))
+    triv = hb.HopfBrace(hb.trivial_brace(hb.symmetric_group(3)))
+    ident = hb.HopfMorphism(triv, triv, list(range(6)))
     assert carrier(ident.kernel()) == (0,)
-    zero = hb.BraceMap(triv, triv, [0] * 6)
+    zero = hb.HopfMorphism(triv, triv, [0] * 6)
     assert carrier(zero.kernel()) == tuple(range(6))
     with pytest.raises(hb.MorphismError):
         hb.BraceMap(radical_c4, c2, [0, 1, 1, 0])

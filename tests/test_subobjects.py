@@ -128,7 +128,7 @@ def test_hopf_kernel_linear_characterization(H):
     e_t = c2.base.identity
     for g in range(H.dim):
         # x_1 (x) f(x_2) = x (x) 1 on a group-like means f(g) = identity
-        assert (f.map(g) == e_t) == (g in kernel)
+        assert (f(g) == e_t) == (g in kernel)
     x = H.basis(0) + H.basis(2).scale(3)
     assert set(x.coeffs) <= kernel
     assert f(x) == c2.basis(0).scale(4)
@@ -161,7 +161,7 @@ def test_morphism_images_are_refused_not_coerced(H, bad):
     c2 = hb.HopfBrace(hb.trivial_brace(hb.cyclic_group(2)))
     with pytest.raises(hb.MorphismError):
         hb.HopfMorphism(H, c2, [0, bad, 0, 1])
-    assert hb.HopfMorphism(H, c2, [0, np.int64(1), 0, 1]).map.images \
+    assert hb.HopfMorphism(H, c2, [0, np.int64(1), 0, 1]).images \
         .tolist() == [0, 1, 0, 1]
 
 
@@ -207,13 +207,25 @@ def test_morphism_images_are_one_read_only_array(C4):
     given = np.arange(4)
     f = hb.HopfMorphism(C4, C4, given)
     given[1] = 3                           # the map keeps its own copy
-    images = f.map.images
+    images = f.images
     assert images.dtype == np.int64 and not images.flags.writeable
     assert images.tolist() == [0, 1, 2, 3] and f(np.int64(2)) == 2
-    assert f.is_surjective() and np.flatnonzero(f.map.kernel()).tolist() == [0]
+    assert f.is_surjective() and np.flatnonzero(f.kernel()).tolist() == [0]
     zero = hb.HopfMorphism(C4, C4, [0] * 4)   # as many images as targets
     assert not zero.is_surjective()
-    assert np.flatnonzero(zero.map.kernel()).tolist() == [0, 1, 2, 3]
+    assert np.flatnonzero(zero.kernel()).tolist() == [0, 1, 2, 3]
+
+
+def test_morphism_equality_compares_source_target_and_images(C4, H):
+    assert hb.HopfMorphism(C4, C4, [0, 1, 2, 3]) \
+        == hb.HopfMorphism.identity(C4)
+    assert hb.HopfMorphism(C4, C4, [0, 3, 2, 1]) \
+        != hb.HopfMorphism.identity(C4)
+    zero = hb.HopfMorphism(C4, C4, [0] * 4)
+    assert zero == hb.HopfMorphism(C4, C4, np.zeros(4, dtype=np.int64))
+    assert zero != hb.HopfMorphism(C4, H, [0] * 4)        # another target
+    assert zero != hb.HopfMorphism(H, C4, [0] * 4)        # another source
+    assert zero != zero.images and not hasattr(zero, "map")
 
 
 def test_oracle_agreement_on_normality(catalog):
@@ -267,7 +279,7 @@ def test_certified_quotients_match_validation_and_cosets(name):
             assert not ours.inverses.flags.writeable
         dot_q, proj = oracle.quotient_by_cosets(dot, B.carrier)
         circ_q, circ_proj = oracle.quotient_by_cosets(circ, B.carrier)
-        assert circ_proj == proj == list(pi.map.images), B.carrier
+        assert circ_proj == proj == list(pi.images), B.carrier
         assert q.dot.table.tolist() == dot_q, B.carrier
         assert q.circ.table.tolist() == circ_q, B.carrier
 
