@@ -16,8 +16,8 @@ at least one failed test (killed): a collection error, a missing test id
 or an error in a fixture says nothing about the mutant.  A mutant whose
 replacement equals its snippet is a no-op, which must survive.
 
-Run ``python tests/mutants.py [NAME ...]`` from the repository root for a
-report; ``tests/test_mutants.py`` runs the whole table under ``slow``.
+``tests/test_mutants.py`` runs the whole table under ``slow``; select
+mutants by name with ``pytest -m slow tests/test_mutants.py -k NAME``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -107,13 +106,18 @@ MUTANTS = (
 )
 
 
+def snippet_count(mutant: Mutant, src: Path) -> int:
+    """How often the mutant's snippet occurs in its file under ``src``."""
+    text = (src / "hopfbrace" / mutant.path).read_text(encoding="utf-8")
+    return text.count(mutant.old)
+
+
 def _apply(mutant: Mutant, src: Path) -> None:
+    if (count := snippet_count(mutant, src)) != 1:
+        raise RunnerError(f"{mutant.name}: the snippet occurs {count} times "
+                          f"in {mutant.path}, not once")
     path = src / "hopfbrace" / mutant.path
     text = path.read_text(encoding="utf-8")
-    if text.count(mutant.old) != 1:
-        raise RunnerError(f"{mutant.name}: the snippet occurs "
-                          f"{text.count(mutant.old)} times in {mutant.path}, "
-                          f"not once")
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
@@ -146,21 +150,3 @@ def run(mutant: Mutant) -> list[str]:
         return failed
     raise RunnerError(f"{mutant.name}: not judged, exit {proc.returncode}\n"
                       f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
-
-
-def main(names) -> int:
-    """Run the named mutants, or all, and print one line each."""
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    start = time.perf_counter()
-    for m in chosen:
-        t = time.perf_counter()
-        failed = run(m)
-        verdict = f"killed by {len(failed)} of {len(m.ids)}" if failed \
-            else "survived"
-        print(f"{m.name:32s} {verdict:18s} {time.perf_counter() - t:6.1f} s")
-    print(f"{len(chosen)} mutants in {time.perf_counter() - start:.1f} s")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

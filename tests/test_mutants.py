@@ -11,9 +11,7 @@ def test_every_snippet_occurs_once():
     """Checked in Tier-1 too, so that a refactor that moves a mutated
     line finds out before the slow run."""
     for m in MUTANTS:
-        text = (mutants.ROOT / "src" / "hopfbrace" / m.path).read_text(
-            encoding="utf-8")
-        assert text.count(m.old) == 1, m.name
+        assert mutants.snippet_count(m, mutants.ROOT / "src") == 1, m.name
 
 
 @pytest.mark.parametrize("old", ["not in the source", "import"])
