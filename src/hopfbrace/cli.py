@@ -213,7 +213,7 @@ def cmd_check_central(args) -> int:
     except MorphismError as exc:
         return _error(f"invalid map: {exc}")
     results = {
-        "surjective": report.surjective,
+        "surjective": True,         # analyze_extension refuses any other map
         "kernel_carrier": list(report.kernel.carrier),
         "central_hopfcoc": report.central_hopfcoc,
         "central_huq": report.central_huq,
@@ -241,8 +241,8 @@ def cmd_verify(args) -> int:
         return _error(f"--max must be at least 1, got {args.max}")
     if args.samples < 0:
         return _error(f"--samples must be non-negative, got {args.samples}")
-    if not (args.all or args.input):
-        return _error("give a brace or --all")
+    if args.all == bool(args.input):
+        return _error("give a brace or --all, not both")
     targets = builtin_catalog() if args.all else [resolve(args.input)]
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     entries = []

@@ -19,7 +19,6 @@ from .subobjects import HopfMorphism, Subbrace, hopf_kernel
 
 @dataclass
 class ExtensionReport:
-    surjective: bool
     kernel: Subbrace
     central_hopfcoc: bool | None = None
     central_huq: bool | None = None
@@ -60,14 +59,14 @@ def check_central_hopfcoc(f: HopfMorphism) -> ExtensionReport:
     between the kernel and the source is trivial, so that the relative
     commutator, the normal closure of those star products, is trivial."""
     kernel = _require_surjective(f)
-    return ExtensionReport(True, kernel, **_hopfcoc(kernel))
+    return ExtensionReport(kernel, **_hopfcoc(kernel))
 
 
 def check_central_huq(f: HopfMorphism) -> ExtensionReport:
     """Huq-central: kernel elements commute with everything for both
     products, and all four products agree on such pairs."""
     kernel = _require_surjective(f)
-    return ExtensionReport(True, kernel, **_huq(kernel))
+    return ExtensionReport(kernel, **_huq(kernel))
 
 
 def centrality_consequences(report: ExtensionReport) -> list[tuple[int, int]]:
@@ -87,4 +86,4 @@ def centrality_consequences(report: ExtensionReport) -> list[tuple[int, int]]:
 def analyze_extension(f: HopfMorphism) -> ExtensionReport:
     """Both verdicts, each checked on its own, from one kernel."""
     kernel = _require_surjective(f)
-    return ExtensionReport(True, kernel, **_hopfcoc(kernel), **_huq(kernel))
+    return ExtensionReport(kernel, **_hopfcoc(kernel), **_huq(kernel))

@@ -235,13 +235,14 @@ class HopfBrace:
 
 
 _NONZERO_NUMERATORS = tuple(k for k in range(-9, 10) if k)
+_TERMS = 2
 
 
-def random_element(H: HopfBrace, rng, terms: int = 2) -> Element:
-    """Random sparse element with the given number of nonzero terms: each
+def random_element(H: HopfBrace, rng) -> Element:
+    """Random sparse element with min(_TERMS, H.dim) nonzero terms: each
     coefficient is a nonzero numerator in [-9, 9] over a denominator in
     [1, 4], brought to the lcm of the drawn denominators."""
-    support = rng.sample(range(H.dim), min(terms, H.dim))
+    support = rng.sample(range(H.dim), min(_TERMS, H.dim))
     drawn = [(g, rng.choice(_NONZERO_NUMERATORS), rng.randint(1, 4))
              for g in support]
     den = lcm(*(d for _, _, d in drawn))

@@ -14,13 +14,7 @@ from math import gcd, lcm
 from typing import Iterable
 
 from .hopf import Element
-from .skewbrace import _integers
-
-
-def indicator(indices: Iterable[int]) -> Element:
-    """The 0/1 element with a one at each of ``indices``, which pass the
-    rule of ``Element``'s keys."""
-    return Element._canonical(dict.fromkeys(map(Element._key, indices), 1), 1)
+from .skewbrace import _indices, _integer
 
 
 def _check(vec: Element, ambient: int) -> Element:
@@ -78,7 +72,9 @@ class Subspace:
     __slots__ = ("ambient", "rows", "_by_pivot")
 
     def __init__(self, ambient: int, rows: tuple[Element, ...] = ()):
-        object.__setattr__(self, "ambient", int(ambient))
+        if (ambient := _integer(ambient)) < 0:
+            raise ValueError(f"ambient dimension {ambient} is negative")
+        object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "_by_pivot",
                            {min(r.nums): r for r in self.rows})
@@ -149,5 +145,6 @@ def common_nullspace(constraint_rows: Iterable[Element], ambient: int) -> Subspa
 def span_of_indices(indices: Iterable[int], ambient: int) -> Subspace:
     """Coordinate subspace spanned by the given basis indices: its unit
     vectors, sorted and distinct, are already the canonical RREF basis."""
-    return Subspace(ambient, tuple(_check(indicator([g]), ambient)
-                                   for g in sorted(set(_integers(indices)))))
+    return Subspace(ambient, tuple(
+        Element._canonical({g: 1}, 1)
+        for g in sorted(set(_indices(indices, ambient).tolist()))))

@@ -107,23 +107,12 @@ def _integral(types) -> bool:
 
 
 def _integer(i) -> int:
-    """One caller integer with no range (an index, an identity, a lemma
-    clause or a series length), by the rule of ``_integral``."""
+    """One caller integer with no range, by the rule of ``_integral``: an
+    index, an identity, a lemma clause, a series length, a ``Subspace``'s
+    ambient dimension, or a suite's sample count or seed."""
     if not _integral((type(i),)):
         raise TypeError(f"expected an integer, got {i!r}")
     return int(i)
-
-
-def _integers(elems) -> list[int]:
-    """Caller indices with no range, by the rule of ``_integral``, as a
-    list of Python ints."""
-    elems = list(elems)
-    types = set(map(type, elems))
-    if types <= {int}:          # Python ints already (bool is not int)
-        return elems
-    if not _integral(types):
-        raise TypeError(f"indices must be integers, got {elems}")
-    return list(map(int, elems))
 
 
 def _index(i, n: int) -> int:
@@ -139,7 +128,9 @@ def _indices(elems, n: int) -> np.ndarray:
     container, of Python or NumPy integers other than bools, each in
     [0, n); anything else raises TypeError or IndexError."""
     if not isinstance(elems, np.ndarray):
-        elems = _integers(elems)
+        elems = list(elems)
+        if not _integral(set(map(type, elems))):
+            raise TypeError(f"indices must be integers, got {elems}")
         try:
             elems = np.array(elems, dtype=np.int64)
         except OverflowError:                           # beyond 64 bits

@@ -254,6 +254,9 @@ def _run_suite(H: HopfBrace, name: str, samples: int,
     registry order.  Each lemma clause draws from a fresh ``_rng(seed)``,
     so that ``verify_star_lemma(H, k)`` reproduces clause k of the lemma
     suite; the identities of any other suite share one RNG."""
+    if _integer(samples) < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
+    seed = None if seed is None else _integer(seed)
     report, rng = CheckReport(), _rng(seed)
     for ident in REGISTRY.values():
         if name in (ident.suite, ident.name):

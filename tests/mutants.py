@@ -99,6 +99,42 @@ MUTANTS = (
            "        raise IndexError(f\"basis index {i} is negative\")\n",
            "",
            ("tests/test_hopf.py::test_negative_indices_are_refused[-1]",)),
+    Mutant("relative-commutator-without-i-star-h", "series.py",
+           "    gens = dot._mask(st[c]) | dot._mask(st[:, c])\n",
+           "    gens = dot._mask(st[:, c])\n",
+           ("tests/test_series.py::test_relative_commutator_needs_i_star_h",)),
+    Mutant("huq-without-circ-commutators", "series.py",
+           "            | dot._mask(circ.table[circ.conj_table[c], "
+           "circ.inverses])\n",
+           "",
+           ("tests/test_series.py::"
+            "test_huq_commutator_needs_the_circ_commutators",)),
+    Mutant("gamma-step-without-h-star-i", "series.py",
+           "        return dot._mask(st[c]) | dot._mask(st[:, c]) "
+           "| dot._mask(comm)\n",
+           "        return dot._mask(st[c]) | dot._mask(comm)\n",
+           ("tests/test_series.py::test_gamma_series_needs_h_star_i",)),
+    Mutant("gamma-step-without-i-star-h", "series.py",
+           "        return dot._mask(st[c]) | dot._mask(st[:, c]) "
+           "| dot._mask(comm)\n",
+           "        return dot._mask(st[:, c]) | dot._mask(comm)\n",
+           ("tests/test_series.py::test_gamma_series_needs_i_star_h",)),
+    Mutant("samples-unchecked", "verify.py",
+           "    if _integer(samples) < 0:\n"
+           "        raise ValueError(f\"samples must be non-negative, "
+           "got {samples}\")\n",
+           "",
+           ("tests/test_verify.py::test_verify_suite_dispatch",)),
+    Mutant("ambient-coerced", "linalg.py",
+           "(ambient := _integer(ambient))",
+           "(ambient := int(ambient))",
+           ("tests/test_linalg.py::"
+            "test_ambient_must_be_a_non_negative_integer[2.7-TypeError]",)),
+    Mutant("verify-brace-and-all-accepted", "cli.py",
+           "    if args.all == bool(args.input):\n",
+           "    if not (args.all or args.input):\n",
+           ("tests/test_cli.py::"
+            "test_bad_flags_exit_2_with_one_line[argv4-env4]",)),
     Mutant("no-op", "verify.py",
            "    if not ok:\n        report.violations.append(",
            "    if not ok:\n        report.violations.append(",

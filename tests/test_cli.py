@@ -153,6 +153,8 @@ def test_unreadable_files_exit_2_with_one_line(tmp_path, capsys):
     (["series", "radical_c4", "--max", "0"], {}),
     (["verify", "radical_c4", "--suite", "propositions", "--max", "0"], {}),
     (["verify", "radical_c4", "--suite", "axioms", "--samples", "-1"], {}),
+    (["verify", "radical_c4", "--all", "--suite", "axioms", "--samples", "0"],
+     {}),
 ])
 def test_bad_flags_exit_2_with_one_line(capsys, monkeypatch, argv, env):
     for key, value in env.items():

@@ -1,6 +1,9 @@
 """The generated corpus of ``tests/corpus.py``: its labelled counts, the
-oracle's verdict on every brace, and the commutators and gamma series
-against the oracle on every ideal of every brace."""
+oracle's verdict on every brace, the series, socle, annihilator and center
+of every brace, and the commutators, gamma series and central-extension
+verdicts against the oracle on every ideal of every brace."""
+
+from collections import Counter
 
 import pytest
 
@@ -27,10 +30,31 @@ def test_every_brace_is_a_skew_brace(order):
 
 
 @pytest.mark.parametrize("order", ORDERS)
+def test_series_socle_and_center_match_the_oracle(order):
+    for _, dot, circ in corpus.braces(order):
+        H = hb.HopfBrace(hb.validate_skew_brace(dot, circ))
+        for ours, theirs in ((hb.left_series(H), oracle.left_series),
+                             (hb.right_series(H), oracle.right_series)):
+            assert [set(t.carrier) for t in ours.terms] == theirs(dot, circ)
+        soc = hb.socle_annihilator(H)
+        assert set(soc.socle.carrier) == oracle.soc_carrier(dot, circ)
+        assert set(soc.annihilator.carrier) == oracle.ann_carrier(dot, circ)
+        assert set(hb.hopf_center(H).carrier) == oracle.center(dot)
+
+
+# (hopfcoc, huq) verdicts on H -> H/I: both, neither, hopfcoc-only
+VERDICTS = {2: (2, 0, 0), 3: (2, 0, 0), 4: (16, 4, 0), 5: (2, 0, 0),
+            6: (13, 16, 2), 7: (2, 0, 0), 8: (637, 885, 14), 9: (29, 10, 0),
+            10: (17, 24, 2), 12: (182, 302, 14)}
+
+
+@pytest.mark.parametrize("order", ORDERS)
 def test_commutators_match_the_oracle_on_every_ideal(order):
     """The oracle gathers every generator family of each definition, so
-    a family the engine leaves out must be redundant on all of these."""
-    ideals = 0
+    a family the engine leaves out must be redundant on all of these.
+    The projection by each ideal gets the oracle's centrality verdicts
+    and witnesses."""
+    ideals, verdicts = 0, Counter()
     for _, dot, circ in corpus.braces(order):
         H = hb.HopfBrace(hb.validate_skew_brace(dot, circ))
         assert [set(t.carrier) for t in hb.gamma_series(H).terms] \
@@ -44,6 +68,15 @@ def test_commutators_match_the_oracle_on_every_ideal(order):
                 == oracle.relative_commutator(dot, circ, carrier)
             assert set(hb.huq_commutator(I, H).carrier) \
                 == oracle.huq_commutator(dot, circ, carrier)
+            r = hb.analyze_extension(hb.quotient(H, I)[1])
+            hopfcoc = oracle.central_hopfcoc(dot, circ, set(carrier))
+            huq = oracle.central_huq(dot, circ, set(carrier))
+            assert (r.central_hopfcoc, r.witness_hopfcoc) == hopfcoc
+            assert (r.central_huq, r.witness_huq) == huq
+            verdicts[hopfcoc[0], huq[0]] += 1
     # 1,595 ideals at orders up to 8, 580 at orders 9, 10 and 12
     assert ideals == {2: 2, 3: 2, 4: 20, 5: 2, 6: 31, 7: 2, 8: 1536,
                       9: 39, 10: 43, 12: 498}[order]
+    # 902 both, 1,241 neither, 32 hopfcoc-only, and never huq-only
+    assert (verdicts[True, True], verdicts[False, False],
+            verdicts[True, False]) == VERDICTS[order]

@@ -7,7 +7,6 @@ import pytest
 
 import hopfbrace as hb
 import reference_hopf as ref
-from hopfbrace import linalg
 from hopfbrace.hopf import random_element
 
 
@@ -59,7 +58,7 @@ def test_comultiply_counit(H):
 def test_cocommutativity(H):
     rng = random.Random(5)
     for _ in range(20):
-        x = random_element(H, rng, terms=3)
+        x = random_element(H, rng) + random_element(H, rng)
         t = H.comultiply(x)
         assert hb.Tensor2({(j, i): c for (i, j), c in t.items()}) == t
 
@@ -195,8 +194,7 @@ def test_negative_indices_are_refused(H, key):
     for call in (lambda: hb.Element({key: 1}),
                  lambda: H.element({key: 1}),
                  lambda: hb.Tensor2({(key, 0): 1}),
-                 lambda: hb.Tensor2({(0, key): 1}),
-                 lambda: linalg.indicator([0, key])):
+                 lambda: hb.Tensor2({(0, key): 1})):
         with pytest.raises(IndexError):
             call()
 

@@ -51,15 +51,13 @@ def test_sparse_vector_refuses_non_integer_indices(bad):
     with pytest.raises(TypeError):
         v({bad: 1})
     with pytest.raises(TypeError):
-        linalg.indicator([0, bad])
-    with pytest.raises(TypeError):
         span_of_indices([bad], 4)
 
 
-def test_indicator_keys_numpy_integers_as_python_ints():
-    vec = linalg.indicator([np.int64(2), np.uint8(0), 3])
-    assert vec == linalg.indicator([0, 2, 3])
-    assert {type(k) for k in vec.nums} == {int}
+def test_span_of_indices_keys_numpy_integers_as_python_ints():
+    space = span_of_indices([np.int64(2), np.uint8(0), 3], 4)
+    assert space == span_of_indices([0, 2, 3], 4)
+    assert {type(k) for row in space.rows for k in row.nums} == {int}
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, float("nan"), np.float64(2.0),
@@ -106,6 +104,20 @@ def test_nullspace_examples():
     assert space.rows == (v({0: 1, 1: 1}),)
     assert common_nullspace([], 2) == span_of_indices(range(2), 2)
     assert common_nullspace([v({0: 1}), v({1: 1})], 2).dim == 0
+
+
+@pytest.mark.parametrize("ambient, error", [
+    (2.7, TypeError), (2.0, TypeError), (True, TypeError), ("2", TypeError),
+    (None, TypeError), (-1, ValueError)])
+def test_ambient_must_be_a_non_negative_integer(ambient, error):
+    """Before, ``int`` coerced it: ``Subspace(2.7)`` had ambient 2, and
+    ``common_nullspace([], True)`` was a 1-dim space."""
+    for call in (lambda: Subspace(ambient),
+                 lambda: common_nullspace([], ambient),
+                 lambda: span_of_indices([], ambient)):
+        with pytest.raises(error):
+            call()
+    assert type(Subspace(np.int64(3)).ambient) is int
 
 
 def test_contains_space_dimension_mismatch():
@@ -247,10 +259,10 @@ def renormalized(vec):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=40), max_size=12))
-def test_indicator_is_built_canonical(indices):
-    vec = linalg.indicator(indices)
-    assert vec == Element._make(dict.fromkeys(indices, 1), 1)
-    assert vec == Element(dict.fromkeys(indices, 1))
+def test_span_of_indices_is_built_canonical(indices):
+    rows = span_of_indices(indices, 41).rows
+    assert rows == tuple(Element({g: 1}) for g in sorted(set(indices)))
+    assert all(row == renormalized(row) for row in rows)
 
 
 @settings(max_examples=150, deadline=None)

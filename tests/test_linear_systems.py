@@ -21,8 +21,7 @@ import hopfbrace as hb
 import hopfbrace.series as series
 import reference_linalg as ref
 from hopfbrace.hopf import Element
-from hopfbrace.linalg import (Subspace, common_nullspace, indicator,
-                              span_of_indices)
+from hopfbrace.linalg import Subspace, common_nullspace, span_of_indices
 from hopfbrace.skewbrace import validate_skew_brace
 
 
@@ -80,7 +79,7 @@ def reference_coincidence(H):
 def probed_group_likes(space):
     """{g : e_g in space}, one ``contains`` probe per g."""
     return tuple(g for g in range(space.ambient)
-                 if space.contains(indicator([g])))
+                 if space.contains(Element({g: 1})))
 
 
 def assert_read_off_matches_probes(*spaces):

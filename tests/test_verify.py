@@ -197,6 +197,16 @@ def test_verify_suite_dispatch(radical_c4):
         assert hb.verify_suite(H, suite, samples=4).ok
     with pytest.raises(ValueError):
         hb.verify_suite(H, "nonsense")
+    # before, samples=True ran one random check, -1 none, and any
+    # hashable seed seeded the random layer
+    for kwargs, error in (({"samples": True}, TypeError),
+                          ({"samples": 2.0}, TypeError),
+                          ({"samples": -1}, ValueError),
+                          ({"seed": 1.5}, TypeError),
+                          ({"seed": "abc"}, TypeError),
+                          ({"seed": True}, TypeError)):
+        with pytest.raises(error):
+            hb.verify_suite(H, "axioms", **kwargs)
 
 
 def test_verify_all_json_matches_golden(capsys, monkeypatch):
