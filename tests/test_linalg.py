@@ -110,8 +110,8 @@ def test_nullspace_examples():
     (2.7, TypeError), (2.0, TypeError), (True, TypeError), ("2", TypeError),
     (None, TypeError), (-1, ValueError)])
 def test_ambient_must_be_a_non_negative_integer(ambient, error):
-    """Before, ``int`` coerced it: ``Subspace(2.7)`` had ambient 2, and
-    ``common_nullspace([], True)`` was a 1-dim space."""
+    """Typed by ``skewbrace._integer``'s rule, never coerced by ``int``,
+    which would read 2.7 as 2 and True as 1."""
     for call in (lambda: Subspace(ambient),
                  lambda: common_nullspace([], ambient),
                  lambda: span_of_indices([], ambient)):

@@ -197,8 +197,7 @@ def test_verify_suite_dispatch(radical_c4):
         assert hb.verify_suite(H, suite, samples=4).ok
     with pytest.raises(ValueError):
         hb.verify_suite(H, "nonsense")
-    # before, samples=True ran one random check, -1 none, and any
-    # hashable seed seeded the random layer
+    # random.Random would take any hashable seed, and range a bool count
     for kwargs, error in (({"samples": True}, TypeError),
                           ({"samples": 2.0}, TypeError),
                           ({"samples": -1}, ValueError),
