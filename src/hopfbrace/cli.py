@@ -237,8 +237,6 @@ def cmd_verify(args) -> int:
             seed = int(env) if env else DEFAULT_SEED
         except ValueError:
             return _error(f"{SEED_ENV} must be an integer, got {env!r}")
-    if args.max < 1:
-        return _error(f"--max must be at least 1, got {args.max}")
     if args.samples < 0:
         return _error(f"--samples must be non-negative, got {args.samples}")
     if args.all == bool(args.input):
@@ -249,8 +247,7 @@ def cmd_verify(args) -> int:
     for desc, brace in targets:
         H = HopfBrace(brace)
         for suite in suites:
-            report = verify_suite(H, suite, samples=args.samples, seed=seed,
-                                  max_n=args.max)
+            report = verify_suite(H, suite, samples=args.samples, seed=seed)
             entries.append({"brace": desc.name, "suite": suite,
                             "basis_checks": report.basis_checks,
                             "random_checks": report.random_checks,
@@ -313,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"random seed (default {DEFAULT_SEED}, "
                         f"env {SEED_ENV})")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--max", type=int, default=10,
-                   help="series depth for the propositions suite")
     for p in sub.choices.values():
         p.add_argument("--json", action="store_true",
                        help="machine-readable output (deterministic)")

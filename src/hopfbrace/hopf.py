@@ -32,13 +32,19 @@ def _scalar(c) -> tuple[int, int]:
 
 
 def _basis_index(i) -> int:
-    """An element's basis index: an integer by the rule of
-    ``skewbrace._integral``, and not negative, so that no table gather
-    wraps it; the upper bound is each brace's own (``HopfBrace._own``)."""
+    """An element's basis index: an integer by ``skewbrace._integral``'s
+    rule, not negative, so that no gather wraps it; ``_inside`` bounds it."""
     i = _integer(i)
     if i < 0:
         raise IndexError(f"basis index {i} is negative")
     return i
+
+
+def _inside(n: int, *elements) -> None:
+    """The one membership check: each element lies in dimension n."""
+    for x in elements:
+        if x.nums and max(x.nums) >= n:
+            raise IndexError(f"{x} has an index outside dimension {n}")
 
 
 def _normal(nums: dict, den: int) -> tuple[dict, int]:
@@ -162,20 +168,13 @@ class HopfBrace:
         return self.basis(self.base.identity)
 
     def element(self, coeffs) -> Element:
-        el = Element(coeffs)
-        if el.nums and max(el.nums) >= self.dim:
-            raise IndexError("coefficient index out of range")
+        _inside(self.dim, el := Element(coeffs))
         return el
-
-    def _own(self, *elements):
-        for x in elements:
-            if x.nums and max(x.nums) >= self.dim:
-                raise ValueError("element index outside this basis")
 
     # -------------------------------------------------------- bilinear ops
 
     def _bilinear(self, table, x: Element, y: Element) -> Element:
-        self._own(x, y)
+        _inside(self.dim, x, y)
         out = {}
         for g, a in x.nums.items():
             row = table[g]
@@ -203,7 +202,7 @@ class HopfBrace:
 
     def _relabel(self, mapping, x: Element) -> Element:
         """The linear extension of the basis map g -> mapping[g]."""
-        self._own(x)
+        _inside(self.dim, x)
         out = {}
         for g, n in x.nums.items():
             h = int(mapping[g])
@@ -219,11 +218,11 @@ class HopfBrace:
         return self._relabel(self.base.circ.inverses, x)
 
     def counit(self, x: Element) -> Fraction:
-        self._own(x)
+        _inside(self.dim, x)
         return Fraction(sum(x.nums.values()), x.den)
 
     def comultiply(self, x: Element) -> Tensor2:
-        self._own(x)
+        _inside(self.dim, x)
         return Tensor2._make({(g, g): n for g, n in x.nums.items()}, x.den)
 
     def __eq__(self, other):

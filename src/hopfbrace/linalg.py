@@ -13,15 +13,8 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Iterable
 
-from .hopf import Element
+from .hopf import Element, _inside
 from .skewbrace import _indices, _integer
-
-
-def _check(vec: Element, ambient: int) -> Element:
-    """Refuse a vector with an index outside the space."""
-    if vec.nums and max(vec.nums) >= ambient:
-        raise IndexError(f"{vec} outside ambient dimension {ambient}")
-    return vec
 
 
 def _primitive(row: dict[int, int], pivot: int) -> None:
@@ -51,7 +44,8 @@ def _eliminate(rows: Iterable[Element], ambient: int) -> dict[int, dict[int, int
     pivots on its greatest index."""
     basis: dict[int, dict[int, int]] = {}
     for vec in rows:
-        row = dict(_check(vec, ambient).nums)
+        _inside(ambient, vec)
+        row = dict(vec.nums)
         # basis rows are zero at each other's pivots: no pivot is refilled
         for p in [i for i in row if i in basis]:
             _cancel(row, p, basis[p])
@@ -67,17 +61,33 @@ def _eliminate(rows: Iterable[Element], ambient: int) -> dict[int, dict[int, int
 
 
 class Subspace:
-    """Rational subspace of k^ambient with a canonical RREF basis."""
+    """Rational subspace of k^ambient with its canonical RREF basis, which
+    a caller's rows must be; the package's own are, by construction."""
 
     __slots__ = ("ambient", "rows", "_by_pivot")
 
-    def __init__(self, ambient: int, rows: tuple[Element, ...] = ()):
+    def __new__(cls, ambient: int, rows: tuple[Element, ...] = ()):
+        space = cls._canonical(ambient, tuple(rows))
+        rows, by_pivot = space.rows, space._by_pivot
+        _inside(space.ambient, *rows)
+        if (len(by_pivot) != len(rows) or list(by_pivot) != sorted(by_pivot)
+                or any(r.nums[p] != r.den
+                       or by_pivot.keys() & r.nums.keys() != {p}
+                       for p, r in by_pivot.items())):
+            raise ValueError(f"rows {rows} are not a canonical RREF basis")
+        return space
+
+    @classmethod
+    def _canonical(cls, ambient: int, rows: tuple) -> "Subspace":
+        """From rows built as the canonical basis: unchecked."""
         if (ambient := _integer(ambient)) < 0:
             raise ValueError(f"ambient dimension {ambient} is negative")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "_by_pivot",
-                           {min(r.nums): r for r in self.rows})
+        space = object.__new__(cls)
+        object.__setattr__(space, "ambient", ambient)
+        object.__setattr__(space, "rows", rows)
+        object.__setattr__(space, "_by_pivot",
+                           {min(r.nums): r for r in rows if r.nums})
+        return space
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
@@ -93,7 +103,7 @@ class Subspace:
     def contains(self, v: Element) -> bool:
         """v is in the space iff v = sum over pivots p of v[p] * row_p;
         both sides are compared as int numerators over v.den * den."""
-        _check(v, self.ambient)
+        _inside(self.ambient, v)
         used = [(c, row) for p, c in v.nums.items()
                 if (row := self._by_pivot.get(p)) is not None]
         den = lcm(*(row.den for _, row in used))
@@ -139,12 +149,12 @@ def common_nullspace(constraint_rows: Iterable[Element], ambient: int) -> Subspa
         nums = {p: -x * (den // basis[p][p]) for p, x in terms.items()}
         nums[f] = den
         rows.append(Element._make(nums, den))
-    return Subspace(ambient, tuple(rows))
+    return Subspace._canonical(ambient, tuple(rows))
 
 
 def span_of_indices(indices: Iterable[int], ambient: int) -> Subspace:
     """Coordinate subspace spanned by the given basis indices: its unit
     vectors, sorted and distinct, are already the canonical RREF basis."""
-    return Subspace(ambient, tuple(
+    return Subspace._canonical(ambient, tuple(
         Element._canonical({g: 1}, 1)
         for g in sorted(set(_indices(indices, ambient).tolist()))))

@@ -200,7 +200,7 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
     ann_rows = soc_rows + _fiber_rows(st[:, center].T, base.identity)
 
     def solve(rows):            # over the center, then e_i -> e_center[i]
-        return Subspace(n, tuple(Element._canonical(
+        return Subspace._canonical(n, tuple(Element._canonical(
             {center[i]: x for i, x in r.nums.items()}, r.den)
             for r in common_nullspace(rows, len(center)).rows))
 
@@ -307,7 +307,7 @@ def coincidence_report(H: HopfBrace) -> CoincidenceReport:
     label = cols
     while (label != (nxt := label[moves].min(axis=1))).any():
         label = nxt
-    coin_space = Subspace(n, tuple(_fiber_rows(label[:, None], -1)))
+    coin_space = Subspace._canonical(n, tuple(_fiber_rows(label[:, None], -1)))
 
     differ = star_space != coin_space
     sep_star = next((r for r in star_space.rows

@@ -250,13 +250,15 @@ def _rng(seed):
 
 def _run_suite(H: HopfBrace, name: str, samples: int,
                seed: int | None) -> CheckReport:
-    """The identities of one suite, or the one identity of this name, in
-    registry order.  Each lemma clause draws from a fresh ``_rng(seed)``,
-    so that ``verify_star_lemma(H, k)`` reproduces clause k of the lemma
-    suite; the identities of any other suite share one RNG."""
+    """Once ``samples`` and ``seed`` are typed, the propositions, or the
+    identities of one suite or the one of this name, in registry order.
+    Each lemma clause draws from a fresh ``_rng(seed)``, as
+    ``verify_star_lemma(H, k)`` does; the other suites share one RNG."""
     if _integer(samples) < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     seed = None if seed is None else _integer(seed)
+    if name == "propositions":
+        return verify_propositions(H)
     report, rng = CheckReport(), _rng(seed)
     for ident in REGISTRY.values():
         if name in (ident.suite, ident.name):
@@ -298,7 +300,7 @@ def _prop(report, name, ok, witness=None):
         report.violations.append(Violation(name, "proposition", witness))
 
 
-def verify_propositions(H: HopfBrace, max_n: int = 10) -> CheckReport:
+def verify_propositions(H: HopfBrace) -> CheckReport:
     """Every proved structural statement, checked on one brace: series
     normality/strongness, descending chains, the gamma/Huq equality, the
     normality and inclusion facts for socle and annihilator, and the
@@ -306,12 +308,12 @@ def verify_propositions(H: HopfBrace, max_n: int = 10) -> CheckReport:
     report = CheckReport()
     base = H.base
 
-    left = left_series(H, max_n)
+    left = left_series(H)
     for k, term in enumerate(left.terms):
         _prop(report, f"left-term-{k + 1}-strong", term.is_strong(),
               term.carrier)
 
-    right = right_series(H, max_n)
+    right = right_series(H)
     for k, term in enumerate(right.terms):
         direct, via = term.is_normal(), term.is_normal_via_star()
         _prop(report, f"right-term-{k + 1}-normal", direct, term.carrier)
@@ -322,7 +324,7 @@ def verify_propositions(H: HopfBrace, max_n: int = 10) -> CheckReport:
                   right.terms[k - 1].contains(term), term.carrier)
 
     try:
-        gamma = gamma_series(H, max_n)
+        gamma = gamma_series(H)
     except CrossCheckError as exc:
         report.violations.append(Violation("gamma-huq-equality",
                                            "proposition", str(exc)))
@@ -385,9 +387,7 @@ SUITES = ("axioms", "lemma", "structure", "propositions")
 
 
 def verify_suite(H: HopfBrace, suite: str, samples: int = DEFAULT_SAMPLES,
-                 seed: int | None = None, max_n: int = 10) -> CheckReport:
-    if suite == "propositions":
-        return verify_propositions(H, max_n)
-    if suite in SUITES:
-        return _run_suite(H, suite, samples, seed)
-    raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")
+                 seed: int | None = None) -> CheckReport:
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")
+    return _run_suite(H, suite, samples, seed)

@@ -146,6 +146,29 @@ def lambda_maps(table):
     yield from search(extend([None] * n, e, index[tuple(range(n))]))
 
 
+def classes(order):
+    """The skew braces of this order up to isomorphism: the Aut(A)-orbits
+    of ``lambda_maps`` on each group A, where phi sends lambda to the map
+    phi(a) -> phi lambda_a phi^-1.  Two labelled braces on one table are
+    isomorphic iff such a phi joins their lambda maps, so the count needs
+    nothing from the search beyond its output."""
+    count = 0
+    for table in GROUPS[order].values():
+        n, auts = len(table), automorphisms(table)
+        seen = set()
+        for lam in map(tuple, lambda_maps(table)):
+            if lam in seen:
+                continue
+            count += 1
+            for phi in auts:
+                inv = sorted(range(n), key=phi.__getitem__)
+                moved = [None] * n
+                for a, f in enumerate(lam):
+                    moved[phi[a]] = tuple(phi[f[inv[x]]] for x in range(n))
+                seen.add(tuple(moved))
+    return count
+
+
 @cache
 def braces(order):
     """(group name, dot table, circ table) for every labelled skew brace

@@ -135,6 +135,38 @@ MUTANTS = (
            "    if not (args.all or args.input):\n",
            ("tests/test_cli.py::"
             "test_bad_flags_exit_2_with_one_line[argv4-env4]",)),
+    Mutant("membership-off-by-one", "hopf.py",
+           "        if x.nums and max(x.nums) >= n:\n",
+           "        if x.nums and max(x.nums) > n:\n",
+           ("tests/test_hopf.py::test_basis_mismatch_rejected",
+            "tests/test_linalg.py::test_non_canonical_rows_are_refused[0]")),
+    Mutant("propositions-dispatched-before-typing", "verify.py",
+           "    if _integer(samples) < 0:\n",
+           "    if name == \"propositions\":\n"
+           "        return verify_propositions(H)\n"
+           "    if _integer(samples) < 0:\n",
+           ("tests/test_verify.py::test_verify_suite_dispatch",)),
+    Mutant("subspace-canonical-check-dropped", "linalg.py",
+           "            raise ValueError(f\"rows {rows} are not a canonical "
+           "RREF basis\")\n",
+           "            pass\n",
+           ("tests/test_linalg.py::test_non_canonical_rows_are_refused[0]",
+            "tests/test_linear_systems.py::"
+            "test_read_off_takes_only_exact_unit_rows")),
+    Mutant("annihilator-mask-is-the-socle-mask", "series.py",
+           "    ann_mask = soc_mask & fixed.all(axis=0)\n",
+           "    ann_mask = soc_mask\n",
+           ("tests/test_annihilator_centre.py::"
+            "test_huq_central_exactly_inside_the_annihilator[6]",
+            "tests/test_annihilator_centre.py::"
+            "test_upper_annihilator_series_has_the_gamma_length[6]")),
+    Mutant("series-stops-one-step-early", "series.py",
+           "        terms.append(nxt)\n",
+           "        if nxt.is_trivial():\n"
+           "            break\n"
+           "        terms.append(nxt)\n",
+           ("tests/test_annihilator_centre.py::"
+            "test_upper_annihilator_series_has_the_gamma_length[2]",)),
     Mutant("no-op", "verify.py",
            "    if not ok:\n        report.violations.append(",
            "    if not ok:\n        report.violations.append(",

@@ -151,7 +151,7 @@ def test_unreadable_files_exit_2_with_one_line(tmp_path, capsys):
 @pytest.mark.parametrize("argv, env", [
     (["verify", "radical_c4", "--suite", "axioms"], {"HOPFBRACE_SEED": "abc"}),
     (["series", "radical_c4", "--max", "0"], {}),
-    (["verify", "radical_c4", "--suite", "propositions", "--max", "0"], {}),
+    (["verify", "--suite", "propositions"], {}),
     (["verify", "radical_c4", "--suite", "axioms", "--samples", "-1"], {}),
     (["verify", "radical_c4", "--all", "--suite", "axioms", "--samples", "0"],
      {}),
@@ -559,8 +559,12 @@ def test_seed_env_override(capsys, monkeypatch):
 
 
 def test_exit_code_1_on_unknown_suite_rejected():
-    with pytest.raises(SystemExit):
-        main(["verify", "radical_c4", "--suite", "bogus"])
+    # verify has no --max: the series run to their end
+    for argv in (["verify", "radical_c4", "--suite", "bogus"],
+                 ["verify", "radical_c4", "--max", "3"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
 
 
 # The parser is built once per process and reused by every ``main`` call;

@@ -20,6 +20,16 @@ def test_labelled_counts():
     assert sum(len(corpus.braces(n)) for n in ORDERS) == 476
 
 
+def test_class_counts():
+    """The isomorphism classes per order, as Guarnieri-Vendramin 2017
+    (Math. Comp. 86, Table 5.1; OEIS A290444) list them, recalled: the
+    table was not re-read offline.  Unlike the labelled counts above,
+    which pin the search's own output, these catch a search that misses
+    lambda maps."""
+    assert [corpus.classes(n) for n in ORDERS] \
+        == [1, 1, 4, 1, 6, 1, 47, 4, 6, 38]
+
+
 @pytest.mark.parametrize("order", ORDERS)
 def test_every_brace_is_a_skew_brace(order):
     braces = corpus.braces(order)

@@ -154,8 +154,9 @@ def test_hopf_brace_equality(radical_c4, monkeypatch):
 
 def test_basis_mismatch_rejected(H):
     other = hb.HopfBrace(hb.trivial_brace(hb.symmetric_group(3)))
-    with pytest.raises(ValueError):
-        H.dot(H.basis(1), other.basis(5))
+    for g in (4, 5):            # the first index outside, and one more
+        with pytest.raises(IndexError, match="outside dimension 4"):
+            H.dot(H.basis(1), other.basis(g))
 
 
 NON_RATIONALS = [0.1, 2.9, Decimal("0.5"), "3/7", "3", 1 + 0j, None]
@@ -214,7 +215,7 @@ def test_morphism_refuses_indices_outside_the_source(H):
         with pytest.raises(IndexError):
             f(g)
     larger = hb.HopfBrace(hb.trivial_brace(hb.symmetric_group(3)))
-    with pytest.raises(ValueError, match="outside this basis"):
+    with pytest.raises(IndexError, match="outside dimension 4"):
         f(larger.basis(5))
 
 

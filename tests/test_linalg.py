@@ -120,6 +120,25 @@ def test_ambient_must_be_a_non_negative_integer(ambient, error):
     assert type(Subspace(np.int64(3)).ambient) is int
 
 
+@pytest.mark.parametrize("rows", [
+    (v({0: 1, 1: 1}), v({0: 1})),       # spans the plane, not canonically
+    (v({0: 2}),),                       # not 1 at its pivot
+    (v({1: 1}), v({0: 1})),             # pivots out of order
+    (v({0: 1, 1: 3}), v({1: 1})),       # nonzero at another row's pivot
+    (v({0: 1}), v({0: 1})),             # one pivot twice
+    (v({}),),                           # a zero row
+], ids=range(6))
+def test_non_canonical_rows_are_refused(rows):
+    """Equality and ``contains`` read the rows as the canonical basis, so
+    rows that are not would answer wrongly; they are refused instead."""
+    with pytest.raises(ValueError, match="canonical"):
+        Subspace(2, rows)
+    assert Subspace(2, (v({0: 1, 1: Fraction(1, 3)}),)).contains(
+        v({0: 3, 1: 1}))
+    with pytest.raises(IndexError):
+        Subspace(2, (v({2: 1}),))
+
+
 def test_contains_space_dimension_mismatch():
     with pytest.raises(ValueError):
         span_of_indices(range(2), 2).contains_space(

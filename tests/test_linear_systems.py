@@ -270,10 +270,16 @@ def test_read_off_group_likes_match_probes(system):
 
 
 def test_read_off_takes_only_exact_unit_rows(radical_c4):
-    """A row 2 e_g or e_g / 2 is not e_g: the read-off, like ``contains``,
-    takes the rows as the canonical basis, so it finds no group-like in a
-    space given by such rows."""
-    scaled = Subspace(4, (Element({0: 2}), Element({2: Fraction(1, 2)})))
+    """A row 2 e_g or e_g / 2 is not e_g: ``Subspace`` refuses such rows,
+    and the read-off, like ``contains``, takes the rows as the canonical
+    basis, so it finds no group-like in a space planted with them past
+    that check."""
+    rows = (Element({0: 2}), Element({2: Fraction(1, 2)}))
+    with pytest.raises(ValueError, match="canonical"):
+        Subspace(4, rows)
+    scaled = span_of_indices([0, 2], 4)
+    object.__setattr__(scaled, "rows", rows)
+    object.__setattr__(scaled, "_by_pivot", {0: rows[0], 2: rows[1]})
     assert probed_group_likes(scaled) == ()
     assert_read_off_matches_probes(scaled)
     soc = hb.socle_annihilator(hb.HopfBrace(radical_c4))

@@ -43,6 +43,10 @@ def test_not_a_group_names_failing_row():
     bad = [[0, 1], [0, 1]]
     with pytest.raises(hb.NotAGroupError):
         hb.validate_skew_brace(bad, bad)
+    for entry in (2, -1):       # outside [0, n): the Latin check names it
+        with pytest.raises(hb.NotAGroupError, match="row 1 ") as info:
+            hb.FiniteGroup([[0, 1], [1, entry]])
+        assert info.value.witness == (1,)
 
 
 def test_single_entry_mutation_gives_witnessed_group_failure():
@@ -210,6 +214,10 @@ def test_morphism_validation(radical_c4):
     assert carrier(zero.kernel()) == tuple(range(6))
     with pytest.raises(hb.MorphismError):
         hb.BraceMap(radical_c4, c2, [0, 1, 1, 0])
+    # f(e) = f(e)^2 forces f(e) = e: a moved identity fails at (e, e)
+    with pytest.raises(hb.MorphismError, match="dot-homomorphism") as info:
+        hb.BraceMap(radical_c4, c2, [1, 0, 1, 0])
+    assert info.value.witness == (0, 0)
 
 
 def test_opposite_brace_is_valid_for_every_catalog_group():

@@ -61,7 +61,7 @@ def test_propositions_suite(catalog):
 def _break_propositions(monkeypatch):
     """On radical_c4, make every relative commutator the whole brace and
     the gamma series' Huq cross-check fail."""
-    def gamma_series(H, max_n):
+    def gamma_series(H):
         raise hb.CrossCheckError("gamma term 2 differs (planted)")
 
     monkeypatch.setattr(verify, "relative_commutator",
@@ -197,15 +197,18 @@ def test_verify_suite_dispatch(radical_c4):
         assert hb.verify_suite(H, suite, samples=4).ok
     with pytest.raises(ValueError):
         hb.verify_suite(H, "nonsense")
-    # random.Random would take any hashable seed, and range a bool count
+    # random.Random would take any hashable seed, and range a bool count;
+    # the propositions suite, which draws nothing, refuses them too
     for kwargs, error in (({"samples": True}, TypeError),
                           ({"samples": 2.0}, TypeError),
                           ({"samples": -1}, ValueError),
                           ({"seed": 1.5}, TypeError),
                           ({"seed": "abc"}, TypeError),
-                          ({"seed": True}, TypeError)):
-        with pytest.raises(error):
-            hb.verify_suite(H, "axioms", **kwargs)
+                          ({"seed": True}, TypeError),
+                          ({"samples": -3, "seed": "abc"}, ValueError)):
+        for suite in ("axioms", "propositions"):
+            with pytest.raises(error):
+                hb.verify_suite(H, suite, **kwargs)
 
 
 def test_verify_all_json_matches_golden(capsys, monkeypatch):
