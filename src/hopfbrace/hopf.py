@@ -90,6 +90,11 @@ class _Combination:
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        """Copies and pickles rebuild through ``_canonical``, as the
+        default would set the slots that ``__setattr__`` refuses."""
+        return type(self)._canonical, (self.nums, self.den)
+
     @property
     def coeffs(self) -> dict:
         """Key -> nonzero ``Fraction``."""

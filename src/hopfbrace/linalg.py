@@ -92,6 +92,11 @@ class Subspace:
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
 
+    def __reduce__(self):
+        """Copies and pickles rebuild through ``_canonical``, as the
+        default would call ``__new__`` without its arguments."""
+        return Subspace._canonical, (self.ambient, self.rows)
+
     @classmethod
     def row_space(cls, rows: Iterable[Element], ambient: int) -> "Subspace":
         return common_nullspace(common_nullspace(rows, ambient).rows, ambient)
@@ -132,22 +137,31 @@ class Subspace:
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
-def common_nullspace(constraint_rows: Iterable[Element], ambient: int) -> Subspace:
-    """{x : <row, x> = 0 for every constraint row}.  With greatest-index
-    pivots every other entry of a reduced row r_p lies on a free column
-    f < p, so the kernel vectors e_f - sum_p (r_p[f] / r_p[p]) e_p, in order
-    of f, are already the canonical RREF basis."""
-    basis = _eliminate(constraint_rows, ambient)
-    kernel = {f: {} for f in range(ambient) if f not in basis}
+def common_nullspace(constraint_rows: Iterable[Element], unknowns: int,
+                     labels=None, ambient: int | None = None) -> Subspace:
+    """{x : <row, x> = 0 for every constraint row} in k^unknowns, or, given
+    the increasing ``labels`` of the unknowns, its image in k^ambient with
+    unknown i at coordinate labels[i].  With greatest-index pivots every
+    other entry of a reduced row r_p lies on a free column f < p, so the
+    kernel vectors e_f - sum_p (r_p[f] / r_p[p]) e_p, in order of f, are
+    already the canonical RREF basis, and an increasing relabelling keeps
+    them so; a free column that no pivot row touches gives e_f itself."""
+    basis = _eliminate(constraint_rows, unknowns)
+    if labels is None:
+        labels, ambient = range(unknowns), unknowns
+    kernel = {f: {} for f in range(unknowns) if f not in basis}
     for p, row in basis.items():
         for f, x in row.items():
             if f != p:
                 kernel[f][p] = x
     rows = []
     for f, terms in kernel.items():
+        if not terms:
+            rows.append(Element._canonical({labels[f]: 1}, 1))
+            continue
         den = lcm(*(basis[p][p] for p in terms))
-        nums = {p: -x * (den // basis[p][p]) for p, x in terms.items()}
-        nums[f] = den
+        nums = {labels[p]: -x * (den // basis[p][p]) for p, x in terms.items()}
+        nums[labels[f]] = den
         rows.append(Element._make(nums, den))
     return Subspace._canonical(ambient, tuple(rows))
 

@@ -186,29 +186,28 @@ def socle_annihilator(H: HopfBrace) -> SocleData:
     are independent and cross-checked: the group-likes of each space are
     exactly the matching carrier, while a strict inclusion of the span is
     reported rather than asserted away.  Both spaces lie in span{e_z : z
-    central}, so they are solved in the sorted center's coordinates; the
-    embedding back keeps index order, so the bases stay canonical."""
+    central}, so they are solved in the sorted center's coordinates and
+    their kernel rows written in H's labels; that embedding keeps index
+    order, so the bases stay canonical.  The carriers read lambda on
+    generators only: lambda_z is a dot-automorphism, so it is the identity
+    once it fixes S_dot, and the a with lambda_a(z) = z form a
+    circ-subgroup (lambda is a homomorphism from (G, o)), which is the
+    group once it holds S_circ."""
     base, n = H.base, H.dim
     central = base.dot.center()
     center = _nonzero(central).tolist()
-    st = base.star_table
-    fixed = base.lambda_table == np.arange(n)        # lambda_g(b) == b
-    soc_mask = central & fixed.all(axis=1)
-    ann_mask = soc_mask & fixed.all(axis=0)
+    st, lam = base.star_table, base.lambda_table
+    s_dot, s_circ = base.dot.generators, base.circ.generators
+    soc_mask = central & (lam[:, s_dot] == s_dot).all(axis=1)
+    ann_mask = soc_mask & (lam[s_circ] == np.arange(n)).all(axis=0)
 
     soc_rows = _fiber_rows(st[center], base.identity)
     ann_rows = soc_rows + _fiber_rows(st[:, center].T, base.identity)
-
-    def solve(rows):            # over the center, then e_i -> e_center[i]
-        return Subspace._canonical(n, tuple(Element._canonical(
-            {center[i]: x for i, x in r.nums.items()}, r.den)
-            for r in common_nullspace(rows, len(center)).rows))
-
     return _check_group_likes(SocleData(
         socle=Subbrace._of_mask(H, soc_mask),
         annihilator=Subbrace._of_mask(H, ann_mask),
-        socle_space=solve(soc_rows),
-        annihilator_space=solve(ann_rows),
+        socle_space=common_nullspace(soc_rows, len(center), center, n),
+        annihilator_space=common_nullspace(ann_rows, len(center), center, n),
     ))
 
 

@@ -6,21 +6,44 @@ exception: ``FiniteGroup._image``, the table on the cosets of a normal
 subbrace, which ``subobjects.quotient`` hands out only once its
 projection is checked to be a homomorphism for both products (a
 multiplicative surjection from a group makes its image a group, with the
-images of the identity and inverses).  The two cubic laws are checked on
-the n^2 * |S| triples with one entry in a greedy generating set S, and
-still exactly.  Each group builds its S once, for its Light's test, and
-keeps it; the compatibility check reuses the dot group's, and builds
-one only for an ``_image`` group, which is never tested:
+images of the identity and inverses).
+
+One rule: a law quantified over a group is checked on its generating
+set.  Each group keeps a greedy generating set S as a read-only intp
+array, ``FiniteGroup.generators``, built for Light's test, or on first use
+for an ``_image`` group.  The a that satisfy each law below are closed
+under the group's product, so they form a subgroup (a closed nonempty
+subset of a finite group is one), which is the group once it holds S:
 
 - associativity by Light's test: the g with (x.g).y == x.(g.y) for all
-  x, y are closed under products, so it suffices that every g in S passes;
+  x, y are closed under products;
 - compatibility says lambda_a = a^-1 . (a o -) is a dot-endomorphism,
   and an endomorphism is fixed by its values on generators; the law
-  a o (b.c) = (a o b) . a^-1 . (a o c) is a times it, on the same triples.
+  a o (b.c) = (a o b) . a^-1 . (a o c) is a times it, on the same triples
+  (n^2 * |S| of them, still exact);
+- normality of a carrier N, in ``FiniteGroup.is_normal`` and, through
+  ``SkewBrace.normality_table``, ``Subbrace.is_normal``: conjugation is a
+  bijection, so a N a^-1 within N means equal to N, and the a with that
+  are closed under products; so on S_dot for the dot group, on S_circ
+  for the circ group;
+- lambda-stability, hence strongness too, on S_circ: lambda is a
+  homomorphism (G, o) -> Aut(G, .), and each lambda_a is a bijection;
+- the center, in ``FiniteGroup.center``: the centralizer of z is a
+  subgroup;
+- the socle and annihilator masks of ``series.socle_annihilator``:
+  lambda_z is a dot-automorphism, so it is the identity once it fixes
+  S_dot, and the a with lambda_a(z) = z, z's stabilizer under lambda,
+  form a circ-subgroup.
+
+The whole-group sweeps stay where they are the second of two
+independent computations: ``Subbrace.is_normal_via_star``, verify's
+``hopf-center-commutes`` and the linear systems of the socle and
+annihilator spaces.
 
 S leaves out the identity e, which counts as reached from the start: e
-passes both tests unchecked, as a two-sided identity is associative in
-the middle and lambda_a(e) = a^-1 . (a o e) = e.  Light's test finds e
+passes every law above unchecked, as a two-sided identity is associative
+in the middle, lambda_a(e) = a^-1 . (a o e) = e, lambda_e is the
+identity, and e commutes with everything.  Light's test finds e
 first, if there is one, and nothing is refused after it: an associative
 Latin square is a group.  (Take r with a.r = a; each x is y.a, so
 x.r = y.(a.r) = x, and r is a right identity; likewise some l is a left
@@ -32,8 +55,8 @@ Only a rejected pair pays for the full sweep that finds the witness, the
 lexicographically first failing triple, built in blocks of the same
 number of entries by ``_first_bad_tuple``, the one search behind every
 chunked check and every pair and triple witness.  The lambda table is
-built eagerly, for the check; the star table, like the conjugation
-table, on first use.
+built eagerly, for the check; the star, conjugation and normality
+tables on first use.
 
 A carrier is a boolean mask, a sorted tuple only at the API edge:
 ``subgroup_generated``, ``normal_closure``, ``center`` and
@@ -97,6 +120,13 @@ def _generating_set(table, identity: int | None = None) -> list[int]:
             frontier = {rows[x][g] for x in frontier for g in gens} - reached
             reached |= frontier
     return gens
+
+
+def _frozen(arr) -> np.ndarray:
+    """An intp array of ``arr``, read-only like the tables."""
+    arr = np.asarray(arr, dtype=np.intp)
+    arr.setflags(write=False)
+    return arr
 
 
 def _integral(types) -> bool:
@@ -190,7 +220,7 @@ class FiniteGroup:
                                  witness=(a,))
         ident = _nonzero((table == rng).all(axis=1)
                          & (table == rng[:, None]).all(axis=0))
-        gens = _generating_set(table, *ident.tolist())   # Light's test
+        gens = _frozen(_generating_set(table, *ident.tolist()))  # Light's test
         if _first_bad_tuple(
                 lambda lo, hi: (table[table[:, gens[lo:hi]]]
                                 != table[:, table[gens[lo:hi]]]),
@@ -212,13 +242,23 @@ class FiniteGroup:
         self._conj = None
 
     @property
+    def generators(self) -> np.ndarray:
+        """S, the greedy generating set without the identity, as a
+        read-only intp array; built on first use for an ``_image`` group."""
+        if self._gens is None:
+            self._gens = _frozen(_generating_set(self.table, self.identity))
+        return self._gens
+
+    @property
     def conj_table(self) -> np.ndarray:
         """conj_table[a, x] = a x a^-1, built on first use."""
         if self._conj is None:
-            conj = self.table[self.table, self.inverses[:, None]]
-            conj.setflags(write=False)
-            self._conj = conj
+            self._conj = _frozen(self._conj_rows(slice(None)))
         return self._conj
+
+    def _conj_rows(self, a) -> np.ndarray:
+        """The rows ``a`` (indices or a slice) of ``conj_table``, gathered."""
+        return self.table[self.table[a], self.inverses[a, None]]
 
     def mask(self, elems) -> np.ndarray:
         """The boolean carrier mask of caller indices (see ``_indices``)."""
@@ -258,7 +298,10 @@ class FiniteGroup:
         return self._closure(self._mask(self.conj_table[:, self.mask(gens)]))
 
     def center(self) -> np.ndarray:
-        return (self.table == self.table.T).all(axis=1)
+        """The z with z s = s z for every s in S: z's centralizer is a
+        subgroup, so it is the group once it holds S."""
+        s = self.generators
+        return (self.table[:, s] == self.table[s].T).all(axis=1)
 
     def is_subgroup(self, carrier) -> bool:
         mask = self.mask(carrier)
@@ -268,7 +311,7 @@ class FiniteGroup:
         mask = self.mask(carrier)
         c = _nonzero(mask)
         return self._is_subgroup(mask, c) and bool(
-            mask[self.conj_table[:, c]].all())
+            mask[self._conj_rows(self.generators)[:, c]].all())
 
     def _image(self, proj, reps) -> "FiniteGroup":
         """The unvalidated group on the classes of a partition, with class
@@ -279,7 +322,7 @@ class FiniteGroup:
         image.table.setflags(write=False)
         image.inverses.setflags(write=False)
         image.order, image.identity = len(reps), int(proj[self.identity])
-        image._gens = None          # built by SkewBrace, for the dot image only
+        image._gens = None          # built on first use, by ``generators``
         image._conj = None
         return image
 
@@ -346,7 +389,8 @@ class SkewBrace:
     """Two validated group tables on one carrier, sharing an identity,
     with the compatibility law a o (b.c) = (a o b) . a^-1 . (a o c)."""
 
-    __slots__ = ("dot", "circ", "order", "identity", "lambda_table", "_star")
+    __slots__ = ("dot", "circ", "order", "identity", "lambda_table", "_star",
+                 "_normality")
 
     def __init__(self, dot: FiniteGroup, circ: FiniteGroup):
         if dot.order != circ.order:
@@ -357,9 +401,7 @@ class SkewBrace:
         n = dot.order
         d, o = dot.table, circ.table
         lam = d[dot.inverses[:, None], o]                # a^-1 . (a o b)
-        gens = dot._gens                         # lambda_a on generators
-        if gens is None:                         # an untested _image group
-            gens = _generating_set(d, dot.identity)
+        gens = dot.generators                    # lambda_a on generators
         # lambda_a(b.g) != lambda_a(b) . lambda_a(g), for g in gens[lo:hi]
         if _first_bad_tuple(
                 lambda lo, hi: (lam[:, d[:, gens[lo:hi]]]
@@ -378,15 +420,28 @@ class SkewBrace:
         self.identity = dot.identity
         self.lambda_table = lam
         self._star = None
+        self._normality = None
 
     @property
     def star_table(self) -> np.ndarray:
         """star_table[a, b] = lambda_a(b) . b^-1, built on first use."""
         if self._star is None:
-            star = self.dot.table[self.lambda_table, self.dot.inverses[None, :]]
-            star.setflags(write=False)
-            self._star = star
+            self._star = _frozen(
+                self.dot.table[self.lambda_table, self.dot.inverses[None, :]])
         return self._star
+
+    @property
+    def normality_table(self) -> np.ndarray:
+        """The maps whose stable subsets are the normal ones, on generators
+        only, built on first use: lambda_s and x -> s o x o s^-1 for s in
+        S_circ, and x -> s.x.s^-1 for s in S_dot, one row each."""
+        if self._normality is None:
+            s_circ = self.circ.generators
+            self._normality = _frozen(np.concatenate((
+                self.lambda_table[s_circ],
+                self.circ._conj_rows(s_circ),
+                self.dot._conj_rows(self.dot.generators))))
+        return self._normality
 
     def is_trivial(self) -> bool:
         return bool((self.dot.table == self.circ.table).all())

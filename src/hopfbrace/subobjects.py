@@ -9,10 +9,12 @@ caller's indices and that they form a subgroup, on the mask it builds.
 Every subbrace the package builds (closures, commutators, socle,
 annihilator, center, kernel, whole) enters as its carrier mask
 through ``Subbrace._of_mask``, with the same subgroup check and no index
-check.  The predicates are uncached gathers over the mask;
-``_require_normal`` is the one normality guard.  A quotient reads its
-coset leaders as the g with rep[g] == g; nothing here calls numpy's
-``unique``.
+check.  The predicates are gathers over the mask: normality and
+strongness on generators only (the proofs are in ``skewbrace``),
+normality via star over the whole group, as an independent second
+computation; ``_require_normal`` is the one normality guard.  A quotient
+reads its coset leaders as the g with rep[g] == g; nothing here calls
+numpy's ``unique``.
 """
 
 from __future__ import annotations
@@ -61,16 +63,16 @@ class Subbrace:
         return len(self.carrier) == 1
 
     def is_strong(self) -> bool:
-        """Stable under the lambda action of every element."""
-        lam = self.parent.base.lambda_table
-        return bool(self.mask[lam[:, self.elements]].all())
+        """Stable under the lambda action of every element: of S_circ."""
+        base = self.parent.base
+        lam = base.lambda_table[base.circ.generators[:, None], self.elements]
+        return bool(self.mask[lam].all())
 
     def is_normal(self) -> bool:
-        """Definition-based: dot-normal, circ-normal and lambda-stable."""
-        base, c, mask = self.parent.base, self.elements, self.mask
-        return bool(mask[base.dot.conj_table[:, c]].all()
-                    and mask[base.circ.conj_table[:, c]].all()
-                    and mask[base.lambda_table[:, c]].all())
+        """Definition-based: dot-normal, circ-normal and lambda-stable,
+        each on its group's generators."""
+        table = self.parent.base.normality_table
+        return bool(self.mask[table[:, self.elements]].all())
 
     def is_normal_via_star(self) -> bool:
         """Equivalent characterization: dot-normal plus two-sided star absorption."""

@@ -154,7 +154,7 @@ MUTANTS = (
             "tests/test_linear_systems.py::"
             "test_read_off_takes_only_exact_unit_rows")),
     Mutant("annihilator-mask-is-the-socle-mask", "series.py",
-           "    ann_mask = soc_mask & fixed.all(axis=0)\n",
+           "    ann_mask = soc_mask & (lam[s_circ] == np.arange(n)).all(axis=0)\n",
            "    ann_mask = soc_mask\n",
            ("tests/test_annihilator_centre.py::"
             "test_huq_central_exactly_inside_the_annihilator[6]",
@@ -167,6 +167,26 @@ MUTANTS = (
            "        terms.append(nxt)\n",
            ("tests/test_annihilator_centre.py::"
             "test_upper_annihilator_series_has_the_gamma_length[2]",)),
+    Mutant("circ-normality-rows-dropped", "skewbrace.py",
+           "                self.circ._conj_rows(s_circ),\n",
+           "",
+           ("tests/test_generator_checks.py::test_corpus_sample[6]",)),
+    Mutant("lambda-stability-rows-dropped", "skewbrace.py",
+           "                self.lambda_table[s_circ],\n",
+           "",
+           ("tests/test_generator_checks.py::test_corpus_sample[4]",)),
+    Mutant("strongness-on-s-dot", "subobjects.py",
+           "base.lambda_table[base.circ.generators[:, None], self.elements]",
+           "base.lambda_table[base.dot.generators[:, None], self.elements]",
+           ("tests/test_generator_checks.py::test_corpus_sample[8]",)),
+    Mutant("center-without-the-last-generator", "skewbrace.py",
+           "        s = self.generators\n",
+           "        s = self.generators[:-1]\n",
+           ("tests/test_skewbrace.py::test_center",)),
+    Mutant("kernel-unit-row-by-position", "linalg.py",
+           "Element._canonical({labels[f]: 1}, 1)",
+           "Element._canonical({f: 1}, 1)",
+           ("tests/test_series.py::test_socle_of_trivial_brace_is_center",)),
     Mutant("no-op", "verify.py",
            "    if not ok:\n        report.violations.append(",
            "    if not ok:\n        report.violations.append(",

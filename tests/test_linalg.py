@@ -1,3 +1,5 @@
+import copy
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopfbrace as hb
 import reference_linalg as ref
 from hopfbrace import linalg
 from hopfbrace.hopf import Element
@@ -297,3 +300,17 @@ def test_basis_rows_are_built_canonical(system):
                       common_nullspace(system_rows, n)):
             for r in space.rows:
                 assert r == renormalized(r)
+
+
+def test_values_survive_copy_deepcopy_and_pickle(radical_c4):
+    """``Element``, ``Tensor2`` and ``Subspace`` rebuild through their
+    unchecked canonical constructors, and so a whole ``SocleData`` does."""
+    H = hb.HopfBrace(radical_c4)
+    x = H.element({1: Fraction(2, 3), 3: -1})
+    values = [*(H.basis(g) for g in range(4)), x, H.comultiply(x),
+              span_of_indices([0], 2), Subspace.row_space([x], 4),
+              hb.socle_annihilator(H)]
+    for value in values:
+        for copied in (copy.copy(value), copy.deepcopy(value),
+                       pickle.loads(pickle.dumps(value))):
+            assert type(copied) is type(value) and copied == value
