@@ -3,13 +3,16 @@
 Series terms are generated from group-like generator images only, which
 is sound here because every Hopf subalgebra of a group algebra in
 characteristic zero is a subgroup algebra.  The gamma series carries an
-enforced per-step cross-check against the Huq commutator.  The
-abelianisations are quotients by generated subbraces; ``quotient``
-checks, rather than assumes, that these are normal.  Every series term,
-commutator, socle, annihilator and center enters ``Subbrace`` as a
-carrier mask: the dot group's closures and center return masks.  Every
-linear system's rows, and the coincidence orbits, come from one grouping,
-``_fiber_rows``, with no call to numpy's ``unique``.
+enforced per-step cross-check against the Huq commutator, whose
+generator families, like the relative commutator's, are read on the
+generating sets (the rule of ``skewbrace``), while the gamma step sweeps
+the whole group.  The abelianisations are quotients by generated
+subbraces; ``quotient`` checks, rather than assumes, that these are
+normal.  Every series term, commutator, socle, annihilator and center
+enters ``Subbrace`` as a carrier mask: the dot group's closures and
+center return masks.  Every linear system's rows, and the coincidence
+orbits, come from one grouping, ``_fiber_rows``, with no call to numpy's
+``unique``.
 """
 
 from __future__ import annotations
@@ -88,29 +91,54 @@ def gamma_series(H: HopfBrace, max_n: int = 10) -> SeriesResult:
     return result
 
 
+def _commutators(group, c, s) -> np.ndarray:
+    """[i, x] = i.x.i^-1.x^-1 in ``group``, for i in c and x in s."""
+    return group.table[group.conj_table[c[:, None], s], group.inverses[s]]
+
+
 def relative_commutator(I: Subbrace, H: HopfBrace) -> Subbrace:
     """Commutator relative to the plain-Hopf-algebra adjunction: the
     subgroup generated by i*h and all dot-conjugates of h*i, computed as
-    the normal closure of I*H and H*I.  The two are equal: star-lemma-1
-    with first argument i, i*(x.h) = (i*x).x.(i*h).x^-1, gives
-    x.(i*h).x^-1 = (i*x)^-1.(i*(x.h)), so <I*H> is dot-normal, hence so
-    is the generated subgroup, which then contains the normal closure.
-    ``tests/oracle.py`` keeps the definition with the conjugates."""
+    the dot-normal closure N of I*S_dot and S_circ*I, for the generating
+    sets S of ``FiniteGroup.generators``.  Every h is a positive S-word.
+    N holds I*H: by star-lemma-1, i*(x.h) = (i*x).x.(i*h).x^-1, so
+    i*(s.h) lies in N once i*h does.  N holds H*I: lambda_{a o b} =
+    lambda_a lambda_b gives (a o b)*c = (a*(b*c)).(b*c).(a*c), with b*c
+    in the ideal I, so (s o h)*i lies in N once h*i does.  So N is the
+    normal closure of I*H and H*I, which equals the generated subgroup:
+    star-lemma-1 also gives x.(i*h).x^-1 = (i*x)^-1.(i*(x.h)), so <I*H>
+    is dot-normal, hence so is the generated subgroup, which then
+    contains the normal closure.  ``tests/oracle.py`` keeps the
+    definition, over every h and with the conjugates."""
     _require_normal(I, H)
-    st, dot, c = H.base.star_table, H.base.dot, I.elements
-    gens = dot._mask(st[c]) | dot._mask(st[:, c])
+    base, c = H.base, I.elements
+    st, dot = base.star_table, base.dot
+    gens = (dot._mask(st[c[:, None], dot.generators])
+            | dot._mask(st[base.circ.generators[:, None], c]))
     return Subbrace._of_mask(H, dot.normal_closure(_nonzero(gens)))
 
 
 def huq_commutator(I: Subbrace, H: HopfBrace) -> Subbrace:
-    """Huq commutator [I, H]: normal closure of both kinds of commutators
-    together with the one-sided star values."""
+    """Huq commutator [I, H]: the dot-normal closure of [i, h] =
+    i.h.i^-1.h^-1, its circ analogue [i, h]_o and i*h, for i in I and h
+    in H, computed as the dot-normal closure N of [I, S_dot], [I, S_circ]_o
+    and I*S_dot.  N holds I*H, as in ``relative_commutator``, and [I, H],
+    as [i, x.h] = [i, x].x[i, h]x^-1.  N lies in the ideal I.  For m in N,
+    m o x = m.(m*x).x with m*x in N, so N o x = N.x.  For s in S_circ and
+    i in I, i o s = i.(i*s).s lies in N.i.s = N.s.i, and in N o (s o i) =
+    N.(s o i) = N.s.(s*i).i, as [i, s]_o does in N; so N.s.(s*i) = N.s
+    and s*i lies in N.  So N holds S_circ*I, and H*I by the induction of
+    ``relative_commutator``.  Then i o h = i.(i*h).h and h o i =
+    h.(h*i).i lie in N.i.h, as h.i = [h, i].i.h and [h, i] = [i, h]^-1;
+    N is a circ-subgroup (N o N = N.N), so [i, h]_o = (i o h) o
+    (h o i)^-1 lies in N.  ``tests/oracle.py`` keeps the definition over
+    every h."""
     _require_normal(I, H)
     base, c = H.base, I.elements
     dot, circ = base.dot, base.circ
-    gens = (dot._mask(dot.table[dot.conj_table[c], dot.inverses])
-            | dot._mask(circ.table[circ.conj_table[c], circ.inverses])
-            | dot._mask(base.star_table[c]))
+    gens = (dot._mask(_commutators(dot, c, dot.generators))
+            | dot._mask(_commutators(circ, c, circ.generators))
+            | dot._mask(base.star_table[c[:, None], dot.generators]))
     return Subbrace._of_mask(H, dot.normal_closure(_nonzero(gens)))
 
 

@@ -33,12 +33,20 @@ subset of a finite group is one), which is the group once it holds S:
 - the socle and annihilator masks of ``series.socle_annihilator``:
   lambda_z is a dot-automorphism, so it is the identity once it fixes
   S_dot, and the a with lambda_a(z) = z, z's stabilizer under lambda,
-  form a circ-subgroup.
+  form a circ-subgroup;
+- the generator families of ``series.relative_commutator`` and
+  ``series.huq_commutator``, each commutator one dot-normal closure N of
+  them: the h with I*h in N, or with [I, h] in N, are closed under the
+  dot product, and those with h*I in N under the circ product, so I*S_dot,
+  [I, S_dot] and S_circ*I stand for I*H, [I, H] and H*I; [I, S_circ]_o,
+  with the other two Huq families, yields S_circ*I, hence [I, H]_o (the
+  proofs are in those docstrings).
 
 The whole-group sweeps stay where they are the second of two
 independent computations: ``Subbrace.is_normal_via_star``, verify's
-``hopf-center-commutes`` and the linear systems of the socle and
-annihilator spaces.
+``hopf-center-commutes``, the linear systems of the socle and
+annihilator spaces, and the gamma step, ``star_closure_subbrace`` and
+``full_abelianization``, against which the commutators are compared.
 
 S leaves out the identity e, which counts as reached from the start: e
 passes every law above unchecked, as a two-sided identity is associative
@@ -129,6 +137,15 @@ def _frozen(arr) -> np.ndarray:
     return arr
 
 
+def _set_frozen_state(obj, state) -> None:
+    """``__setstate__`` of every class that holds read-only arrays: a copy
+    or an unpickled object keeps its arrays read-only, like the original's."""
+    for name, value in state[1].items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        setattr(obj, name, value)
+
+
 def _integral(types) -> bool:
     """Whether all these types are Python or NumPy integers other than
     bool, which numpy and ``operator.index`` would read as 0 and 1."""
@@ -206,6 +223,7 @@ class FiniteGroup:
     """A finite group as an order x order Cayley table on indices."""
 
     __slots__ = ("table", "order", "identity", "inverses", "_gens", "_conj")
+    __setstate__ = _set_frozen_state
 
     def __init__(self, table):
         table = _as_table(table)
@@ -391,6 +409,7 @@ class SkewBrace:
 
     __slots__ = ("dot", "circ", "order", "identity", "lambda_table", "_star",
                  "_normality")
+    __setstate__ = _set_frozen_state
 
     def __init__(self, dot: FiniteGroup, circ: FiniteGroup):
         if dot.order != circ.order:
@@ -501,6 +520,7 @@ class BraceMap:
     ``BraceMap.__init__`` (span ``skewbrace.validate``)."""
 
     __slots__ = ("images",)
+    __setstate__ = _set_frozen_state
 
     def __init__(self, source: SkewBrace, target: SkewBrace, images):
         try:

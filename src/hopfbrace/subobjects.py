@@ -23,13 +23,15 @@ import numpy as np
 
 from .errors import CrossCheckError, NormalityError
 from .hopf import Element, HopfBrace
-from .skewbrace import BraceMap, SkewBrace, _index, _nonzero
+from .skewbrace import (BraceMap, SkewBrace, _index, _nonzero,
+                        _set_frozen_state)
 
 
 class Subbrace:
     """A subobject of a Hopf brace, backed by a subgroup of the dot-group."""
 
     __slots__ = ("parent", "carrier", "mask")
+    __setstate__ = _set_frozen_state
 
     def __init__(self, parent: HopfBrace, carrier):
         self._adopt(parent, parent.base.dot.mask(carrier))
@@ -110,6 +112,7 @@ class HopfMorphism:
     ``images`` is its read-only int64 array, like the tables."""
 
     __slots__ = ("source", "target", "images")
+    __setstate__ = _set_frozen_state
 
     def __init__(self, source: HopfBrace, target: HopfBrace, images):
         self.images = BraceMap(source.base, target.base, images).images

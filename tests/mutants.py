@@ -100,15 +100,30 @@ MUTANTS = (
            "",
            ("tests/test_hopf.py::test_negative_indices_are_refused[-1]",)),
     Mutant("relative-commutator-without-i-star-h", "series.py",
-           "    gens = dot._mask(st[c]) | dot._mask(st[:, c])\n",
-           "    gens = dot._mask(st[:, c])\n",
+           "    gens = (dot._mask(st[c[:, None], dot.generators])\n"
+           "            | dot._mask(st[base.circ.generators[:, None], c]))\n",
+           "    gens = dot._mask(st[base.circ.generators[:, None], c])\n",
            ("tests/test_series.py::test_relative_commutator_needs_i_star_h",)),
     Mutant("huq-without-circ-commutators", "series.py",
-           "            | dot._mask(circ.table[circ.conj_table[c], "
-           "circ.inverses])\n",
+           "            | dot._mask(_commutators(circ, c, circ.generators))\n",
            "",
            ("tests/test_series.py::"
             "test_huq_commutator_needs_the_circ_commutators",)),
+    Mutant("relative-i-star-s-without-the-last-generator", "series.py",
+           "st[c[:, None], dot.generators]",
+           "st[c[:, None], dot.generators[:-1]]",
+           ("tests/test_corpus.py::"
+            "test_commutators_match_the_oracle_on_every_ideal[8]",)),
+    Mutant("relative-s-star-i-on-s-dot", "series.py",
+           "st[base.circ.generators[:, None], c]",
+           "st[base.dot.generators[:, None], c]",
+           ("tests/test_corpus.py::"
+            "test_commutators_match_the_oracle_on_every_ideal[12]",)),
+    Mutant("huq-circ-commutators-on-s-dot", "series.py",
+           "_commutators(circ, c, circ.generators)",
+           "_commutators(circ, c, dot.generators)",
+           ("tests/test_corpus.py::"
+            "test_commutators_match_the_oracle_on_every_ideal[12]",)),
     Mutant("gamma-step-without-h-star-i", "series.py",
            "        return dot._mask(st[c]) | dot._mask(st[:, c]) "
            "| dot._mask(comm)\n",

@@ -1,7 +1,9 @@
 """The generated corpus of ``tests/corpus.py``: its labelled counts, the
 oracle's verdict on every brace, the series, socle, annihilator and center
-of every brace, and the commutators, gamma series and central-extension
-verdicts against the oracle on every ideal of every brace."""
+of every brace, a file round trip and the basis layer of every verify
+suite on every brace (all 32 random samples too, under ``slow``), and the
+commutators, gamma series and central-extension verdicts against the
+oracle on every ideal of every brace."""
 
 from collections import Counter
 
@@ -50,6 +52,27 @@ def test_series_socle_and_center_match_the_oracle(order):
         assert set(soc.socle.carrier) == oracle.soc_carrier(dot, circ)
         assert set(soc.annihilator.carrier) == oracle.ann_carrier(dot, circ)
         assert set(hb.hopf_center(H).carrier) == oracle.center(dot)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_every_brace_survives_a_file_round_trip(order, tmp_path):
+    path = tmp_path / "brace.json"
+    for name, dot, circ in corpus.braces(order):
+        brace = hb.validate_skew_brace(dot, circ)
+        hb.save_brace(brace, path, name=name)
+        desc, loaded = hb.load_brace(path)
+        assert loaded == brace and desc.name == name
+
+
+@pytest.mark.parametrize("samples", [
+    0, pytest.param(hb.DEFAULT_SAMPLES, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("order", ORDERS)
+def test_every_suite_passes_on_every_brace(order, samples):
+    for _, dot, circ in corpus.braces(order):
+        H = hb.HopfBrace(hb.validate_skew_brace(dot, circ))
+        for suite in hb.SUITES:
+            report = hb.verify_suite(H, suite, samples=samples)
+            assert report.ok and report.basis_checks, (suite, dot, circ)
 
 
 # (hopfcoc, huq) verdicts on H -> H/I: both, neither, hopfcoc-only

@@ -7,8 +7,13 @@ one is compared with the sweep over every element, on every subgroup
 that ``oracle.subgroups`` lists, for the catalog, the braces of
 ``tests/corpus.py`` and the star-abelianization quotient of each: the
 quotient's groups are ``FiniteGroup._image``s, which build their S on
-first use.  Tier-1 takes the catalog and a fixed sample of the corpus;
-the whole corpus runs under ``slow``.
+first use.  The relative and Huq commutators read each generator family
+on S; for every ideal, the normal closure of each family read on S is
+compared with that of the family read on every h, one family at a time:
+the oracle comparison of the commutators sees only their union, in which
+one family can cover another.  Tier-1 takes the catalog and a fixed sample of the
+corpus; the whole corpus, and the family check on the benchmark ladder's
+braces, run under ``slow``.
 """
 
 import numpy as np
@@ -17,6 +22,7 @@ import pytest
 import corpus
 import hopfbrace as hb
 import oracle
+from test_annihilator_centre import LADDER
 
 
 def is_normal_by_loop(table, carrier):
@@ -48,6 +54,38 @@ def assert_generator_checks_are_sweeps(H):
     assert (soc.annihilator.mask == soc.socle.mask & fixed.all(axis=0)).all()
 
 
+def commutator_families(H, c):
+    """The generator families of the two commutators for the ideal with
+    elements c: (name, read on S, read on every h)."""
+    base = H.base
+    dot, circ, st = base.dot, base.circ, base.star_table
+    every = np.arange(H.dim)
+
+    def comm(group, s):                 # [i, s] = i.s.i^-1.s^-1
+        return group.table[group.conj_table[c[:, None], s], group.inverses[s]]
+
+    return (("I*S_dot", st[c[:, None], dot.generators], st[c]),
+            ("S_circ*I", st[circ.generators[:, None], c], st[:, c]),
+            ("[I, S_dot]", comm(dot, dot.generators), comm(dot, every)),
+            ("[I, S_circ]_o", comm(circ, circ.generators), comm(circ, every)))
+
+
+def assert_restricted_families_close_alike(H):
+    """For every ideal I, the dot-normal closure of each family read on S
+    equals that of the family read on every h in H.  ``huq_commutator``
+    proves this for [I, S_circ]_o only together with the other two Huq
+    families; alone, it is checked here, not proved."""
+    dot, circ = H.base.dot.table.tolist(), H.base.circ.table.tolist()
+    for carrier in oracle.subgroups(dot):
+        if not oracle.is_normal_subbrace(dot, circ, carrier):
+            continue
+        c = np.array(sorted(carrier))
+        for name, on_s, on_h in commutator_families(H, c):
+            assert (H.base.dot.normal_closure(on_s.ravel())
+                    == H.base.dot.normal_closure(on_h.ravel())).all(), \
+                (name, carrier)
+
+
 def with_quotients(braces):
     """Each brace's Hopf brace, then its star-abelianization quotient."""
     for brace in braces:
@@ -66,6 +104,7 @@ def corpus_braces(order, picks=None):
 def test_catalog(catalog):
     for H in with_quotients(brace for _, brace in catalog):
         assert_generator_checks_are_sweeps(H)
+        assert_restricted_families_close_alike(H)
 
 
 # Every corpus brace of orders 2-7, 9 and 10, and fixed ones of orders 8
@@ -83,6 +122,7 @@ CORPUS_SAMPLE = {**dict.fromkeys((2, 3, 4, 5, 6, 7, 9, 10)),
 def test_corpus_sample(order):
     for H in with_quotients(corpus_braces(order, CORPUS_SAMPLE[order])):
         assert_generator_checks_are_sweeps(H)
+        assert_restricted_families_close_alike(H)
 
 
 @pytest.mark.slow
@@ -90,3 +130,10 @@ def test_corpus_sample(order):
 def test_whole_corpus(order):
     for H in with_quotients(corpus_braces(order)):
         assert_generator_checks_are_sweeps(H)
+        assert_restricted_families_close_alike(H)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_commutator_families_on_the_ladder(name):
+    assert_restricted_families_close_alike(hb.HopfBrace(LADDER[name][0]()))

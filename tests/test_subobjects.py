@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -226,6 +228,40 @@ def test_morphism_equality_compares_source_target_and_images(C4, H):
     assert zero != hb.HopfMorphism(C4, H, [0] * 4)        # another target
     assert zero != hb.HopfMorphism(H, C4, [0] * 4)        # another source
     assert zero != zero.images and not hasattr(zero, "map")
+
+
+def frozen_arrays(H, B, f):
+    """Every array of a Hopf brace, a subbrace of it and a morphism from
+    it, the lazy ones included, by name."""
+    base = H.base
+    for name in ("dot", "circ"):
+        group = getattr(base, name)
+        for slot in ("table", "inverses", "_gens", "_conj"):
+            yield f"{name}.{slot}", getattr(group, slot)
+    for slot in ("lambda_table", "_star", "_normality"):
+        yield slot, getattr(base, slot)
+    yield "mask", B.mask
+    yield "images", f.images
+
+
+@pytest.mark.parametrize("copier", [
+    copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["deepcopy", "pickle"])
+def test_copies_keep_every_array_read_only(H, copier):
+    """On radical_c4 and on its star-abelianization quotient, whose groups
+    are ``FiniteGroup._image``s, with the lazy tables built first."""
+    Q, pi = hb.star_abelianization(H)
+    for HH, f in ((H, pi), (Q, hb.HopfMorphism.identity(Q))):
+        B = hb.socle_annihilator(HH).socle
+        for group in (HH.base.dot, HH.base.circ):
+            group.generators, group.conj_table
+        HH.base.star_table, HH.base.normality_table
+        copies = copier((HH, B, f))
+        assert copies == (HH, B, f)
+        for (name, arr), (_, orig) in zip(frozen_arrays(*copies),
+                                          frozen_arrays(HH, B, f)):
+            assert arr is not orig and np.array_equal(arr, orig), name
+            assert arr.flags.writeable is False, name
 
 
 def test_oracle_agreement_on_normality(catalog):
