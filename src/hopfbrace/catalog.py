@@ -16,10 +16,10 @@ from itertools import chain, permutations
 import numpy as np
 
 from .errors import BraceFileError
-from .skewbrace import (ORDER_CAP, FiniteGroup, SkewBrace, cyclic_group,
-                        dihedral_group, direct_product, opposite_brace,
-                        product_group, radical_c4_brace, symmetric_group,
-                        trivial_brace, validate_skew_brace)
+from .skewbrace import (ORDER_CAP, FiniteGroup, SkewBrace, _integer,
+                        cyclic_group, dihedral_group, direct_product,
+                        opposite_brace, product_group, radical_c4_brace,
+                        symmetric_group, trivial_brace, validate_skew_brace)
 
 
 @dataclass
@@ -125,16 +125,10 @@ def lookup(name: str) -> tuple[BraceDescriptor, SkewBrace]:
 # ----------------------------------------------------------------- file io
 
 def save_brace(brace: SkewBrace, path, name: str = "brace") -> None:
-    doc = {
-        "name": name,
-        "order": brace.order,
-        "identity": brace.identity,
-        "dot_table": brace.dot.table.tolist(),
-        "circ_table": brace.circ.table.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json({"name": name, "order": brace.order,
+                 "identity": brace.identity,
+                 "dot_table": brace.dot.table.tolist(),
+                 "circ_table": brace.circ.table.tolist()}, path)
 
 
 _INT64 = range(-2**63, 2**63)
@@ -144,6 +138,17 @@ MAX_FILE_BYTES = 8 * 2**20
 # A read allocates the bytes it asks for, so a file is read in two steps:
 # up to this many first, and the rest of the cap only if the file is longer.
 _FIRST_READ = 2**16
+
+
+def _write_json(doc, path) -> None:
+    """Write a brace or map document, whose names must be strings, as
+    ``load_brace`` and ``load_map`` ask."""
+    for key in ("name", "source", "target"):
+        if not isinstance(doc.get(key, ""), str):
+            raise TypeError(f"{key} must be a string, got {doc[key]!r}")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def _read_json(path):
@@ -217,11 +222,8 @@ def load_brace(path) -> tuple[BraceDescriptor, SkewBrace]:
 
 
 def save_map(images, path, source: str = "", target: str = "") -> None:
-    doc = {"source": source, "target": target,
-           "images": [int(i) for i in images]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json({"source": source, "target": target,
+                 "images": [_integer(i) for i in images]}, path)
 
 
 def load_map(path) -> dict:

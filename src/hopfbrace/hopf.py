@@ -3,13 +3,13 @@
 The coalgebra structure is the group-like one (diagonal comultiplication),
 so every Sweedler leg of a basis element is that element and all identity
 checks can be evaluated basis-wise and extended bilinearly.  Scalars are
-exact rationals: ints or other ``numbers.Rational``s; floats, decimals and
-strings are a ``TypeError``.  An element keeps int numerators over one
-positive int denominator (the layout of FLINT's ``fmpq_poly``), normalized
-once per result, so the bilinear products are integer multiply-adds and
-equality compares dicts and ints.  Elements are also the vectors of
-``linalg``: the socle, annihilator and coincidence spaces are subspaces of
-H itself.
+exact rationals: ints or other ``numbers.Rational``s; bools (Python's
+ints too), floats, decimals and strings are a ``TypeError``.  An element
+keeps int numerators over one positive int denominator (the layout of
+FLINT's ``fmpq_poly``), normalized once per result, so the bilinear
+products are integer multiply-adds and equality compares dicts and ints.
+Elements are also the vectors of ``linalg``: the socle, annihilator and
+coincidence spaces are subspaces of H itself.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def _scalar(c) -> tuple[int, int]:
     """An exact scalar as (numerator, positive denominator)."""
     if type(c) is int:
         return c, 1
-    if isinstance(c, Rational):
+    if isinstance(c, Rational) and not isinstance(c, bool):
         return int(c.numerator), int(c.denominator)
     raise TypeError(f"scalars must be exact rationals, "
                     f"got {type(c).__name__} {c!r}")

@@ -9,11 +9,12 @@ multiplicative surjection from a group makes its image a group, with the
 images of the identity and inverses).
 
 One rule: a law quantified over a group is checked on its generating
-set.  Each group keeps a greedy generating set S as a read-only intp
-array, ``FiniteGroup.generators``, built for Light's test, or on first use
-for an ``_image`` group.  The a that satisfy each law below are closed
-under the group's product, so they form a subgroup (a closed nonempty
-subset of a finite group is one), which is the group once it holds S:
+set.  Each group keeps one, S, without the identity, as the read-only
+intp array ``FiniteGroup.generators``: Light's test's greedy S, or for an
+``_image`` group pi(S), the image of its source group's S.  The a that
+satisfy each law below are closed under the group's product, so they form
+a subgroup (a closed nonempty subset of a finite group is one), which is
+the group once it holds S:
 
 - associativity by Light's test: the g with (x.g).y == x.(g.y) for all
   x, y are closed under products;
@@ -56,15 +57,15 @@ first, if there is one, and nothing is refused after it: an associative
 Latin square is a group.  (Take r with a.r = a; each x is y.a, so
 x.r = y.(a.r) = x, and r is a right identity; likewise some l is a left
 one, and l = l.r = r.  If a.b = e = c.a, then c = c.(a.b) = (c.a).b = b.)
-Both checks run over chunks of generators, at most ``_BLOCK`` = 2^17
-entries (n^2 per generator) at a time, up to the first failing chunk:
-one chunk below order ~48, three generators at a time at order 192.
-Only a rejected pair pays for the full sweep that finds the witness, the
-lexicographically first failing triple, built in blocks of the same
-number of entries by ``_first_bad_tuple``, the one search behind every
-chunked check and every pair and triple witness.  The lambda table is
-built eagerly, for the check; the star, conjugation and normality
-tables on first use.
+Both checks go through ``_refuse``: chunks of generators, at most
+``_BLOCK`` = 2^17 entries (n^2 per generator) at a time, up to the first
+failing chunk: one chunk below order ~48, three generators at a time at
+order 192.  Only a rejected input pays for the full sweep that finds the
+witness, the lexicographically first failing triple, built in blocks of
+the same number of entries by ``_first_bad_tuple``, the one search
+behind every chunked check and every pair and triple witness.  The
+lambda table is built eagerly, for the check; the star, conjugation and
+normality tables on first use.
 
 A carrier is a boolean mask, a sorted tuple only at the API edge:
 ``subgroup_generated``, ``normal_closure``, ``center`` and
@@ -219,10 +220,18 @@ def _first_bad_tuple(bad, n: int = 0,
     return None
 
 
+def _refuse(error, law: str, on_gens, everywhere, k: int, n: int) -> None:
+    """Decide a law on the k generators' rows of n^2 entries; if it fails,
+    raise ``error`` with the first failing triple of all n rows."""
+    if _first_bad_tuple(on_gens, k, n * n) is not None:
+        triple = _first_bad_tuple(everywhere, n, n * n)
+        raise error(f"{law} fails at triple {triple}", witness=triple)
+
+
 class FiniteGroup:
     """A finite group as an order x order Cayley table on indices."""
 
-    __slots__ = ("table", "order", "identity", "inverses", "_gens", "_conj")
+    __slots__ = ("table", "order", "identity", "inverses", "generators", "_conj")
     __setstate__ = _set_frozen_state
 
     def __init__(self, table):
@@ -239,15 +248,11 @@ class FiniteGroup:
         ident = _nonzero((table == rng).all(axis=1)
                          & (table == rng[:, None]).all(axis=0))
         gens = _frozen(_generating_set(table, *ident.tolist()))  # Light's test
-        if _first_bad_tuple(
+        _refuse(NotAGroupError, "associativity",
                 lambda lo, hi: (table[table[:, gens[lo:hi]]]
                                 != table[:, table[gens[lo:hi]]]),
-                len(gens), n * n) is not None:
-            triple = _first_bad_tuple(
                 lambda lo, hi: table[table[lo:hi]] != table[lo:hi, table],
-                n, n * n)
-            raise NotAGroupError(f"associativity fails at triple {triple}",
-                                 witness=triple)
+                len(gens), n)
         e = int(ident[0])
         inverses = np.argmax(table == e, axis=1)       # a . a^-1 == e
         table.setflags(write=False)
@@ -256,16 +261,8 @@ class FiniteGroup:
         self.order = n
         self.identity = e
         self.inverses = inverses
-        self._gens = gens
+        self.generators = gens
         self._conj = None
-
-    @property
-    def generators(self) -> np.ndarray:
-        """S, the greedy generating set without the identity, as a
-        read-only intp array; built on first use for an ``_image`` group."""
-        if self._gens is None:
-            self._gens = _frozen(_generating_set(self.table, self.identity))
-        return self._gens
 
     @property
     def conj_table(self) -> np.ndarray:
@@ -340,7 +337,8 @@ class FiniteGroup:
         image.table.setflags(write=False)
         image.inverses.setflags(write=False)
         image.order, image.identity = len(reps), int(proj[self.identity])
-        image._gens = None          # built on first use, by ``generators``
+        gens = image._mask(proj[self.generators])       # pi(S): pi is onto
+        image.generators = _frozen(_nonzero(gens & ~image._mask(image.identity)))
         image._conj = None
         return image
 
@@ -422,16 +420,12 @@ class SkewBrace:
         lam = d[dot.inverses[:, None], o]                # a^-1 . (a o b)
         gens = dot.generators                    # lambda_a on generators
         # lambda_a(b.g) != lambda_a(b) . lambda_a(g), for g in gens[lo:hi]
-        if _first_bad_tuple(
+        _refuse(CompatibilityError, "compatibility",
                 lambda lo, hi: (lam[:, d[:, gens[lo:hi]]]
                                 != d[lam[:, :, None], lam[:, None, gens[lo:hi]]]),
-                len(gens), n * n) is not None:
-            triple = _first_bad_tuple(
                 lambda lo, hi: (lam[lo:hi][:, d]
                                 != d[lam[lo:hi, :, None], lam[lo:hi, None]]),
-                n, n * n)
-            raise CompatibilityError(f"compatibility fails at triple {triple}",
-                                     witness=triple)
+                len(gens), n)
         lam.setflags(write=False)
         self.dot = dot
         self.circ = circ
@@ -513,11 +507,9 @@ def direct_product(b1: SkewBrace, b2: SkewBrace) -> SkewBrace:
 
 class BraceMap:
     """The check that a set map between brace carriers is a homomorphism
-    for both products (hence a brace morphism on group-likes); ``images``
-    is the validated read-only int64 array, like the tables.  The morphism
-    type is ``subobjects.HopfMorphism``, which keeps ``images``; this stays
-    a class only because ``perfbench/tracing.py`` wraps
-    ``BraceMap.__init__`` (span ``skewbrace.validate``)."""
+    for both products, which keeps the read-only int64 ``images``: the base
+    initializer of ``subobjects.HopfMorphism``, a class of its own because
+    ``perfbench/tracing.py`` wraps ``BraceMap.__init__``."""
 
     __slots__ = ("images",)
     __setstate__ = _set_frozen_state

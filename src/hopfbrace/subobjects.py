@@ -106,16 +106,15 @@ def whole_subbrace(H: HopfBrace) -> Subbrace:
     return Subbrace._of_mask(H, np.ones(H.dim, dtype=bool))
 
 
-class HopfMorphism:
-    """Basis map between Hopf braces, checked by ``BraceMap`` to be a
-    homomorphism for both products, hence automatically a coalgebra map.
-    ``images`` is its read-only int64 array, like the tables."""
+class HopfMorphism(BraceMap):
+    """Basis map between Hopf braces, checked by its base ``BraceMap`` to
+    be a homomorphism for both products, hence automatically a coalgebra
+    map.  ``images`` is its read-only int64 array, like the tables."""
 
-    __slots__ = ("source", "target", "images")
-    __setstate__ = _set_frozen_state
+    __slots__ = ("source", "target")
 
     def __init__(self, source: HopfBrace, target: HopfBrace, images):
-        self.images = BraceMap(source.base, target.base, images).images
+        super().__init__(source.base, target.base, images)
         self.source = source
         self.target = target
 

@@ -202,6 +202,38 @@ MUTANTS = (
            "Element._canonical({labels[f]: 1}, 1)",
            "Element._canonical({f: 1}, 1)",
            ("tests/test_series.py::test_socle_of_trivial_brace_is_center",)),
+    Mutant("image-generators-without-the-last", "skewbrace.py",
+           "_nonzero(gens & ~image._mask(image.identity))",
+           "_nonzero(gens & ~image._mask(image.identity))[:-1]",
+           ("tests/test_generator_checks.py::"
+            "test_every_generating_set_generates[2]",)),
+    Mutant("refusal-witness-on-the-generators", "skewbrace.py",
+           "        triple = _first_bad_tuple(everywhere, n, n * n)\n",
+           "        triple = _first_bad_tuple(on_gens, k, n * n)\n",
+           ("tests/test_skewbrace.py::"
+            "test_compatibility_violation_carries_triple",)),
+    Mutant("hopfcoc-reads-only-k-star-a", "extensions.py",
+           "(st[c] != e) | (st[:, c].T != e)",
+           "(st[c] != e)",
+           ("tests/test_kernel_pair.py::test_corpus_sample[6]",)),
+    Mutant("huq-without-k-circ-a", "extensions.py",
+           " | (ka != o[c])",
+           "",
+           ("tests/test_kernel_pair.py::test_corpus_sample[8]",)),
+    Mutant("bool-scalar-accepted", "hopf.py",
+           " and not isinstance(c, bool)",
+           "",
+           ("tests/test_hopf.py::test_non_rational_scalars_are_refused[True]",)),
+    Mutant("map-images-coerced", "catalog.py",
+           "[_integer(i) for i in images]",
+           "[int(i) for i in images]",
+           ("tests/test_catalog.py::"
+            "test_save_map_refuses_what_load_map_refuses[bool]",)),
+    Mutant("writer-names-unchecked", "catalog.py",
+           "        if not isinstance(doc.get(key, \"\"), str):\n",
+           "        if False:\n",
+           ("tests/test_catalog.py::"
+            "test_writers_refuse_a_name_that_is_not_a_string[name]",)),
     Mutant("no-op", "verify.py",
            "    if not ok:\n        report.violations.append(",
            "    if not ok:\n        report.violations.append(",

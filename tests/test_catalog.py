@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import hopfbrace as hb
@@ -151,6 +152,9 @@ def test_map_round_trip(tmp_path):
     doc = hb.load_map(path)
     assert doc["images"] == [0, 1, 0, 1]
     assert doc["source"] == "radical_c4"
+    hb.save_map([np.uint8(0), np.int64(1), -1], path)      # NumPy ints too
+    assert hb.load_map(path) == {"images": [0, 1, -1], "source": "",
+                                 "target": ""}
     bad = tmp_path / "badmap.json"
     bad.write_text("[1,2,3]")
     with pytest.raises(hb.BraceFileError):
@@ -159,3 +163,27 @@ def test_map_round_trip(tmp_path):
         bad.write_text(json.dumps({"images": images}))
         with pytest.raises(hb.BraceFileError):
             hb.load_map(bad)
+
+
+@pytest.mark.parametrize("images", [
+    [0, True, 0, 1], [0, 0.9, 0, 1], [0, 1, 0, "1"],
+    np.array([0, 1, 0, 1], dtype=bool)],
+    ids=["bool", "float", "str", "bool-array"])
+def test_save_map_refuses_what_load_map_refuses(tmp_path, images):
+    """A bool, a float or a string is not written as an index."""
+    path = tmp_path / "map.json"
+    with pytest.raises(TypeError):
+        hb.save_map(images, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("field", ["name", "source", "target"])
+def test_writers_refuse_a_name_that_is_not_a_string(tmp_path, radical_c4,
+                                                    field):
+    path = tmp_path / "out.json"
+    with pytest.raises(TypeError, match=f"{field} must be a string"):
+        if field == "name":
+            hb.save_brace(radical_c4, path, name=5)
+        else:
+            hb.save_map([0, 1, 0, 1], path, **{field: 5})
+    assert not path.exists()

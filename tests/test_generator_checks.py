@@ -2,18 +2,19 @@
 over the whole group.
 
 Normality, strongness, the center and the socle and annihilator masks
-read only the rows of each group's greedy generating set S.  Here each
-one is compared with the sweep over every element, on every subgroup
-that ``oracle.subgroups`` lists, for the catalog, the braces of
+read only the rows of each group's generating set S.  Here each one is
+compared with the sweep over every element, on every subgroup that
+``oracle.subgroups`` lists, for the catalog, the braces of
 ``tests/corpus.py`` and the star-abelianization quotient of each: the
-quotient's groups are ``FiniteGroup._image``s, which build their S on
-first use.  The relative and Huq commutators read each generator family
-on S; for every ideal, the normal closure of each family read on S is
-compared with that of the family read on every h, one family at a time:
-the oracle comparison of the commutators sees only their union, in which
-one family can cover another.  Tier-1 takes the catalog and a fixed sample of the
-corpus; the whole corpus, and the family check on the benchmark ladder's
-braces, run under ``slow``.
+quotient's groups are ``FiniteGroup._image``s, whose S is the image of
+the source group's.  Each S generates its group, on these braces and on
+every quotient of them by an ideal.  The relative and Huq commutators
+read each generator family on S; for every ideal, the normal closure of
+each family read on S is compared with that of the family read on every
+h, one family at a time: the oracle comparison of the commutators sees
+only their union, in which one family can cover another.  Tier-1 takes
+the catalog and a fixed sample of the corpus; the whole corpus, and the
+family check on the benchmark ladder's braces, run under ``slow``.
 """
 
 import numpy as np
@@ -123,6 +124,33 @@ def test_corpus_sample(order):
     for H in with_quotients(corpus_braces(order, CORPUS_SAMPLE[order])):
         assert_generator_checks_are_sweeps(H)
         assert_restricted_families_close_alike(H)
+
+
+def with_every_quotient(H):
+    """H, its star and full abelianizations, and H/N for every ideal N:
+    every quotient's groups are ``FiniteGroup._image``s, whose S is the
+    image pi(S) of the source group's."""
+    yield H
+    yield hb.star_abelianization(H)[0]
+    yield hb.full_abelianization(H)[0]
+    for carrier in oracle.subgroups(H.base.dot.table):
+        N = hb.Subbrace(H, carrier)
+        if N.is_normal():
+            yield hb.quotient(H, N)[0]
+
+
+@pytest.mark.parametrize("order", ["catalog", *sorted(CORPUS_SAMPLE)])
+def test_every_generating_set_generates(order, catalog):
+    """Each group's S generates it and leaves out the identity, on the
+    catalog, the corpus sample and all of their quotients above."""
+    braces = ((brace for _, brace in catalog) if order == "catalog"
+              else corpus_braces(order, CORPUS_SAMPLE[order]))
+    for brace in braces:
+        for Q in with_every_quotient(hb.HopfBrace(brace)):
+            for group in (Q.base.dot, Q.base.circ):
+                s = group.generators
+                assert group.identity not in s
+                assert group._closure(group._mask(s)).all()
 
 
 @pytest.mark.slow

@@ -159,7 +159,8 @@ def test_basis_mismatch_rejected(H):
             H.dot(H.basis(1), other.basis(g))
 
 
-NON_RATIONALS = [0.1, 2.9, Decimal("0.5"), "3/7", "3", 1 + 0j, None]
+NON_RATIONALS = [0.1, 2.9, Decimal("0.5"), "3/7", "3", 1 + 0j, None,
+                 True, False]
 
 
 @pytest.mark.parametrize("value", NON_RATIONALS, ids=repr)
@@ -201,7 +202,8 @@ def test_negative_indices_are_refused(H, key):
 
 
 def test_integer_like_scalars_and_indices_are_exact(H):
-    x = H.element({np.int64(1): np.int64(3), 2: Fraction(6, 4), 3: True})
+    x = H.element({np.int64(1): np.int64(3), 2: Fraction(6, 4),
+                   3: np.uint8(1)})
     assert x == H.element({1: 3, 2: Fraction(3, 2), 3: 1})
     assert all(type(n) is int for n in x.nums.values())
     assert x.coeffs == {1: 3, 2: Fraction(3, 2), 3: 1}

@@ -42,7 +42,7 @@ def test_sparse_vector_takes_pairs_and_any_mapping():
 
 
 def test_sparse_vector_entries_are_fractions_of_ints():
-    x = v({np.int64(1): np.int64(3), 2: True})
+    x = v({np.int64(1): np.int64(3), 2: np.uint8(1)})
     assert x.coeffs == {1: 3, 2: 1}
     for idx, val in x.coeffs.items():
         assert type(idx) is int and type(val) is Fraction

@@ -236,7 +236,7 @@ def frozen_arrays(H, B, f):
     base = H.base
     for name in ("dot", "circ"):
         group = getattr(base, name)
-        for slot in ("table", "inverses", "_gens", "_conj"):
+        for slot in ("table", "inverses", "generators", "_conj"):
             yield f"{name}.{slot}", getattr(group, slot)
     for slot in ("lambda_table", "_star", "_normality"):
         yield slot, getattr(base, slot)
@@ -254,7 +254,7 @@ def test_copies_keep_every_array_read_only(H, copier):
     for HH, f in ((H, pi), (Q, hb.HopfMorphism.identity(Q))):
         B = hb.socle_annihilator(HH).socle
         for group in (HH.base.dot, HH.base.circ):
-            group.generators, group.conj_table
+            group.conj_table
         HH.base.star_table, HH.base.normality_table
         copies = copier((HH, B, f))
         assert copies == (HH, B, f)
