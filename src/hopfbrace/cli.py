@@ -4,11 +4,11 @@ verify.
 Each command computes one results document: ``--json`` prints it,
 byte-identical for a fixed seed, and otherwise the command's renderer
 turns it into a text report ending in a wall-clock ``elapsed:`` line.
-Exit codes: 0 success, 1 verification failure, 2 input/parse error
-(brace and map files are capped at ``catalog.MAX_FILE_BYTES``), and
-``CLOSED_OUTPUT`` (141) for a stdout closed before the output was
-written.  The argument parser is built on the first ``main`` call and
-reused, and each call loads each distinct input once.
+Exit codes: 0 success, 1 verification failure, 2 input/parse error on
+one ``error:`` line, argparse's too (brace and map files are capped at
+``catalog.MAX_FILE_BYTES``), and ``CLOSED_OUTPUT`` (141) for a stdout
+closed before the output was written.  The parser is built on the first
+``main`` call and reused, and each call loads each distinct input once.
 """
 
 from __future__ import annotations
@@ -85,9 +85,9 @@ def _validate_text(doc):
            f"{doc['brace']['order']}")
 
 
-def _series_text(doc, names, max_n):
+def _series_text(doc, names):
     r = doc["results"]
-    yield f"{doc['brace']['name']}: {r['kind']} series (max {max_n})"
+    yield f"{doc['brace']['name']}: {r['kind']} series"
     for term in r["terms"]:
         yield (f"  term {term['index']}: size {term['size']}  carrier "
                f"{_carrier_str(term['carrier'], names)}")
@@ -155,11 +155,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_series(args) -> int:
-    if args.max < 1:
-        return _error(f"--max must be at least 1, got {args.max}")
     desc, brace = resolve(args.input)
     result = {"left": left_series, "right": right_series,
-              "gamma": gamma_series}[args.kind](HopfBrace(brace), args.max)
+              "gamma": gamma_series}[args.kind](HopfBrace(brace))
     terms = [{"index": k + 1, "size": term.dim,
               "carrier": list(term.carrier), "generators": sorted(gens)}
              for k, (term, gens) in enumerate(zip(result.terms,
@@ -167,7 +165,7 @@ def cmd_series(args) -> int:
     doc = _document("series", desc, {"kind": args.kind, "terms": terms,
                                      "stabilized": result.stabilized,
                                      "nil_class": result.nil_class})
-    return _emit(args, doc, _series_text, desc.element_names, args.max)
+    return _emit(args, doc, _series_text, desc.element_names)
 
 
 def cmd_invariants(args) -> int:
@@ -260,8 +258,12 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------------ parser
 
 class _Parser(argparse.ArgumentParser):
-    """argparse drops an OSError from printing help or the version; let
-    one on stdout reach ``main``, like any other failed write there."""
+    """A parse error exits 2 with one ``error:`` line (subparsers are of
+    this class too).  argparse drops an OSError from printing help or the
+    version; let one on stdout reach ``main``, like any failed write."""
+
+    def error(self, message):
+        self.exit(_error(message))
 
     def _print_message(self, message, file=None):
         if file is sys.stdout and message:
@@ -289,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--kind", choices=("left", "right", "gamma"),
                    default="right")
-    p.add_argument("--max", type=int, default=10)
 
     p = sub.add_parser("invariants",
                        help="socle, annihilator, center, abelianisations")

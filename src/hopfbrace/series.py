@@ -12,7 +12,8 @@ normal.  Every series term, commutator, socle, annihilator and center
 enters ``Subbrace`` as a carrier mask: the dot group's closures and
 center return masks.  Every linear system's rows, and the coincidence
 orbits, come from one grouping, ``_fiber_rows``, with no call to numpy's
-``unique``.
+``unique``.  A series ends on a trivial term or a repeat: each step is
+monotone and T_2 lies in T_1 = H, so T_(k+1) lies in T_k (by induction).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import CrossCheckError
 from .hopf import Element, HopfBrace
 from .linalg import Subspace, common_nullspace, span_of_indices
-from .skewbrace import _integer, _nonzero
+from .skewbrace import _nonzero
 from .subobjects import (HopfMorphism, Subbrace, _require_normal,
                          generated_subbrace, quotient, whole_subbrace)
 
@@ -40,39 +41,34 @@ class SeriesResult:
         return [t.dim for t in self.terms]
 
 
-def _run_series(H: HopfBrace, max_n: int, step) -> SeriesResult:
-    if _integer(max_n) < 1:
-        raise ValueError("max_n must be at least 1")
+def _run_series(H: HopfBrace, step) -> SeriesResult:
     terms = [whole_subbrace(H)]
     gens: list[tuple[int, ...]] = [()]
-    stabilized = False
-    while len(terms) < max_n and not terms[-1].is_trivial():
+    while not terms[-1].is_trivial():
         new_gens = _nonzero(step(terms[-1].elements))
         nxt = generated_subbrace(H, new_gens)
         terms.append(nxt)
         gens.append(tuple(new_gens.tolist()))
         if nxt.carrier == terms[-2].carrier:
-            stabilized = True
             break
-    if terms[0].is_trivial():
-        stabilized = True
+    stabilized = len(terms) == 1 or not terms[-1].is_trivial()
     nil_class = len(terms) if terms[-1].is_trivial() else None
     return SeriesResult(terms, gens, stabilized, nil_class)
 
 
-def left_series(H: HopfBrace, max_n: int = 10) -> SeriesResult:
+def left_series(H: HopfBrace) -> SeriesResult:
     """H, H*H, H*(H*H), ...; every term is a strong subbrace."""
     st, dot = H.base.star_table, H.base.dot
-    return _run_series(H, max_n, lambda c: dot._mask(st[:, c]))
+    return _run_series(H, lambda c: dot._mask(st[:, c]))
 
 
-def right_series(H: HopfBrace, max_n: int = 10) -> SeriesResult:
+def right_series(H: HopfBrace) -> SeriesResult:
     """H, H*H, (H*H)*H, ...; every term is a normal subbrace."""
     st, dot = H.base.star_table, H.base.dot
-    return _run_series(H, max_n, lambda c: dot._mask(st[c]))
+    return _run_series(H, lambda c: dot._mask(st[c]))
 
 
-def gamma_series(H: HopfBrace, max_n: int = 10) -> SeriesResult:
+def gamma_series(H: HopfBrace) -> SeriesResult:
     """Lower central series from star values and dot-commutators; each
     step is cross-checked against the Huq commutator with the whole brace."""
     st, dot = H.base.star_table, H.base.dot
@@ -81,7 +77,7 @@ def gamma_series(H: HopfBrace, max_n: int = 10) -> SeriesResult:
         comm = dot.table[dot.conj_table[:, c], dot.inverses[c]]
         return dot._mask(st[c]) | dot._mask(st[:, c]) | dot._mask(comm)
 
-    result = _run_series(H, max_n, step)
+    result = _run_series(H, step)
     for n in range(1, len(result.terms)):
         huq = huq_commutator(result.terms[n - 1], H)
         if huq.carrier != result.terms[n].carrier:
@@ -282,10 +278,10 @@ class NilpotencyReport:
     adjunction_class: int | None   # least n with [H^(n), H] trivial
 
 
-def nilpotency_report(H: HopfBrace, max_n: int = 10) -> NilpotencyReport:
-    left = left_series(H, max_n)
-    right = right_series(H, max_n)
-    gamma = gamma_series(H, max_n)
+def nilpotency_report(H: HopfBrace) -> NilpotencyReport:
+    left = left_series(H)
+    right = right_series(H)
+    gamma = gamma_series(H)
     adjunction_class = None
     for n, term in enumerate(right.terms, start=1):
         if relative_commutator(term, H).is_trivial():

@@ -211,7 +211,9 @@ MUTANTS = (
            "        triple = _first_bad_tuple(everywhere, n, n * n)\n",
            "        triple = _first_bad_tuple(on_gens, k, n * n)\n",
            ("tests/test_skewbrace.py::"
-            "test_compatibility_violation_carries_triple",)),
+            "test_compatibility_violation_carries_triple",
+            "tests/test_skewbrace.py::test_light_test_rejects_when_first_"
+            "bad_middle_is_outside_generators")),
     Mutant("hopfcoc-reads-only-k-star-a", "extensions.py",
            "(st[c] != e) | (st[:, c].T != e)",
            "(st[c] != e)",
@@ -234,6 +236,16 @@ MUTANTS = (
            "        if False:\n",
            ("tests/test_catalog.py::"
             "test_writers_refuse_a_name_that_is_not_a_string[name]",)),
+    Mutant("parse-error-prints-usage", "cli.py",
+           "\n    def error(self, message):\n"
+           "        self.exit(_error(message))\n",
+           "",
+           ("tests/test_cli.py::"
+            "test_bad_flags_exit_2_with_one_line[argv1-env1]",)),
+    Mutant("stabilized-ignores-a-trivial-brace", "series.py",
+           "len(terms) == 1 or not terms[-1].is_trivial()",
+           "not terms[-1].is_trivial()",
+           ("tests/test_series.py::test_every_series_runs_to_its_end",)),
     Mutant("no-op", "verify.py",
            "    if not ok:\n        report.violations.append(",
            "    if not ok:\n        report.violations.append(",
@@ -265,6 +277,13 @@ sys.exit(pytest.main(sys.argv[2:]))
 """
 
 
+def pytest_args(ids) -> list[str]:
+    """pytest's arguments for running ``ids``.  ``-m ""`` clears the
+    ``-m 'not slow'`` of addopts, which would deselect a ``slow`` id
+    without a word, so that it read as a test that did not fail."""
+    return ["-q", "-rf", "--tb=no", "-p", "no:cacheprovider", "-m", "", *ids]
+
+
 def run(mutant: Mutant) -> list[str]:
     """The named tests that fail on this mutant: none if it survives."""
     if not mutant.ids:
@@ -277,8 +296,8 @@ def run(mutant: Mutant) -> list[str]:
         env = {**os.environ, "PYTHONPATH": str(src),
                "PYTHONDONTWRITEBYTECODE": "1"}
         proc = subprocess.run(
-            [sys.executable, "-c", _PYTEST, str(src), "-q", "-rf",
-             "--tb=no", "-p", "no:cacheprovider", *mutant.ids],
+            [sys.executable, "-c", _PYTEST, str(src),
+             *pytest_args(mutant.ids)],
             cwd=ROOT, env=env, capture_output=True, text=True)
     failed = re.findall(r"^FAILED (\S+)", proc.stdout, re.MULTILINE)
     if proc.returncode == 0 or proc.returncode == 1 and failed:

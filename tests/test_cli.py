@@ -155,11 +155,22 @@ def test_unreadable_files_exit_2_with_one_line(tmp_path, capsys):
     (["verify", "radical_c4", "--suite", "axioms", "--samples", "-1"], {}),
     (["verify", "radical_c4", "--all", "--suite", "axioms", "--samples", "0"],
      {}),
+    (["series"], {}),
+    (["verify", "radical_c4", "--samples", "x"], {}),
+    (["series", "radical_c4", "--kind", "bogus"], {}),
+    (["bogus"], {}),
+    (["verify", "--suite"], {}),
 ])
 def test_bad_flags_exit_2_with_one_line(capsys, monkeypatch, argv, env):
+    """A handler refuses by returning 2, the parser by raising
+    SystemExit(2); both print one ``error:`` line and no usage line."""
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    code, out, err = run(capsys, *argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
@@ -254,7 +265,7 @@ seed: 7349   samples: 32
   radical_c4                         propositions ok  (36 basis, 0 random)
 """,
     "series": """\
-radical_c4: right series (max 10)
+radical_c4: right series
   term 1: size 4  carrier [0, 1, 2, 3]  (0, 1, 2, 3)
   term 2: size 2  carrier [0, 2]  (0, 2)
            generators [0, 2]
@@ -572,7 +583,7 @@ def test_exit_code_1_on_unknown_suite_rejected():
 
 def test_reused_parser_restores_series_defaults(capsys):
     _, out, _ = run(capsys, "series", "radical_c4", "--kind", "gamma",
-                    "--max", "2", "--json")
+                    "--json")
     assert json.loads(out)["results"]["kind"] == "gamma"
     _, out, _ = run(capsys, "series", "radical_c4", "--json")
     doc = json.loads(out)["results"]

@@ -5,9 +5,9 @@ The documents are valid ones with fields dropped or replaced by values
 of the wrong type, shape, size or nesting, by int64 edge values, or
 replaced whole by other JSON, undecodable bytes or nesting deeper than
 the parser's recursion limit.  Every call must end in exit 0, 1 or 2
-with no exception other than argparse's ``SystemExit``, and an exit 2
-from a command handler prints nothing on stdout and exactly one
-``error:`` line on stderr.
+with no exception other than argparse's ``SystemExit``, and an exit 2,
+returned by a command handler or raised by the parser, prints nothing on
+stdout and exactly one ``error:`` line on stderr.
 """
 
 import io
@@ -115,9 +115,9 @@ def call(argv):
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:        # argparse: usage error or --help
+        except SystemExit as exc:        # argparse: parse error or --help
             assert exc.code in (0, 2), (argv, exc.code)
-            return exc.code
+            code = exc.code
     assert code in (0, 1, 2), (argv, code)
     if code == 2:
         lines = err.getvalue().split("\n")

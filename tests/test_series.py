@@ -6,7 +6,7 @@ import hopfbrace as hb
 import oracle
 from hopfbrace.hopf import Element
 from hopfbrace.skewbrace import product_group, validate_skew_brace
-from test_linear_systems import factorization_brace
+from test_linear_systems import corpus_braces, factorization_brace
 
 
 def H_of(brace):
@@ -73,14 +73,47 @@ def test_series_term_properties(catalog):
                 assert right.terms[k - 1].contains(term)
 
 
-def test_max_n_truncates(radical_c4):
-    res = hb.right_series(H_of(radical_c4), max_n=2)
-    assert res.sizes() == [4, 2] and res.nil_class is None
-    with pytest.raises(ValueError):
-        hb.left_series(H_of(radical_c4), max_n=0)
-    for max_n in (2.5, 2.0, True):
-        with pytest.raises(TypeError):
-            hb.left_series(H_of(radical_c4), max_n=max_n)
+def prime_factor_count(n):
+    """Omega(n): the prime factors of n, counted with multiplicity."""
+    count, p = 0, 2
+    while n > 1:
+        while n % p == 0:
+            n, count = n // p, count + 1
+        p += 1
+    return count
+
+
+# Every corpus brace of orders 2-7, and fixed ones of orders 8 and 12 by
+# their index in ``corpus.braces`` (those of test_generator_checks).
+SERIES_SAMPLE = {**dict.fromkeys(range(2, 8)),
+                 8: (0, 11, 26, 128, 266, 286), 12: (0, 22, 60, 88)}
+
+
+def test_every_series_runs_to_its_end(catalog):
+    """Each series descends until a term is trivial or repeats the one
+    before, within Omega(n) + 1 terms; it is stabilized exactly when it
+    ends on a repeat or H is trivial, and its nil class is its length when
+    it ends on a trivial term."""
+    braces = [H_of(hb.trivial_brace(hb.cyclic_group(1))),
+              *(H_of(brace) for _, brace in catalog),
+              *(H for order, picks in SERIES_SAMPLE.items()
+                for H in corpus_braces(order, picks))]
+    for H in braces:
+        for series in (hb.left_series, hb.right_series, hb.gamma_series):
+            res = series(H)
+            terms = res.terms
+            assert len(terms) <= prime_factor_count(H.dim) + 1
+            assert all(a.contains(b) for a, b in zip(terms, terms[1:]))
+            assert all(a.carrier != b.carrier
+                       for a, b in zip(terms, terms[1:-1]))
+            repeat = len(terms) > 1 and terms[-1].carrier == terms[-2].carrier
+            assert terms[-1].is_trivial() != repeat
+            assert res.stabilized == (repeat or len(terms) == 1)
+            assert res.nil_class == (None if repeat else len(terms))
+    trivial = braces[0]
+    for series in (hb.left_series, hb.right_series, hb.gamma_series):
+        res = series(trivial)
+        assert (res.sizes(), res.stabilized, res.nil_class) == ([1], True, 1)
 
 
 # ------------------------------------------------------------ commutators
@@ -325,7 +358,7 @@ def test_nilpotency_report_values(radical_c4, opp_s3):
     rep = hb.nilpotency_report(H_of(radical_c4))
     assert (rep.left.nil_class, rep.right.nil_class, rep.gamma.nil_class,
             rep.adjunction_class) == (3, 3, 3, 2)
-    rep = hb.nilpotency_report(H_of(opp_s3), max_n=10)
+    rep = hb.nilpotency_report(H_of(opp_s3))
     assert (rep.left.nil_class, rep.right.nil_class, rep.gamma.nil_class,
             rep.adjunction_class) == (None, None, None, None)
     triv_ab = hb.trivial_brace(hb.cyclic_group(4))

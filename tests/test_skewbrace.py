@@ -446,15 +446,17 @@ def test_validator_agrees_with_oracle_and_plain_sweep(pair):
                    f"compatibility fails at triple {triple}", triple)
 
 
-# x.y = s(x) + y mod 4 for the permutation s = [1, 2, 0, 3] of Z/4: a Latin
-# square, associative only when s is a translation.  The greedy set is
-# S = [0, 3] (0*0 = 1, 1*0 = 2, 2*0 = 0 reach {0, 1, 2}; 3 is added) and the
-# first bad triple (0, 1, 0) has its middle outside S.
-SHIFTED_Z4 = [[(s + y) % 4 for y in range(4)] for s in (1, 2, 0, 3)]
+# x.y = s(x) + y mod 5 for the permutation s = [1, 2, 0, 3, 4] of Z/5: a
+# Latin square, associative only when s is a translation.  The greedy set
+# is S = [0, 3] (0*0 = 1, 1*0 = 2, 2*0 = 0 reach {0, 1, 2}; 3 is added and
+# reaches 4) and the first bad triple (0, 1, 0) has its middle outside S,
+# while the first with its middle in S is (1, 0, 0): a witness read off
+# the generators' rows would be the wrong triple.
+SHIFTED_Z5 = [[(s + y) % 5 for y in range(5)] for s in (1, 2, 0, 3, 4)]
 
 
 def test_light_test_rejects_when_first_bad_middle_is_outside_generators():
-    t, n = SHIFTED_Z4, len(SHIFTED_Z4)
+    t, n = SHIFTED_Z5, len(SHIFTED_Z5)
     gens = _generating_set(np.array(t))
     assert gens == [0, 3]
     bad = [(x, g, y) for x in range(n) for g in range(n) for y in range(n)
@@ -462,7 +464,7 @@ def test_light_test_rejects_when_first_bad_middle_is_outside_generators():
     assert bad[0] == (0, 1, 0) and 1 not in gens
     # Light's test: the passing middles are closed under products, so some
     # middle in a generating set must fail whenever any triple fails
-    assert any(g in gens for _, g, _ in bad)
+    assert next(b for b in bad if b[1] in gens) == (1, 0, 0)
     with pytest.raises(hb.NotAGroupError) as info:
         hb.FiniteGroup(t)
     assert info.value.witness == (0, 1, 0)
