@@ -9,6 +9,7 @@ revalidates, so a file can never smuggle in an invalid brace.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, permutations
@@ -245,11 +246,8 @@ def resolve(name_or_path: str) -> tuple[BraceDescriptor, SkewBrace]:
     if not isinstance(name_or_path, str):
         raise BraceFileError(f"expected a catalog name or file path, got "
                              f"{name_or_path!r}")
-    try:
+    if name_or_path in _catalog():
         return lookup(name_or_path)
-    except KeyError:
-        pass
-    import os
     if os.path.exists(name_or_path):
         return load_brace(name_or_path)
     raise BraceFileError(

@@ -237,7 +237,7 @@ def cmd_verify(args) -> int:
             return _error(f"{SEED_ENV} must be an integer, got {env!r}")
     if args.samples < 0:
         return _error(f"--samples must be non-negative, got {args.samples}")
-    if args.all == bool(args.input):
+    if args.all == (args.input is not None):
         return _error("give a brace or --all, not both")
     targets = builtin_catalog() if args.all else [resolve(args.input)]
     suites = list(SUITES) if args.suite == "all" else [args.suite]

@@ -6,7 +6,7 @@ exception: ``FiniteGroup._image``, the table on the cosets of a normal
 subbrace, which ``subobjects.quotient`` hands out only once its
 projection is checked to be a homomorphism for both products (a
 multiplicative surjection from a group makes its image a group, with the
-images of the identity and inverses).
+images of the identity and inverses).  ``_adopt`` sets every group's state.
 
 One rule: a law quantified over a group is checked on its generating
 set.  Each group keeps one, S, without the identity, as the read-only
@@ -57,26 +57,27 @@ first, if there is one, and nothing is refused after it: an associative
 Latin square is a group.  (Take r with a.r = a; each x is y.a, so
 x.r = y.(a.r) = x, and r is a right identity; likewise some l is a left
 one, and l = l.r = r.  If a.b = e = c.a, then c = c.(a.b) = (c.a).b = b.)
-Both checks go through ``_refuse``: chunks of generators, at most
-``_BLOCK`` = 2^17 entries (n^2 per generator) at a time, up to the first
-failing chunk: one chunk below order ~48, three generators at a time at
-order 192.  Only a rejected input pays for the full sweep that finds the
-witness, the lexicographically first failing triple, built in blocks of
-the same number of entries by ``_first_bad_tuple``, the one search
-behind every chunked check and every pair and triple witness.  The
-lambda table is built eagerly, for the check; the star, conjugation and
-normality tables on first use.
+Each law is one function, which ``_refuse`` reads twice: on chunks of
+generators, at most ``_BLOCK`` = 2^17 entries (n^2 per generator) at a
+time, up to the first failing chunk: one chunk below order ~48, three
+generators at a time at order 192.  Only a rejected input pays for the
+full sweep that finds the witness, the lexicographically first failing
+triple, the law read in blocks of first entries of the same size by
+``_first_bad_tuple``, the one search behind every chunked check and
+every pair and triple witness.  The lambda table is built eagerly, for
+the check; the star, conjugation and normality tables on first use.
 
 A carrier is a boolean mask, a sorted tuple only at the API edge:
 ``subgroup_generated``, ``normal_closure``, ``center`` and
 ``HopfMorphism.kernel`` all return masks.  Caller indices pass one check,
-``_indices``; the package masks its own gathered index arrays (up to
-n^2 entries) unchecked, with ``FiniteGroup._mask``, and reads a mask's
-true entries with ``_nonzero``; it never calls numpy's ``unique``,
-whose first call imports ``numpy.ma``.  A closure is a BFS under right
-multiplication by the generators alone (in a finite group g^-1 is a
-positive power of g), a normal closure one closure of all conjugates of
-the generators, read off the cached table conj_table[a, x] = a x a^-1.
+``_indices``; the package masks its own gathered index arrays (up to n^2
+entries) unchecked, with ``FiniteGroup._mask``, and reads a mask's true
+entries with ``_nonzero``; it never calls numpy's ``unique``, whose first
+call imports ``numpy.ma``.  A closure is a BFS under right multiplication
+by the generators alone (in a finite group g^-1 is a positive power of
+g), a normal closure one closure of all conjugates of the generators,
+read off the cached table conj_table[a, x] = a x a^-1, as are the rows
+of ``is_normal`` and of the normality table.
 """
 
 from __future__ import annotations
@@ -220,12 +221,15 @@ def _first_bad_tuple(bad, n: int = 0,
     return None
 
 
-def _refuse(error, law: str, on_gens, everywhere, k: int, n: int) -> None:
-    """Decide a law on the k generators' rows of n^2 entries; if it fails,
-    raise ``error`` with the first failing triple of all n rows."""
-    if _first_bad_tuple(on_gens, k, n * n) is not None:
-        triple = _first_bad_tuple(everywhere, n, n * n)
-        raise error(f"{law} fails at triple {triple}", witness=triple)
+def _refuse(error, name: str, law, gens, n: int) -> None:
+    """Decide ``law(a, g)``, the mismatch array of the triples with first
+    entry in a and generator-rule entry in g, on the generators; if it
+    fails, raise ``error`` with the lexicographically first failing one."""
+    if _first_bad_tuple(lambda lo, hi: law(slice(None), gens[lo:hi]),
+                        len(gens), n * n) is not None:
+        triple = _first_bad_tuple(
+            lambda lo, hi: law(slice(lo, hi), slice(None)), n, n * n)
+        raise error(f"{name} fails at triple {triple}", witness=triple)
 
 
 class FiniteGroup:
@@ -247,33 +251,31 @@ class FiniteGroup:
                                  witness=(a,))
         ident = _nonzero((table == rng).all(axis=1)
                          & (table == rng[:, None]).all(axis=0))
-        gens = _frozen(_generating_set(table, *ident.tolist()))  # Light's test
+        gens = _frozen(_generating_set(table, *ident.tolist()))
+        # (x.y).z != x.(y.z), for y a generator (Light's test)
         _refuse(NotAGroupError, "associativity",
-                lambda lo, hi: (table[table[:, gens[lo:hi]]]
-                                != table[:, table[gens[lo:hi]]]),
-                lambda lo, hi: table[table[lo:hi]] != table[lo:hi, table],
-                len(gens), n)
-        e = int(ident[0])
-        inverses = np.argmax(table == e, axis=1)       # a . a^-1 == e
+                lambda x, y: table[table[x][:, y]] != table[x][:, table[y]],
+                gens, n)
+        e = int(ident[0])                        # inverses: a . a^-1 == e
+        self._adopt(table, e, np.argmax(table == e, axis=1), gens)
+
+    def _adopt(self, table, identity: int, inverses, generators) -> None:
+        """Freeze and set a group's state, for ``__init__`` and ``_image``."""
         table.setflags(write=False)
         inverses.setflags(write=False)
         self.table = table
-        self.order = n
-        self.identity = e
+        self.order = len(table)
+        self.identity = identity
         self.inverses = inverses
-        self.generators = gens
+        self.generators = generators
         self._conj = None
 
     @property
     def conj_table(self) -> np.ndarray:
         """conj_table[a, x] = a x a^-1, built on first use."""
         if self._conj is None:
-            self._conj = _frozen(self._conj_rows(slice(None)))
+            self._conj = _frozen(self.table[self.table, self.inverses[:, None]])
         return self._conj
-
-    def _conj_rows(self, a) -> np.ndarray:
-        """The rows ``a`` (indices or a slice) of ``conj_table``, gathered."""
-        return self.table[self.table[a], self.inverses[a, None]]
 
     def mask(self, elems) -> np.ndarray:
         """The boolean carrier mask of caller indices (see ``_indices``)."""
@@ -326,20 +328,18 @@ class FiniteGroup:
         mask = self.mask(carrier)
         c = _nonzero(mask)
         return self._is_subgroup(mask, c) and bool(
-            mask[self._conj_rows(self.generators)[:, c]].all())
+            mask[self.conj_table[self.generators[:, None], c]].all())
 
     def _image(self, proj, reps) -> "FiniteGroup":
         """The unvalidated group on the classes of a partition, with class
         map ``proj`` and least elements ``reps``; for ``quotient`` only."""
         image = object.__new__(FiniteGroup)
-        image.table = proj[self.table[np.ix_(reps, reps)]]
-        image.inverses = proj[self.inverses[reps]]
-        image.table.setflags(write=False)
-        image.inverses.setflags(write=False)
-        image.order, image.identity = len(reps), int(proj[self.identity])
-        gens = image._mask(proj[self.generators])       # pi(S): pi is onto
-        image.generators = _frozen(_nonzero(gens & ~image._mask(image.identity)))
-        image._conj = None
+        e = int(proj[self.identity])
+        pi_s = np.zeros(len(reps), dtype=bool)
+        pi_s[proj[self.generators]] = True              # pi(S): pi is onto
+        pi_s[e] = False
+        image._adopt(proj[self.table[np.ix_(reps, reps)]], e,
+                     proj[self.inverses[reps]], _frozen(_nonzero(pi_s)))
         return image
 
     def __eq__(self, other):
@@ -418,14 +418,11 @@ class SkewBrace:
         n = dot.order
         d, o = dot.table, circ.table
         lam = d[dot.inverses[:, None], o]                # a^-1 . (a o b)
-        gens = dot.generators                    # lambda_a on generators
-        # lambda_a(b.g) != lambda_a(b) . lambda_a(g), for g in gens[lo:hi]
+        # lambda_a(b.c) != lambda_a(b) . lambda_a(c), for c a dot generator
         _refuse(CompatibilityError, "compatibility",
-                lambda lo, hi: (lam[:, d[:, gens[lo:hi]]]
-                                != d[lam[:, :, None], lam[:, None, gens[lo:hi]]]),
-                lambda lo, hi: (lam[lo:hi][:, d]
-                                != d[lam[lo:hi, :, None], lam[lo:hi, None]]),
-                len(gens), n)
+                lambda a, c: (lam[a][:, d[:, c]]
+                              != d[lam[a][:, :, None], lam[a][:, None, c]]),
+                dot.generators, n)
         lam.setflags(write=False)
         self.dot = dot
         self.circ = circ
@@ -452,8 +449,8 @@ class SkewBrace:
             s_circ = self.circ.generators
             self._normality = _frozen(np.concatenate((
                 self.lambda_table[s_circ],
-                self.circ._conj_rows(s_circ),
-                self.dot._conj_rows(self.dot.generators))))
+                self.circ.conj_table[s_circ],
+                self.dot.conj_table[self.dot.generators])))
         return self._normality
 
     def is_trivial(self) -> bool:

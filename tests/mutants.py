@@ -146,7 +146,7 @@ MUTANTS = (
            ("tests/test_linalg.py::"
             "test_ambient_must_be_a_non_negative_integer[2.7-TypeError]",)),
     Mutant("verify-brace-and-all-accepted", "cli.py",
-           "    if args.all == bool(args.input):\n",
+           "    if args.all == (args.input is not None):\n",
            "    if not (args.all or args.input):\n",
            ("tests/test_cli.py::"
             "test_bad_flags_exit_2_with_one_line[argv4-env4]",)),
@@ -183,7 +183,7 @@ MUTANTS = (
            ("tests/test_annihilator_centre.py::"
             "test_upper_annihilator_series_has_the_gamma_length[2]",)),
     Mutant("circ-normality-rows-dropped", "skewbrace.py",
-           "                self.circ._conj_rows(s_circ),\n",
+           "                self.circ.conj_table[s_circ],\n",
            "",
            ("tests/test_generator_checks.py::test_corpus_sample[6]",)),
     Mutant("lambda-stability-rows-dropped", "skewbrace.py",
@@ -203,13 +203,13 @@ MUTANTS = (
            "Element._canonical({f: 1}, 1)",
            ("tests/test_series.py::test_socle_of_trivial_brace_is_center",)),
     Mutant("image-generators-without-the-last", "skewbrace.py",
-           "_nonzero(gens & ~image._mask(image.identity))",
-           "_nonzero(gens & ~image._mask(image.identity))[:-1]",
+           "_frozen(_nonzero(pi_s))",
+           "_frozen(_nonzero(pi_s)[:-1])",
            ("tests/test_generator_checks.py::"
             "test_every_generating_set_generates[2]",)),
     Mutant("refusal-witness-on-the-generators", "skewbrace.py",
-           "        triple = _first_bad_tuple(everywhere, n, n * n)\n",
-           "        triple = _first_bad_tuple(on_gens, k, n * n)\n",
+           "lambda lo, hi: law(slice(lo, hi), slice(None)), n, n * n)",
+           "lambda lo, hi: law(slice(None), gens[lo:hi]), len(gens), n * n)",
            ("tests/test_skewbrace.py::"
             "test_compatibility_violation_carries_triple",
             "tests/test_skewbrace.py::test_light_test_rejects_when_first_"
@@ -246,6 +246,21 @@ MUTANTS = (
            "len(terms) == 1 or not terms[-1].is_trivial()",
            "not terms[-1].is_trivial()",
            ("tests/test_series.py::test_every_series_runs_to_its_end",)),
+    Mutant("adopt-leaves-inverses-writable", "skewbrace.py",
+           "        inverses.setflags(write=False)\n",
+           "",
+           ("tests/test_subobjects.py::"
+            "test_certified_quotients_match_validation_and_cosets[radical_c4]",)),
+    Mutant("image-keeps-the-identity", "skewbrace.py",
+           "        pi_s[e] = False\n",
+           "",
+           ("tests/test_generator_checks.py::"
+            "test_every_generating_set_generates[catalog]",)),
+    Mutant("refusal-reads-one-generator-per-chunk", "skewbrace.py",
+           "law(slice(None), gens[lo:hi])",
+           "law(slice(None), gens[lo:hi][:1])",
+           ("tests/test_skewbrace.py::"
+            "test_compatibility_is_decided_on_every_generator",)),
     Mutant("no-op", "verify.py",
            "    if not ok:\n        report.violations.append(",
            "    if not ok:\n        report.violations.append(",

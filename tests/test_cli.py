@@ -160,6 +160,7 @@ def test_unreadable_files_exit_2_with_one_line(tmp_path, capsys):
     (["series", "radical_c4", "--kind", "bogus"], {}),
     (["bogus"], {}),
     (["verify", "--suite"], {}),
+    (["verify", "", "--all", "--suite", "axioms", "--samples", "0"], {}),
 ])
 def test_bad_flags_exit_2_with_one_line(capsys, monkeypatch, argv, env):
     """A handler refuses by returning 2, the parser by raising

@@ -189,10 +189,9 @@ def test_non_integer_indices_are_refused(H, key):
 
 @pytest.mark.parametrize("key", [-1, -4, np.int64(-1)])
 def test_negative_indices_are_refused(H, key):
-    """A negative index is refused when the element is built: before, it
-    passed ``_own``'s upper bound and every gather wrapped it, so on
-    radical_c4 g_-1 dotted with g1 gave g0, its antipode g1, its counit 1
-    and its identity image g3."""
+    """``hopf._basis_index`` refuses a negative index with IndexError when
+    an ``Element`` or ``Tensor2`` is built, directly or through
+    ``HopfBrace.element``, so that no gather wraps it round to the end."""
     for call in (lambda: hb.Element({key: 1}),
                  lambda: H.element({key: 1}),
                  lambda: hb.Tensor2({(key, 0): 1}),

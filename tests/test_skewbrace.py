@@ -71,6 +71,29 @@ def test_compatibility_violation_carries_triple():
     assert info.value.witness == (1, 1, 1)
 
 
+# a cyclic group of order 6 on the carrier of S3: every lambda_a respects
+# the product with S_dot's first generator 1, and fails only with 2
+C6_OVER_S3 = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 5, 4, 0, 1],
+              [3, 2, 4, 5, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]]
+
+
+def test_compatibility_is_decided_on_every_generator():
+    """A decision that read only the first generator of each chunk would
+    accept this pair: below order ~48 all of S_dot is one chunk."""
+    dot = hb.symmetric_group(3).table.tolist()
+    assert oracle.is_group(C6_OVER_S3)
+    assert _generating_set(np.array(dot), 0) == [1, 2]
+    inv = oracle.inverses_of(dot)
+    bad = [(a, b, c) for a in range(6) for b in range(6) for c in range(6)
+           if C6_OVER_S3[a][dot[b][c]]
+           != dot[dot[C6_OVER_S3[a][b]][inv[a]]][C6_OVER_S3[a][c]]]
+    assert bad[0] == (2, 2, 2) and all(c != 1 for _, _, c in bad)
+    with pytest.raises(hb.CompatibilityError) as info:
+        hb.validate_skew_brace(dot, C6_OVER_S3)
+    assert info.value.witness == (2, 2, 2)
+    assert str(info.value) == "compatibility fails at triple (2, 2, 2)"
+
+
 def test_lambda_examples(radical_c4):
     assert radical_c4.lambda_table[1, 1] == 3
     assert all(radical_c4.lambda_table[2, b] == b for b in range(4))
