@@ -186,18 +186,12 @@ def load_brace(path) -> tuple[BraceDescriptor, SkewBrace]:
         if type(doc[fieldname]) is not int:     # bool is not int
             raise BraceFileError(f"{path}: field {fieldname!r} must be an "
                                  f"integer, got {doc[fieldname]!r}")
-        if doc[fieldname] not in _INT64:
-            raise BraceFileError(f"{path}: field {fieldname!r} is outside "
-                                 f"the 64-bit range, got {doc[fieldname]}")
     order, name = doc["order"], doc.get("name", str(path))
-    if order < 1:
-        raise BraceFileError(f"{path}: field 'order' must be positive, "
-                             f"got {order}")
-    if order > ORDER_CAP:
-        raise BraceFileError(f"{path}: field 'order' {order} exceeds the "
-                             f"cap {ORDER_CAP}")
-    if not 0 <= doc["identity"] < order:
-        raise BraceFileError(f"{path}: field 'identity' must be in "
+    if order not in range(1, ORDER_CAP + 1):
+        raise BraceFileError(f"{path}: field 'order' is outside the range "
+                             f"[1, {ORDER_CAP}], got {order}")
+    if doc["identity"] not in range(order):
+        raise BraceFileError(f"{path}: field 'identity' is outside the range "
                              f"[0, {order}), got {doc['identity']}")
     if not isinstance(name, str):
         raise BraceFileError(f"{path}: field 'name' must be a string, "

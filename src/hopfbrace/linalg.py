@@ -14,7 +14,7 @@ from math import gcd, lcm
 from typing import Iterable
 
 from .hopf import Element, _inside
-from .skewbrace import _indices, _integer
+from .skewbrace import _indices, _integer, _integral
 
 
 def _primitive(row: dict[int, int], pivot: int) -> None:
@@ -145,10 +145,21 @@ def common_nullspace(constraint_rows: Iterable[Element], unknowns: int,
     other entry of a reduced row r_p lies on a free column f < p, so the
     kernel vectors e_f - sum_p (r_p[f] / r_p[p]) e_p, in order of f, are
     already the canonical RREF basis, and an increasing relabelling keeps
-    them so; a free column that no pivot row touches gives e_f itself."""
-    basis = _eliminate(constraint_rows, unknowns)
+    them so; a free column that no pivot row touches gives e_f itself.
+    Labels that are not ``unknowns`` strictly increasing indices in
+    [0, ambient) are refused, and so is an ambient without labels."""
     if labels is None:
+        if ambient is not None:
+            raise TypeError("ambient is given without labels")
         labels, ambient = range(unknowns), unknowns
+    else:
+        chain = [-1, *labels, ambient]
+        types = {type(unknowns), *map(type, chain)}
+        if types != {int} and not _integral(types):
+            raise TypeError(f"labels {labels!r} and sizes must be integers")
+        if len(chain) != unknowns + 2 or chain != sorted(set(chain)):
+            raise ValueError(f"{unknowns} labels must rise in [0, {ambient}): {labels!r}")
+    basis = _eliminate(constraint_rows, unknowns)
     kernel = {f: {} for f in range(unknowns) if f not in basis}
     for p, row in basis.items():
         for f, x in row.items():

@@ -68,12 +68,12 @@ every pair and triple witness.  The lambda table is built eagerly, for
 the check; the star, conjugation and normality tables on first use.
 
 A carrier is a boolean mask, a sorted tuple only at the API edge:
-``subgroup_generated``, ``normal_closure``, ``center`` and
-``HopfMorphism.kernel`` all return masks.  Caller indices pass one check,
-``_indices``; the package masks its own gathered index arrays (up to n^2
-entries) unchecked, with ``FiniteGroup._mask``, and reads a mask's true
-entries with ``_nonzero``; it never calls numpy's ``unique``, whose first
-call imports ``numpy.ma``.  A closure is a BFS under right multiplication
+``subgroup_generated``, ``normal_closure`` and ``center`` all return
+masks.  Caller indices pass one check, ``_indices``; the package masks
+its own gathered index arrays (up to n^2 entries) unchecked, with
+``FiniteGroup._mask``, and reads a mask's true entries with
+``_nonzero``; it never calls numpy's ``unique``, whose first call
+imports ``numpy.ma``.  A closure is a BFS under right multiplication
 by the generators alone (in a finite group g^-1 is a positive power of
 g), a normal closure one closure of all conjugates of the generators,
 read off the cached table conj_table[a, x] = a x a^-1, as are the rows
@@ -157,9 +157,9 @@ def _integral(types) -> bool:
 
 def _integer(i) -> int:
     """One caller integer with no range, by the rule of ``_integral``: an
-    index, an identity, a lemma clause, a series length, a ``Subspace``'s
-    ambient dimension, or a suite's sample count or seed."""
-    if not _integral((type(i),)):
+    index, an identity, a lemma clause, a ``Subspace``'s ambient
+    dimension, or a suite's sample count or seed."""
+    if type(i) is not int and not _integral((type(i),)):
         raise TypeError(f"expected an integer, got {i!r}")
     return int(i)
 

@@ -124,10 +124,6 @@ class HopfMorphism(BraceMap):
             return int(self.images[_index(x, self.source.dim)])
         return self.source._relabel(self.images, x)
 
-    def kernel(self) -> np.ndarray:
-        """The mask of the elements sent to the target identity."""
-        return self.images == self.target.base.identity
-
     def is_surjective(self) -> bool:
         return bool(self.target.base.dot._mask(self.images).all())
 
@@ -153,7 +149,7 @@ def _require_normal(B: Subbrace, H: HopfBrace) -> None:
 
 def hopf_kernel(f: HopfMorphism) -> Subbrace:
     """Kernel subobject: group-likes sent to the target identity."""
-    return Subbrace._of_mask(f.source, f.kernel())
+    return Subbrace._of_mask(f.source, f.images == f.target.base.identity)
 
 
 def quotient(H: HopfBrace, B: Subbrace) -> tuple[HopfBrace, HopfMorphism]:

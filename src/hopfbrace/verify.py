@@ -244,26 +244,22 @@ def _check_identity(H: HopfBrace, ident: Identity, rng, samples: int,
                           tuple(repr(a) for a in args)))
 
 
-def _rng(seed):
-    return random.Random(DEFAULT_SEED if seed is None else seed)
-
-
 def _run_suite(H: HopfBrace, name: str, samples: int,
                seed: int | None) -> CheckReport:
     """Once ``samples`` and ``seed`` are typed, the propositions, or the
     identities of one suite or the one of this name, in registry order.
-    Each lemma clause draws from a fresh ``_rng(seed)``, as
+    Each lemma clause draws from a fresh ``random.Random(seed)``, as
     ``verify_star_lemma(H, k)`` does; the other suites share one RNG."""
     if _integer(samples) < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
-    seed = None if seed is None else _integer(seed)
+    seed = DEFAULT_SEED if seed is None else _integer(seed)
     if name == "propositions":
         return verify_propositions(H)
-    report, rng = CheckReport(), _rng(seed)
+    report, rng = CheckReport(), random.Random(seed)
     for ident in REGISTRY.values():
         if name in (ident.suite, ident.name):
             if ident.suite == "lemma":
-                rng = _rng(seed)
+                rng = random.Random(seed)
             _check_identity(H, ident, rng, samples, report)
     return report
 
@@ -279,9 +275,9 @@ def verify_star_lemma(H: HopfBrace, clause: int,
                       samples: int = DEFAULT_SAMPLES,
                       seed: int | None = None) -> CheckReport:
     """One clause (1..4) of the star-product lemma."""
-    if _integer(clause) not in (1, 2, 3, 4):
+    if (name := f"star-lemma-{_integer(clause)}") not in REGISTRY:
         raise ValueError("clause must be 1, 2, 3 or 4")
-    return _run_suite(H, f"star-lemma-{clause}", samples, seed)
+    return _run_suite(H, name, samples, seed)
 
 
 def verify_structure_identities(H: HopfBrace, samples: int = DEFAULT_SAMPLES,
@@ -383,7 +379,7 @@ def verify_propositions(H: HopfBrace) -> CheckReport:
     return report
 
 
-SUITES = ("axioms", "lemma", "structure", "propositions")
+SUITES = (*dict.fromkeys(i.suite for i in REGISTRY.values()), "propositions")
 
 
 def verify_suite(H: HopfBrace, suite: str, samples: int = DEFAULT_SAMPLES,

@@ -60,7 +60,7 @@ MUTANTS = (
             "tests/test_verify.py::test_cli_reports_failing_propositions")),
     Mutant("lemma-clause-not-reseeded", "verify.py",
            "            if ident.suite == \"lemma\":\n"
-           "                rng = _rng(seed)\n",
+           "                rng = random.Random(seed)\n",
            "",
            ("tests/test_verify.py::test_random_layer_seeding_is_pinned",)),
     Mutant("every-identity-reseeded", "verify.py",
@@ -74,7 +74,8 @@ MUTANTS = (
             "test_brace_with_a_smaller_annihilator_matches_the_reference",
             "tests/test_linear_systems.py::"
             "test_corpus_sample_matches_the_reference[6]",
-            "tests/test_linear_systems.py::test_corpus_sample_has_every_kind")),
+            "tests/test_linear_systems.py::test_corpus_sample_has_every_kind",
+            "tests/test_products.py::test_corpus_sample[2-0-12-3]")),
     Mutant("single-min-label-step", "series.py",
            "    while (label != (nxt := label[moves].min(axis=1))).any():\n"
            "        label = nxt\n",
@@ -84,10 +85,11 @@ MUTANTS = (
             "tests/test_linear_systems.py::"
             "test_corpus_sample_matches_the_reference[8]")),
     Mutant("kernel-not-equal", "subobjects.py",
-           "        return self.images == self.target.base.identity\n",
-           "        return self.images != self.target.base.identity\n",
+           "f.images == f.target.base.identity",
+           "f.images != f.target.base.identity",
            ("tests/test_subobjects.py::test_hopf_kernel_examples",
-            "tests/test_skewbrace.py::test_morphism_validation")),
+            "tests/test_skewbrace.py::test_morphism_validation",
+            "tests/test_products.py::test_corpus_sample[2-0-12-3]")),
     Mutant("always-surjective", "subobjects.py",
            "        return bool(self.target.base.dot._mask(self.images).all())\n",
            "        return True\n",
@@ -103,12 +105,15 @@ MUTANTS = (
            "    gens = (dot._mask(st[c[:, None], dot.generators])\n"
            "            | dot._mask(st[base.circ.generators[:, None], c]))\n",
            "    gens = dot._mask(st[base.circ.generators[:, None], c])\n",
-           ("tests/test_series.py::test_relative_commutator_needs_i_star_h",)),
+           ("tests/test_series.py::test_relative_commutator_needs_i_star_h",
+            "tests/test_kernel_pair.py::"
+            "test_corpus_sample_commutators_are_least_central[6]")),
     Mutant("huq-without-circ-commutators", "series.py",
            "            | dot._mask(_commutators(circ, c, circ.generators))\n",
            "",
            ("tests/test_series.py::"
-            "test_huq_commutator_needs_the_circ_commutators",)),
+            "test_huq_commutator_needs_the_circ_commutators",
+            "tests/test_products.py::test_corpus_sample[2-0-12-3]")),
     Mutant("relative-i-star-s-without-the-last-generator", "series.py",
            "st[c[:, None], dot.generators]",
            "st[c[:, None], dot.generators[:-1]]",
@@ -118,22 +123,29 @@ MUTANTS = (
            "st[base.circ.generators[:, None], c]",
            "st[base.dot.generators[:, None], c]",
            ("tests/test_corpus.py::"
-            "test_commutators_match_the_oracle_on_every_ideal[12]",)),
+            "test_commutators_match_the_oracle_on_every_ideal[12]",
+            "tests/test_kernel_pair.py::"
+            "test_corpus_sample_commutators_are_least_central[12]")),
     Mutant("huq-circ-commutators-on-s-dot", "series.py",
            "_commutators(circ, c, circ.generators)",
            "_commutators(circ, c, dot.generators)",
            ("tests/test_corpus.py::"
-            "test_commutators_match_the_oracle_on_every_ideal[12]",)),
+            "test_commutators_match_the_oracle_on_every_ideal[12]",
+            "tests/test_kernel_pair.py::"
+            "test_corpus_sample_commutators_are_least_central[12]",
+            "tests/test_products.py::test_corpus_sample[2-0-12-3]")),
     Mutant("gamma-step-without-h-star-i", "series.py",
            "        return dot._mask(st[c]) | dot._mask(st[:, c]) "
            "| dot._mask(comm)\n",
            "        return dot._mask(st[c]) | dot._mask(comm)\n",
-           ("tests/test_series.py::test_gamma_series_needs_h_star_i",)),
+           ("tests/test_series.py::test_gamma_series_needs_h_star_i",
+            "tests/test_products.py::test_corpus_sample[2-0-12-3]")),
     Mutant("gamma-step-without-i-star-h", "series.py",
            "        return dot._mask(st[c]) | dot._mask(st[:, c]) "
            "| dot._mask(comm)\n",
            "        return dot._mask(st[:, c]) | dot._mask(comm)\n",
-           ("tests/test_series.py::test_gamma_series_needs_i_star_h",)),
+           ("tests/test_series.py::test_gamma_series_needs_i_star_h",
+            "tests/test_products.py::test_corpus_sample[8-11-12-21]")),
     Mutant("samples-unchecked", "verify.py",
            "    if _integer(samples) < 0:\n"
            "        raise ValueError(f\"samples must be non-negative, "
@@ -174,14 +186,16 @@ MUTANTS = (
            ("tests/test_annihilator_centre.py::"
             "test_huq_central_exactly_inside_the_annihilator[6]",
             "tests/test_annihilator_centre.py::"
-            "test_upper_annihilator_series_has_the_gamma_length[6]")),
+            "test_upper_annihilator_series_has_the_gamma_length[6]",
+            "tests/test_products.py::test_corpus_sample[2-0-12-3]")),
     Mutant("series-stops-one-step-early", "series.py",
            "        terms.append(nxt)\n",
            "        if nxt.is_trivial():\n"
            "            break\n"
            "        terms.append(nxt)\n",
            ("tests/test_annihilator_centre.py::"
-            "test_upper_annihilator_series_has_the_gamma_length[2]",)),
+            "test_upper_annihilator_series_has_the_gamma_length[2]",
+            "tests/test_products.py::test_corpus_sample[2-0-12-3]")),
     Mutant("circ-normality-rows-dropped", "skewbrace.py",
            "                self.circ.conj_table[s_circ],\n",
            "",
@@ -197,11 +211,13 @@ MUTANTS = (
     Mutant("center-without-the-last-generator", "skewbrace.py",
            "        s = self.generators\n",
            "        s = self.generators[:-1]\n",
-           ("tests/test_skewbrace.py::test_center",)),
+           ("tests/test_skewbrace.py::test_center",
+            "tests/test_products.py::test_corpus_sample[3-0-10-3]")),
     Mutant("kernel-unit-row-by-position", "linalg.py",
            "Element._canonical({labels[f]: 1}, 1)",
            "Element._canonical({f: 1}, 1)",
-           ("tests/test_series.py::test_socle_of_trivial_brace_is_center",)),
+           ("tests/test_series.py::test_socle_of_trivial_brace_is_center",
+            "tests/test_products.py::test_corpus_sample[3-0-10-3]")),
     Mutant("image-generators-without-the-last", "skewbrace.py",
            "_frozen(_nonzero(pi_s))",
            "_frozen(_nonzero(pi_s)[:-1])",
@@ -261,6 +277,20 @@ MUTANTS = (
            "law(slice(None), gens[lo:hi][:1])",
            ("tests/test_skewbrace.py::"
             "test_compatibility_is_decided_on_every_generator",)),
+    Mutant("order-range-without-the-cap", "catalog.py",
+           "range(1, ORDER_CAP + 1)",
+           "range(1, 2**63)",
+           ("tests/test_cli.py::test_order_above_the_cap_is_a_parse_error",)),
+    Mutant("identity-range-one-past-the-carrier", "catalog.py",
+           "range(order)",
+           "range(order + 1)",
+           ("tests/test_cli.py::"
+            "test_identity_outside_the_carrier_is_a_parse_error[4]",)),
+    Mutant("nullspace-labels-unchecked", "linalg.py",
+           "        if len(chain) != unknowns + 2 or chain != sorted(set(chain)):\n",
+           "        if False:\n",
+           ("tests/test_linalg.py::test_nullspace_labels_are_checked[decreasing]",
+            "tests/test_linalg.py::test_nullspace_labels_are_checked[outside]")),
     Mutant("no-op", "verify.py",
            "    if not ok:\n        report.violations.append(",
            "    if not ok:\n        report.violations.append(",

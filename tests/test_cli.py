@@ -378,7 +378,8 @@ def test_non_positive_order_is_a_parse_error(tmp_path, order):
     path.write_text(json.dumps({"name": "x", "order": order, "identity": 0,
                                 "dot_table": [], "circ_table": []}))
     line = parse_error_in_child("validate", str(path))
-    assert f"field 'order' must be positive, got {order}" in line
+    assert (f"field 'order' is outside the range [1, {ORDER_CAP}], "
+            f"got {order}" in line)
 
 
 @pytest.mark.parametrize("identity", [5, 4, -1])
@@ -389,7 +390,8 @@ def test_identity_outside_the_carrier_is_a_parse_error(tmp_path, radical_c4,
                                 "dot_table": radical_c4.dot.table.tolist(),
                                 "circ_table": radical_c4.circ.table.tolist()}))
     line = parse_error_in_child("validate", str(path))
-    assert f"field 'identity' must be in [0, 4), got {identity}" in line
+    assert (f"field 'identity' is outside the range [0, 4), got {identity}"
+            in line)
 
 
 def test_order_above_the_cap_is_a_parse_error(tmp_path):
@@ -399,7 +401,8 @@ def test_order_above_the_cap_is_a_parse_error(tmp_path):
     path.write_text(json.dumps({"name": "C250", "order": n, "identity": 0,
                                 "dot_table": cyclic, "circ_table": cyclic}))
     line = parse_error_in_child("validate", str(path))
-    assert f"field 'order' {n} exceeds the cap {ORDER_CAP}" in line
+    assert (f"field 'order' is outside the range [1, {ORDER_CAP}], got {n}"
+            in line)
 
 
 def pad_to(path, size):

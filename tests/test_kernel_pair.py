@@ -15,13 +15,22 @@ cocommutative Hopf algebras, this is the hopfcoc verdict of
 ``analyze_extension``; with ``full_abelianization``, onto commutative
 cocommutative ones, the Huq verdict.
 
+The same square defines the commutators: [K, A] relative to a reflector
+is the least ideal N inside the ideal K for which A/N -> A/K is central
+(Everaert-Gran-Van der Linden 2008, Adv. Math. 217).  So the least
+central N is ``relative_commutator(K, A)`` for ``star_abelianization``
+and ``huq_commutator(K, A)`` for ``full_abelianization``, the abstract's
+closing claim; K runs over every ideal, not only the series terms.
+
 The two sides share only the abelianizations: ``analyze_extension`` reads
 star, dot and circ gathers on K x A, while here R[f] is a new brace of
 order |A|.|K|, built as tables and checked by ``validate_skew_brace``,
 and the square is a pullback iff r -> (pi_1(r), eta_R(r)) is a bijection
 onto A x_{I(A)} I(R[f]).  Tier-1 runs the catalog extensions with
 |A|.|K| <= ORDER_CAP and a fixed corpus sample that holds every verdict
-pair; the whole corpus runs under ``slow``.
+pair; the whole corpus runs under ``slow``.  The commutator checks run
+on the same braces and one more order-12 brace; on the catalog they keep
+the (K, N) with |A/N|.|K/N| <= ORDER_CAP.
 """
 
 from collections import Counter
@@ -35,6 +44,7 @@ import oracle
 from hopfbrace.skewbrace import ORDER_CAP
 
 REFLECTORS = (hb.star_abelianization, hb.full_abelianization)
+COMMUTATORS = (hb.relative_commutator, hb.huq_commutator)
 
 
 def kernel_pair(f):
@@ -129,3 +139,81 @@ def test_corpus_sample_has_every_verdict_pair():
 @pytest.mark.parametrize("order", sorted(corpus.GROUPS))
 def test_whole_corpus(order):
     assert corpus_verdicts(order) == VERDICTS[order]
+
+
+# ------------------------------------- commutators as least central ideals
+
+def least_central(H, bound=None):
+    """For each ideal K of H and each reflector, the ideals N inside K
+    for which H/N -> H/K is central, among those with |H/N|.|K/N| <=
+    ``bound`` if one is given, are exactly those that hold the matching
+    commutator [K, H]; when no N inside K is left out, [K, H] is their
+    least element.  Returns the number of (K, N) pairs and of K with
+    every N inside it kept."""
+    ideals = [N for N in (hb.Subbrace(H, c)
+                          for c in oracle.subgroups(H.base.dot.table))
+              if N.is_normal()]
+    quotients = {N.carrier: hb.quotient(H, N) for N in ideals}
+    pairs = whole = 0
+    for K in ideals:
+        inside = [N for N in ideals if K.contains(N)]
+        kept = [N for N in inside if bound is None
+                or (H.dim // N.dim) * (K.dim // N.dim) <= bound]
+        QK, pi_K = quotients[K.carrier]
+        maps = []                                   # H/N -> H/K
+        for N in kept:
+            QN, pi_N = quotients[N.carrier]
+            images = np.empty(QN.dim, dtype=np.int64)
+            images[pi_N.images] = pi_K.images
+            assert (images[pi_N.images] == pi_K.images).all()
+            maps.append(hb.HopfMorphism(QN, QK, images))
+        for reflector, commutator in zip(REFLECTORS, COMMUTATORS):
+            C = commutator(K, H)
+            central = [N for N, f in zip(kept, maps)
+                       if is_pullback(f, reflector)]
+            assert central == [N for N in kept if N.contains(C)], \
+                (K.carrier, reflector.__name__)
+            if len(kept) == len(inside):
+                assert [N for N in central
+                        if all(M.contains(N) for M in central)] == [C]
+        pairs += len(kept)
+        whole += len(kept) == len(inside)
+    return pairs, whole
+
+
+def test_catalog_commutators_are_least_central(catalog):
+    found = [least_central(hb.HopfBrace(brace), ORDER_CAP)
+             for _, brace in catalog]
+    assert np.sum(found, axis=0).tolist() == [231, 63]   # of 78 ideals
+
+
+def corpus_least_central(order, picks=None):
+    braces = corpus.braces(order)
+    return np.sum([least_central(hb.HopfBrace(hb.validate_skew_brace(
+        dot, circ))) for _, dot, circ in (braces if picks is None else map(
+            braces.__getitem__, picks))], axis=0).tolist()
+
+
+# (K, N) pairs per order; with no bound, every ideal K keeps every N
+PAIRS = {2: 3, 3: 3, 4: 42, 5: 3, 6: 63, 7: 3, 8: 4268, 9: 81, 10: 87,
+         12: 1322}
+# ``SAMPLE`` and, at order 12, brace 3 (on C12, with S_dot = [1] and
+# S_circ = [1, 2]): a generator family read on S_dot where S_circ belongs
+# misses its commutators only there, in Tier-1's reach.
+COMMUTATOR_SAMPLE = {**SAMPLE, 12: (3,)}
+SAMPLE_PAIRS = {**PAIRS, 8: 28, 12: 10}
+SAMPLE_IDEALS = {**{order: sum(SAMPLE_VERDICTS[order]) for order in SAMPLE},
+                 12: 4}
+
+
+@pytest.mark.parametrize("order", sorted(COMMUTATOR_SAMPLE))
+def test_corpus_sample_commutators_are_least_central(order):
+    assert corpus_least_central(order, COMMUTATOR_SAMPLE[order]) == [
+        SAMPLE_PAIRS[order], SAMPLE_IDEALS[order]]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("order", sorted(corpus.GROUPS))
+def test_whole_corpus_commutators_are_least_central(order):
+    assert corpus_least_central(order) == [PAIRS[order],
+                                           sum(VERDICTS[order])]

@@ -107,6 +107,31 @@ def test_nullspace_examples():
     assert space.rows == (v({0: 1, 1: 1}),)
     assert common_nullspace([], 2) == span_of_indices(range(2), 2)
     assert common_nullspace([v({0: 1}), v({1: 1})], 2).dim == 0
+    assert (common_nullspace([], 2, [3, 5], 10)
+            == common_nullspace([], 2, np.array([3, 5]), 10)
+            == span_of_indices([3, 5], 10))
+
+
+BAD_LABELS = {              # name -> (unknowns, labels, ambient, error)
+    "decreasing": (2, [5, 3], 10, ValueError),
+    "repeated": (2, [3, 3], 10, ValueError),
+    "outside": (2, [5, 30], 10, ValueError),
+    "negative": (2, [-1, 3], 10, ValueError),
+    "too-many": (2, [3, 5, 7], 10, ValueError),
+    "too-few": (2, [3], 10, ValueError),
+    "ambient-alone": (2, None, 10, TypeError),
+    "float-label": (2, [3.0, 5], 10, TypeError),
+    "bool-label": (2, [True, 5], 10, TypeError),
+    "float-ambient": (2, [3, 5], 10.0, TypeError),
+    "bool-unknowns": (True, [3], 10, TypeError),
+}
+
+
+@pytest.mark.parametrize("unknowns, labels, ambient, error",
+                         BAD_LABELS.values(), ids=BAD_LABELS)
+def test_nullspace_labels_are_checked(unknowns, labels, ambient, error):
+    with pytest.raises(error):
+        common_nullspace([], unknowns, labels, ambient)
 
 
 @pytest.mark.parametrize("ambient, error", [

@@ -46,7 +46,6 @@ def carriers(H):
     for name in ("star_abelianization", "full_abelianization"):
         Q, pi = getattr(hb, name)(H)
         out[name] = hb.hopf_kernel(pi).carrier
-        out[f"{name}-kernel"] = tuple(np.flatnonzero(pi.kernel()).tolist())
     return out, args
 
 

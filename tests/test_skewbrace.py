@@ -228,13 +228,13 @@ def test_morphism_validation(radical_c4):
     c2 = hb.trivial_brace(hb.cyclic_group(2))
     H, C2 = hb.HopfBrace(radical_c4), hb.HopfBrace(c2)
     f = hb.HopfMorphism(H, C2, [0, 1, 0, 1])
-    assert carrier(f.kernel()) == (0, 2)
+    assert hb.hopf_kernel(f).carrier == (0, 2)
     assert f.is_surjective()
     triv = hb.HopfBrace(hb.trivial_brace(hb.symmetric_group(3)))
     ident = hb.HopfMorphism(triv, triv, list(range(6)))
-    assert carrier(ident.kernel()) == (0,)
+    assert hb.hopf_kernel(ident).carrier == (0,)
     zero = hb.HopfMorphism(triv, triv, [0] * 6)
-    assert carrier(zero.kernel()) == tuple(range(6))
+    assert hb.hopf_kernel(zero).carrier == tuple(range(6))
     with pytest.raises(hb.MorphismError):
         hb.BraceMap(radical_c4, c2, [0, 1, 1, 0])
     # f(e) = f(e)^2 forces f(e) = e: a moved identity fails at (e, e)

@@ -212,10 +212,10 @@ def test_morphism_images_are_one_read_only_array(C4):
     images = f.images
     assert images.dtype == np.int64 and not images.flags.writeable
     assert images.tolist() == [0, 1, 2, 3] and f(np.int64(2)) == 2
-    assert f.is_surjective() and np.flatnonzero(f.kernel()).tolist() == [0]
+    assert f.is_surjective() and hb.hopf_kernel(f).carrier == (0,)
     zero = hb.HopfMorphism(C4, C4, [0] * 4)   # as many images as targets
     assert not zero.is_surjective()
-    assert np.flatnonzero(zero.kernel()).tolist() == [0, 1, 2, 3]
+    assert hb.hopf_kernel(zero).carrier == (0, 1, 2, 3)
 
 
 def test_morphism_equality_compares_source_target_and_images(C4, H):
