@@ -154,8 +154,7 @@ def common_nullspace(constraint_rows: Iterable[Element], unknowns: int,
         labels, ambient = range(unknowns), unknowns
     else:
         chain = [-1, *labels, ambient]
-        types = {type(unknowns), *map(type, chain)}
-        if types != {int} and not _integral(types):
+        if not _integral({type(unknowns), *map(type, chain)}):
             raise TypeError(f"labels {labels!r} and sizes must be integers")
         if len(chain) != unknowns + 2 or chain != sorted(set(chain)):
             raise ValueError(f"{unknowns} labels must rise in [0, {ambient}): {labels!r}")

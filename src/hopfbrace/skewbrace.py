@@ -69,15 +69,18 @@ the check; the star, conjugation and normality tables on first use.
 
 A carrier is a boolean mask, a sorted tuple only at the API edge:
 ``subgroup_generated``, ``normal_closure`` and ``center`` all return
-masks.  Caller indices pass one check, ``_indices``; the package masks
-its own gathered index arrays (up to n^2 entries) unchecked, with
-``FiniteGroup._mask``, and reads a mask's true entries with
-``_nonzero``; it never calls numpy's ``unique``, whose first call
-imports ``numpy.ma``.  A closure is a BFS under right multiplication
-by the generators alone (in a finite group g^-1 is a positive power of
-g), a normal closure one closure of all conjugates of the generators,
-read off the cached table conj_table[a, x] = a x a^-1, as are the rows
-of ``is_normal`` and of the normality table.
+masks.  Caller indices pass one check, ``_indices``, but the labels of
+``linalg.common_nullspace``, which must also rise, pass one scan of
+type, range and order at a third of the cost of ``_indices`` and a rise
+test, as ``series.socle_annihilator`` gives labels twice a call.  The
+package masks its own gathered index arrays (up to n^2 entries)
+unchecked, with ``FiniteGroup._mask``, and reads a mask's true entries
+with ``_nonzero``; it never calls numpy's ``unique``, whose first call
+imports ``numpy.ma``.  A closure is a BFS under right multiplication by
+the generators alone (in a finite group g^-1 is a positive power of g),
+a normal closure one closure of all conjugates of the generators, read
+off the cached table conj_table[a, x] = a x a^-1, as are the rows of
+``is_normal`` and of the normality table.
 """
 
 from __future__ import annotations
@@ -149,17 +152,17 @@ def _set_frozen_state(obj, state) -> None:
 
 
 def _integral(types) -> bool:
-    """Whether all these types are Python or NumPy integers other than
-    bool, which numpy and ``operator.index`` would read as 0 and 1."""
-    return all(t is not bool and issubclass(t, (int, np.integer))
-               for t in types)
+    """Whether all these types are Python or NumPy integers but bool, which
+    numpy and ``operator.index`` read as 0 and 1; ``{int}`` skips the loop."""
+    return types == {int} or all(
+        t is not bool and issubclass(t, (int, np.integer)) for t in types)
 
 
 def _integer(i) -> int:
     """One caller integer with no range, by the rule of ``_integral``: an
     index, an identity, a lemma clause, a ``Subspace``'s ambient
     dimension, or a suite's sample count or seed."""
-    if type(i) is not int and not _integral((type(i),)):
+    if not _integral({type(i)}):
         raise TypeError(f"expected an integer, got {i!r}")
     return int(i)
 

@@ -274,7 +274,7 @@ def verify_hopf_brace_axiom(H: HopfBrace, samples: int = DEFAULT_SAMPLES,
 def verify_star_lemma(H: HopfBrace, clause: int,
                       samples: int = DEFAULT_SAMPLES,
                       seed: int | None = None) -> CheckReport:
-    """One clause (1..4) of the star-product lemma."""
+    """One clause of the star-product lemma, ``star-lemma-<clause>``."""
     if (name := f"star-lemma-{_integer(clause)}") not in REGISTRY:
         raise ValueError("clause must be 1, 2, 3 or 4")
     return _run_suite(H, name, samples, seed)
