@@ -17,7 +17,7 @@ from itertools import chain, permutations
 import numpy as np
 
 from .errors import BraceFileError
-from .skewbrace import (ORDER_CAP, FiniteGroup, SkewBrace, _integer,
+from .skewbrace import (_INT64, ORDER_CAP, FiniteGroup, SkewBrace, _integer,
                         cyclic_group, dihedral_group, direct_product,
                         opposite_brace, product_group, radical_c4_brace,
                         symmetric_group, trivial_brace, validate_skew_brace)
@@ -132,7 +132,6 @@ def save_brace(brace: SkewBrace, path, name: str = "brace") -> None:
                  "circ_table": brace.circ.table.tolist()}, path)
 
 
-_INT64 = range(-2**63, 2**63)
 # The most bytes read from a brace or map file.  A brace of order
 # ORDER_CAP saved by save_brace takes ~0.6 MB (~0.84 MB at indent=2).
 MAX_FILE_BYTES = 8 * 2**20

@@ -62,18 +62,12 @@ def _eliminate(rows: Iterable[Element], ambient: int) -> dict[int, dict[int, int
 
 class Subspace:
     """Rational subspace of k^ambient with its canonical RREF basis, which
-    a caller's rows must be; the package's own are, by construction."""
+    a caller's rows must be: the rows of their own ``row_space``."""
 
     __slots__ = ("ambient", "rows", "_by_pivot")
 
     def __new__(cls, ambient: int, rows: tuple[Element, ...] = ()):
-        space = cls._canonical(ambient, tuple(rows))
-        rows, by_pivot = space.rows, space._by_pivot
-        _inside(space.ambient, *rows)
-        if (len(by_pivot) != len(rows) or list(by_pivot) != sorted(by_pivot)
-                or any(r.nums[p] != r.den
-                       or by_pivot.keys() & r.nums.keys() != {p}
-                       for p, r in by_pivot.items())):
+        if (space := cls.row_space(rows := tuple(rows), ambient)).rows != rows:
             raise ValueError(f"rows {rows} are not a canonical RREF basis")
         return space
 
@@ -158,6 +152,7 @@ def common_nullspace(constraint_rows: Iterable[Element], unknowns: int,
             raise TypeError(f"labels {labels!r} and sizes must be integers")
         if len(chain) != unknowns + 2 or chain != sorted(set(chain)):
             raise ValueError(f"{unknowns} labels must rise in [0, {ambient}): {labels!r}")
+        labels = [*map(int, labels)]        # NumPy labels key Python ints
     basis = _eliminate(constraint_rows, unknowns)
     kernel = {f: {} for f in range(unknowns) if f not in basis}
     for p, row in basis.items():

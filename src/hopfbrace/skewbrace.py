@@ -93,12 +93,13 @@ from .errors import (CompatibilityError, IdentityMismatchError, MorphismError,
                      NotAGroupError, ValidationError)
 
 ORDER_CAP = 200
+_INT64 = range(-2**63, 2**63)
 
 
 def _as_table(table) -> np.ndarray:
-    """One owned int64 copy of a nonempty square integer table.  Rows
-    that are not one array have their entries typed by the rule of
-    ``_integral``: numpy reads a bool among integers as 0 or 1."""
+    """One owned int64 copy of a nonempty square table of int64 integers.
+    Rows that are not one array are typed by the rule of ``_integral``
+    first: numpy reads a bool among integers as 0 or 1."""
     try:
         arr = np.array(table)
     except ValueError:                                  # ragged rows
@@ -108,13 +109,17 @@ def _as_table(table) -> np.ndarray:
             f"table must be nonempty and square, got shape {arr.shape}")
     if arr.shape[0] > ORDER_CAP:
         raise ValidationError(f"order {arr.shape[0]} exceeds cap {ORDER_CAP}")
-    if arr.dtype.kind not in "iu":
-        raise ValidationError(f"table entries must be integers, got {arr.dtype}")
     if not isinstance(table, np.ndarray):
         bad = {type(x) for row in table for x in row} - {int}
         if not _integral(bad):
             raise ValidationError("table entries must be integers, got "
                                   + ", ".join(sorted(t.__name__ for t in bad)))
+    elif arr.dtype.kind not in "iu":
+        raise ValidationError(f"table entries must be integers, got {arr.dtype}")
+    if arr.dtype.kind != "i" and (big := [  # numpy's read of ints past int64
+            x for row in table for x in map(int, row) if x not in _INT64]):
+        raise ValidationError(f"table has an out-of-range entry {big[0]}, "
+                              "outside the int64 range [-2**63, 2**63)")
     return arr.astype(np.int64, copy=False)
 
 

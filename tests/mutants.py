@@ -291,6 +291,18 @@ MUTANTS = (
            "        if False:\n",
            ("tests/test_linalg.py::test_nullspace_labels_are_checked[decreasing]",
             "tests/test_linalg.py::test_nullspace_labels_are_checked[outside]")),
+    # every catalog and corpus identity is index 0: only a relabelling
+    # tells the identity from 0
+    Mutant("kernel-at-index-0", "subobjects.py",
+           "== f.target.base.identity)",
+           "== 0)",
+           ("tests/test_relabelling.py::"
+            "test_relabelling_renames_every_carrier[trivial:C2]",)),
+    Mutant("socle-skips-the-fiber-of-0", "series.py",
+           "_fiber_rows(st[center], base.identity)",
+           "_fiber_rows(st[center], 0)",
+           ("tests/test_relabelling.py::"
+            "test_relabelling_renames_every_carrier[trivial:C2]",)),
     Mutant("no-op", "verify.py",
            "    if not ok:\n        report.violations.append(",
            "    if not ok:\n        report.violations.append(",

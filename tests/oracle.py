@@ -166,6 +166,20 @@ def _closure(table, e, gens):
     return frozenset(cur)
 
 
+def is_subgroup(table, s):
+    """s holds the identity and the products and inverses of its own."""
+    inv, s = inverses_of(table), set(s)
+    return identity_of(table) in s and all(
+        table[a][b] in s and inv[a] in s for a in s for b in s)
+
+
+def is_normal(table, s):
+    """s is a subgroup with a.x.a^-1 in it for every a and every x in it."""
+    inv, s = inverses_of(table), set(s)
+    return is_subgroup(table, s) and all(
+        table[table[a][x]][inv[a]] in s for a in range(len(table)) for x in s)
+
+
 def normal_closure(table, gens):
     n = len(table)
     e = identity_of(table)

@@ -30,15 +30,15 @@ import pytest
 import corpus
 import hopfbrace as hb
 import oracle
+from shared import corpus_braces, ladder_brace
 
 SOURCES = ["catalog", *sorted(corpus.GROUPS)]
 
 
 def hopf_braces(source):
-    if source == "catalog":
-        return [hb.HopfBrace(brace) for _, brace in hb.builtin_catalog()]
-    return [hb.HopfBrace(hb.validate_skew_brace(dot, circ))
-            for _, dot, circ in corpus.braces(source)]
+    braces = ([brace for _, brace in hb.builtin_catalog()]
+              if source == "catalog" else corpus_braces(source))
+    return [hb.HopfBrace(brace) for brace in braces]
 
 
 def upper_annihilator_steps(H):
@@ -94,24 +94,15 @@ def test_upper_annihilator_series_has_the_gamma_length(source):
     assert steps == STEPS[source]
 
 
-LADDER = {
-    "opposite:D48": (lambda: hb.opposite_brace(hb.dihedral_group(48)), None),
-    "opposite:S4*trivial:C4": (lambda: hb.direct_product(
-        hb.opposite_brace(hb.symmetric_group(4)),
-        hb.trivial_brace(hb.cyclic_group(4))), None),
-    "opposite:D64": (lambda: hb.opposite_brace(hb.dihedral_group(64)), 6),
-    "opposite:S4*radical_c4*trivial:C2": (lambda: hb.direct_product(
-        hb.direct_product(hb.opposite_brace(hb.symmetric_group(4)),
-                          hb.radical_c4_brace()),
-        hb.trivial_brace(hb.cyclic_group(2))), None),
-}
+# the benchmark ladder's braces -> upper annihilator steps
+LADDER = {"opposite:D48": None, "opposite:S4*trivial:C4": None,
+          "opposite:D64": 6, "opposite:S4*radical_c4*trivial:C2": None}
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_ladder_upper_annihilator_series_has_the_gamma_length(name):
-    build, steps = LADDER[name]
-    H = hb.HopfBrace(build())
+    steps, H = LADDER[name], hb.HopfBrace(ladder_brace(name))
     nil_class = hb.gamma_series(H).nil_class
     assert upper_annihilator_steps(H) == steps \
         == (nil_class and nil_class - 1)

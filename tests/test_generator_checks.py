@@ -23,14 +23,7 @@ import pytest
 import corpus
 import hopfbrace as hb
 import oracle
-from test_annihilator_centre import LADDER
-
-
-def is_normal_by_loop(table, carrier):
-    """a.b.a^-1 in the carrier, for every a in the group and b in it."""
-    inv, s = oracle.inverses_of(table), set(carrier)
-    return all(table[table[a][b]][inv[a]] in s
-               for a in range(len(table)) for b in carrier)
+from shared import WORKLOADS, corpus_braces, ladder_brace
 
 
 def assert_generator_checks_are_sweeps(H):
@@ -41,7 +34,7 @@ def assert_generator_checks_are_sweeps(H):
             == oracle.center(table)
         for carrier in oracle.subgroups(table):
             assert group.is_normal(carrier) \
-                == is_normal_by_loop(table, carrier), carrier
+                == oracle.is_normal(table, carrier), carrier
     lam = base.lambda_table
     for carrier in oracle.subgroups(dot):
         B = hb.Subbrace(H, carrier)
@@ -93,13 +86,6 @@ def with_quotients(braces):
         H = hb.HopfBrace(brace)
         yield H
         yield hb.star_abelianization(H)[0]
-
-
-def corpus_braces(order, picks=None):
-    braces = corpus.braces(order)
-    for i in range(len(braces)) if picks is None else picks:
-        _, dot, circ = braces[i]
-        yield hb.validate_skew_brace(dot, circ)
 
 
 def test_catalog(catalog):
@@ -162,6 +148,6 @@ def test_whole_corpus(order):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("name", sorted(LADDER))
+@pytest.mark.parametrize("name", sorted(WORKLOADS.LADDER))
 def test_commutator_families_on_the_ladder(name):
-    assert_restricted_families_close_alike(hb.HopfBrace(LADDER[name][0]()))
+    assert_restricted_families_close_alike(hb.HopfBrace(ladder_brace(name)))

@@ -42,6 +42,7 @@ import corpus
 import hopfbrace as hb
 import oracle
 from hopfbrace.skewbrace import ORDER_CAP
+from shared import corpus_braces
 
 REFLECTORS = (hb.star_abelianization, hb.full_abelianization)
 COMMUTATORS = (hb.relative_commutator, hb.huq_commutator)
@@ -108,12 +109,8 @@ def test_catalog_extensions(catalog):
 def corpus_verdicts(order, picks=None):
     """The counts of ``verdicts`` over every ideal of the corpus braces of
     this order, or of those at the ``picks`` indices of ``corpus.braces``."""
-    braces = corpus.braces(order)
-    return sum(verdicts(hb.HopfBrace(hb.validate_skew_brace(dot, circ)),
-                        oracle.subgroups(dot))
-               for _, dot, circ in (braces if picks is None
-                                    else map(braces.__getitem__, picks))
-               ).tolist()
+    return sum(verdicts(hb.HopfBrace(brace), oracle.subgroups(brace.dot.table))
+               for brace in corpus_braces(order, picks)).tolist()
 
 
 VERDICTS = {2: [2, 0, 0], 3: [2, 0, 0], 4: [16, 4, 0], 5: [2, 0, 0],
@@ -188,10 +185,8 @@ def test_catalog_commutators_are_least_central(catalog):
 
 
 def corpus_least_central(order, picks=None):
-    braces = corpus.braces(order)
-    return np.sum([least_central(hb.HopfBrace(hb.validate_skew_brace(
-        dot, circ))) for _, dot, circ in (braces if picks is None else map(
-            braces.__getitem__, picks))], axis=0).tolist()
+    return np.sum([least_central(hb.HopfBrace(brace))
+                   for brace in corpus_braces(order, picks)], axis=0).tolist()
 
 
 # (K, N) pairs per order; with no bound, every ideal K keeps every N

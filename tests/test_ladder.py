@@ -9,25 +9,17 @@ import pytest
 
 import hopfbrace as hb
 import oracle
+from shared import ladder_brace
 from test_series import assert_abelianization_kernels_match_the_oracle
 
-LADDER = {
-    "opposite:D48": (
-        lambda: hb.opposite_brace(hb.dihedral_group(48)),
-        [96, 24, 12, 6, 3, 3]),
-    "opposite:S4*radical_c4*trivial:C2": (
-        lambda: hb.direct_product(
-            hb.direct_product(hb.opposite_brace(hb.symmetric_group(4)),
-                              hb.radical_c4_brace()),
-            hb.trivial_brace(hb.cyclic_group(2))),
-        [192, 24, 12, 12]),
-}
+# the benchmark ladder's braces of orders 96 and 192 -> series sizes
+LADDER = {"opposite:D48": [96, 24, 12, 6, 3, 3],
+          "opposite:S4*radical_c4*trivial:C2": [192, 24, 12, 12]}
 
 
 @pytest.fixture(scope="module", params=sorted(LADDER))
 def ladder(request):
-    build, sizes = LADDER[request.param]
-    return hb.HopfBrace(build()), sizes
+    return hb.HopfBrace(ladder_brace(request.param)), LADDER[request.param]
 
 
 def test_nilpotency_report_sizes(ladder):
@@ -52,7 +44,7 @@ def test_propositions_suite_passes(ladder):
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_series_and_commutators_agree_with_the_oracle(name):
-    brace = LADDER[name][0]()
+    brace = ladder_brace(name)
     H = hb.HopfBrace(brace)
     dot, circ = brace.dot.table.tolist(), brace.circ.table.tolist()
     for ours, theirs in ((hb.left_series(H), oracle.left_series(dot, circ)),
@@ -71,4 +63,4 @@ def test_series_and_commutators_agree_with_the_oracle(name):
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_abelianization_kernels_agree_with_the_oracle(name):
-    assert_abelianization_kernels_match_the_oracle(LADDER[name][0]())
+    assert_abelianization_kernels_match_the_oracle(ladder_brace(name))

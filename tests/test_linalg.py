@@ -63,6 +63,15 @@ def test_span_of_indices_keys_numpy_integers_as_python_ints():
     assert {type(k) for row in space.rows for k in row.nums} == {int}
 
 
+@pytest.mark.parametrize("rows", [[], [v({0: 1, 1: -1})]], ids=["units", "sum"])
+def test_nullspace_keys_numpy_labels_as_python_ints(rows):
+    """Equal spaces, but also the same keys, so the same pickle."""
+    ours = common_nullspace(rows, 2, np.array([3, 5]), 10)
+    assert {type(k) for row in ours.rows for k in row.nums} == {int}
+    assert pickle.dumps(ours) == pickle.dumps(
+        common_nullspace(rows, 2, [3, 5], 10))
+
+
 @pytest.mark.parametrize("bad", [0.5, 1.0, float("nan"), np.float64(2.0),
                                  Decimal(1), "1", "1/2", None, 1j, [1]])
 def test_sparse_vector_refuses_inexact_and_non_numeric_entries(bad):

@@ -23,6 +23,7 @@ import reference_linalg as ref
 from hopfbrace.hopf import Element
 from hopfbrace.linalg import Subspace, common_nullspace, span_of_indices
 from hopfbrace.skewbrace import validate_skew_brace
+from shared import corpus_braces
 
 
 def fiber_loop_rows(value, domain, n, skip):
@@ -183,13 +184,6 @@ CORPUS_SAMPLE = {**dict.fromkeys((2, 3, 4, 5, 6, 7, 9, 10)),
                  8: (1, 11, 26, 38, 80, 266, 286), 12: (3, 8, 22, 60, 104)}
 
 
-def corpus_braces(order, picks=None):
-    braces = corpus.braces(order)
-    for i in range(len(braces)) if picks is None else picks:
-        _, dot, circ = braces[i]
-        yield hb.HopfBrace(validate_skew_brace(dot, circ))
-
-
 def min_label_steps(H):
     """Rounds of g -> the least label over g and every g' with
     g' o h = g.h, from label[g] = g, until no label changes."""
@@ -204,7 +198,7 @@ def min_label_steps(H):
 
 @pytest.mark.parametrize("order", sorted(CORPUS_SAMPLE))
 def test_corpus_sample_matches_the_reference(order):
-    for H in corpus_braces(order, CORPUS_SAMPLE[order]):
+    for H in map(hb.HopfBrace, corpus_braces(order, CORPUS_SAMPLE[order])):
         assert_matches_reference(H)
 
 
@@ -214,7 +208,7 @@ def test_corpus_sample_has_every_kind():
     orbits take more than one min-label step."""
     kinds = {"ann != soc": 0, "strict": 0, "steps > 1": 0}
     for order, picks in CORPUS_SAMPLE.items():
-        for H in corpus_braces(order, picks):
+        for H in map(hb.HopfBrace, corpus_braces(order, picks)):
             soc = hb.socle_annihilator(H)
             kinds["ann != soc"] += soc.socle != soc.annihilator
             kinds["strict"] += soc.socle_strict or soc.annihilator_strict
@@ -225,7 +219,7 @@ def test_corpus_sample_has_every_kind():
 @pytest.mark.slow
 @pytest.mark.parametrize("order", sorted(corpus.GROUPS))
 def test_corpus_matches_the_reference(order):
-    for H in corpus_braces(order):
+    for H in map(hb.HopfBrace, corpus_braces(order)):
         assert_matches_reference(H)
 
 

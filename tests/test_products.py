@@ -35,6 +35,7 @@ import pytest
 import corpus
 import hopfbrace as hb
 from hopfbrace.skewbrace import ORDER_CAP
+from shared import corpus_braces
 
 SLOW_PAIRS = 400
 SERIES = (hb.left_series, hb.right_series, hb.gamma_series)
@@ -115,11 +116,6 @@ def check_product(A, B):
     return len(ra) * len(rb), len(qa) * len(qb)
 
 
-def corpus_brace(order, index):
-    _, dot, circ = corpus.braces(order)[index]
-    return hb.validate_skew_brace(dot, circ)
-
-
 # ((order, index) of A, (order, index) of B) in ``corpus.braces``: every
 # corpus order is a factor, and most factors are not trivial braces.
 SAMPLE = (((2, 0), (12, 3)), ((3, 0), (10, 3)), ((4, 5), (9, 4)),
@@ -137,7 +133,8 @@ def test_sample_has_every_corpus_order_as_a_factor():
 
 @pytest.mark.parametrize("a, b", SAMPLE, ids=lambda x: "%d-%d" % x)
 def test_corpus_sample(a, b):
-    assert all(check_product(corpus_brace(*a), corpus_brace(*b)))
+    (A,), (B,) = (corpus_braces(order, [i]) for order, i in (a, b))
+    assert all(check_product(A, B))
 
 
 @pytest.mark.parametrize("names", CATALOG_PRODUCTS, ids=",".join)
@@ -150,8 +147,8 @@ def test_catalog_products(by_name, names):
 def seeded_sample(count, seed=1401):
     """``count`` pairs of corpus and catalog braces (products left out)
     with |A|.|B| <= ORDER_CAP, drawn with a fixed seed."""
-    factors = [corpus_brace(order, i) for order in sorted(corpus.GROUPS)
-               for i in range(len(corpus.braces(order)))]
+    factors = [brace for order in sorted(corpus.GROUPS)
+               for brace in corpus_braces(order)]
     factors += [brace for desc, brace in hb.builtin_catalog()
                 if desc.construction != "product"]
     rng, out = random.Random(seed), []

@@ -1,32 +1,18 @@
 """Relabelling equivariance: renaming the carrier of a brace renames every
 carrier the engine computes from it and leaves every space dimension as
-it is.  The renaming moves the identity off 0, so nothing may read an
-identity, a kernel or a coset representative off index 0."""
+it is.  The renaming is the benchmark's own: a seeded shuffle that moves
+the identity off 0, so nothing may read an identity, a kernel or a coset
+representative off index 0.  Every catalog and corpus brace has its
+identity at 0, so only a renaming shows such a fault.  Tier-1 renames the
+catalog; ``slow`` renames all 476 braces of ``tests/corpus.py``."""
 
-import random
-
-import numpy as np
 import pytest
 
+import corpus
 import hopfbrace as hb
+from shared import WORKLOADS, corpus_braces
 
-
-def relabelled(brace, seed):
-    """The brace with g renamed perm[g], revalidated, and perm: a seeded
-    shuffle with perm[identity] != 0."""
-    rng = random.Random(seed)
-    perm = list(range(brace.order))
-    while perm[brace.identity] == 0:
-        rng.shuffle(perm)
-    p = np.array(perm)
-    q = np.argsort(p)
-
-    def table(t):
-        return p[t[np.ix_(q, q)]]
-
-    return hb.validate_skew_brace(table(brace.dot.table),
-                                  table(brace.circ.table),
-                                  identity=perm[brace.identity]), perm
+SEED = 1
 
 
 def carriers(H):
@@ -57,11 +43,9 @@ def dims(H):
             hb.full_abelianization(H)[0].dim)
 
 
-@pytest.mark.parametrize("name", hb.catalog_names())
-def test_relabelling_renames_every_carrier(name):
-    brace = hb.lookup(name)[1]
-    renamed, perm = relabelled(brace, name)
-    H, R = hb.HopfBrace(brace), hb.HopfBrace(renamed)
+def assert_relabelling_renames_every_carrier(brace, name):
+    perm = WORKLOADS.relabelling(brace.order, brace.identity, SEED, name)
+    H, R = hb.HopfBrace(brace), hb.HopfBrace(WORKLOADS.relabel(brace, perm))
     assert R.base.identity != 0
 
     def rename(carrier):
@@ -79,3 +63,15 @@ def test_relabelling_renames_every_carrier(name):
             assert (hb.huq_commutator(image, R).carrier
                     == rename(hb.huq_commutator(term, H).carrier)), key
     assert dims(R) == dims(H)
+
+
+@pytest.mark.parametrize("name", hb.catalog_names())
+def test_relabelling_renames_every_carrier(name):
+    assert_relabelling_renames_every_carrier(hb.lookup(name)[1], name)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("order", sorted(corpus.GROUPS))
+def test_corpus_relabelling_renames_every_carrier(order):
+    for i, brace in enumerate(corpus_braces(order)):
+        assert_relabelling_renames_every_carrier(brace, f"{order}/{i}")

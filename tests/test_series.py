@@ -6,7 +6,8 @@ import hopfbrace as hb
 import oracle
 from hopfbrace.hopf import Element
 from hopfbrace.skewbrace import product_group, validate_skew_brace
-from test_linear_systems import corpus_braces, factorization_brace
+from shared import corpus_braces
+from test_linear_systems import factorization_brace
 
 
 def H_of(brace):
@@ -96,8 +97,8 @@ def test_every_series_runs_to_its_end(catalog):
     it ends on a trivial term."""
     braces = [H_of(hb.trivial_brace(hb.cyclic_group(1))),
               *(H_of(brace) for _, brace in catalog),
-              *(H for order, picks in SERIES_SAMPLE.items()
-                for H in corpus_braces(order, picks))]
+              *(H_of(brace) for order, picks in SERIES_SAMPLE.items()
+                for brace in corpus_braces(order, picks))]
     for H in braces:
         for series in (hb.left_series, hb.right_series, hb.gamma_series):
             res = series(H)

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import hopfbrace as hb
 import oracle
 from hopfbrace.skewbrace import _first_bad_tuple, _generating_set
-from test_ladder import LADDER
+from shared import ladder_brace
 
 
 def carrier(mask):
@@ -334,6 +334,20 @@ def test_bools_in_row_tables_are_refused(table):
             make(table)
 
 
+@pytest.mark.parametrize("table", [
+    [[0, 2**63], [2**63, 0]],
+    [[0, 2**64 - 1], [2**64 - 1, 0]],
+    [[2**63] * 2] * 2,
+], ids=["float64", "float64-top", "uint64"])
+def test_integers_beyond_int64_are_named_as_such(table):
+    """numpy reads these rows as float64 or uint64, which must not read
+    as "not integers" or wrap to a negative entry."""
+    with pytest.raises(hb.ValidationError,
+                       match=rf"out-of-range entry {max(map(max, table))}, "
+                             r"outside the int64 range"):
+        hb.FiniteGroup(table)
+
+
 # ------------------------------------- differential test against the oracle
 
 SMALL_GROUPS = ([oracle.cyclic_table(n) for n in range(1, 7)]
@@ -547,7 +561,7 @@ def test_validating_the_order_192_ladder_brace_peaks_below_3_5_mib():
     a generating set without the identity, and the star table is left
     unbuilt: ~2.7 MiB, where one sweep over all six elements of S, the
     identity among them, and the star table held 4.8."""
-    brace = LADDER["opposite:S4*radical_c4*trivial:C2"][0]()
+    brace = ladder_brace("opposite:S4*radical_c4*trivial:C2")
     tracemalloc.start()
     try:
         hb.validate_skew_brace(brace.dot.table, brace.circ.table)

@@ -7,6 +7,7 @@ import pytest
 
 import hopfbrace as hb
 import oracle
+from shared import ladder_brace
 
 
 @pytest.fixture(scope="module")
@@ -280,12 +281,8 @@ def test_oracle_agreement_on_normality(catalog):
 
 # ------------------------------------- certified quotients, differential
 
-LADDER_96 = {
-    "opposite:D48": lambda: hb.opposite_brace(hb.dihedral_group(48)),
-    "opposite:S4*trivial:C4": lambda: hb.direct_product(
-        hb.opposite_brace(hb.symmetric_group(4)),
-        hb.trivial_brace(hb.cyclic_group(4))),
-}
+# the benchmark ladder's braces of order 96
+LADDER_96 = ("opposite:D48", "opposite:S4*trivial:C4")
 
 
 def normal_subbraces(H):
@@ -300,7 +297,7 @@ def test_certified_quotients_match_validation_and_cosets(name):
     """Every quotient by a normal subbrace equals the fully validated
     brace on its tables, and both tables equal the loop-built coset
     construction."""
-    brace = LADDER_96[name]() if name in LADDER_96 else hb.lookup(name)[1]
+    brace = ladder_brace(name) if name in LADDER_96 else hb.lookup(name)[1]
     H = hb.HopfBrace(brace)
     dot, circ = brace.dot.table.tolist(), brace.circ.table.tolist()
     for B in normal_subbraces(H):

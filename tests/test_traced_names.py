@@ -9,23 +9,13 @@ tracer from its file, resolves each name in its ``SPANS`` the way
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import hopfbrace as hb
-
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from shared import load_perfbench
 
 
 def test_every_traced_name_resolves():
-    spans = load_tracing().SPANS
+    spans = load_perfbench("tracing").SPANS
     assert spans
     for group, (modname, names) in spans.items():
         module = importlib.import_module(modname)
@@ -47,7 +37,7 @@ def test_the_tracer_hooks_count_and_change_no_result():
                 hb.socle_annihilator(H), hb.verify_suite(H, "propositions"))
 
     untraced = run()
-    tracer = load_tracing().Tracer()
+    tracer = load_perfbench("tracing").Tracer()
     with tracer.installed():
         traced = run()
     assert traced == untraced
