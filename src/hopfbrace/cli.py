@@ -41,6 +41,14 @@ def _error(message) -> int:
     return 2
 
 
+def integer(text: str) -> int:
+    """A flag's or ``SEED_ENV``'s integer: an optional ``-`` and ASCII
+    digits, not Python's literal syntax (``1_0``, ``+3``, `` 3``)."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _document(command: str, desc, results, **fields) -> dict:
     """A command's results document; ``desc`` is the brace it is about."""
     if desc is not None:
@@ -232,7 +240,7 @@ def cmd_verify(args) -> int:
     if seed is None:
         env = os.environ.get(SEED_ENV)
         try:
-            seed = int(env) if env else DEFAULT_SEED
+            seed = integer(env) if env else DEFAULT_SEED
         except ValueError:
             return _error(f"{SEED_ENV} must be an integer, got {env!r}")
     if args.samples < 0:
@@ -307,10 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true",
                    help="verify every catalog brace")
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=integer, default=None,
                    help=f"random seed (default {DEFAULT_SEED}, "
                         f"env {SEED_ENV})")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=integer, default=DEFAULT_SAMPLES)
     for p in sub.choices.values():
         p.add_argument("--json", action="store_true",
                        help="machine-readable output (deterministic)")

@@ -36,7 +36,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from itertools import product
-from math import lcm, prod
+from math import prod
 from operator import mul
 from types import CodeType
 from typing import NamedTuple
@@ -181,25 +181,24 @@ def _element_ops(H: HopfBrace) -> dict:
 def _evaluate(side: Side, ops: dict, H: HopfBrace, args: dict):
     """One side on elements.  Each repeated variable is expanded over its
     support, with the side evaluated on basis legs and summed back in
-    integers over a common denominator."""
+    integers over ``den``, the product of the once-used variables'
+    denominators.  Each leg's value has a denominator dividing ``den``:
+    the legs are basis elements, and each operation's denominator divides
+    its operands' product (``scale`` by ``eps(x)``: ``x.den``)."""
     ns = {**ops, **args}
     if not side.repeated:
         return eval(side.code, ns)
-    out, den, kind = {}, 1, Element
+    out, kind = {}, Element
+    den = prod(x.den for v, x in args.items() if v not in side.repeated)
     for legs in product(*(args[v].nums.items() for v in side.repeated)):
         for v, (g, _) in zip(side.repeated, legs):
             ns[v] = H.basis(g)
-        coeff = prod(n for _, n in legs)
         value = eval(side.code, ns)
         kind = type(value)
-        if value.den != den:           # bring out and value to one den
-            common = lcm(den, value.den)
-            out = {k: n * (common // den) for k, n in out.items()}
-            coeff, den = coeff * (common // value.den), common
+        coeff = prod(n for _, n in legs) * (den // value.den)
         for key, n in value.nums.items():
             out[key] = out.get(key, 0) + coeff * n
-    legs_den = prod(args[v].den for v in side.repeated)
-    return kind._make(out, den * legs_den)
+    return kind._make(out, den * prod(args[v].den for v in side.repeated))
 
 
 # ------------------------------------------------------------ check driver
@@ -276,7 +275,7 @@ def verify_star_lemma(H: HopfBrace, clause: int,
                       seed: int | None = None) -> CheckReport:
     """One clause of the star-product lemma, ``star-lemma-<clause>``."""
     if (name := f"star-lemma-{_integer(clause)}") not in REGISTRY:
-        raise ValueError("clause must be 1, 2, 3 or 4")
+        raise ValueError(f"no identity {name!r} in REGISTRY")
     return _run_suite(H, name, samples, seed)
 
 

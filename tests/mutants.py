@@ -303,6 +303,23 @@ MUTANTS = (
            "_fiber_rows(st[center], 0)",
            ("tests/test_relabelling.py::"
             "test_relabelling_renames_every_carrier[trivial:C2]",)),
+    Mutant("leg-not-brought-to-the-common-den", "verify.py",
+           "coeff = prod(n for _, n in legs) * (den // value.den)",
+           "coeff = prod(n for _, n in legs) * 1",
+           ("tests/test_verify.py::test_axiom_suite_passes_on_catalog",
+            "tests/test_verify.py::test_lemma_suite_all_clauses",
+            "tests/test_verify.py::test_structure_suite",
+            "tests/test_verify.py::test_verify_all_json_matches_golden")),
+    Mutant("integer-flag-takes-non-ascii-digits", "cli.py",
+           "    if not (text.isascii()"
+           " and text.removeprefix(\"-\").isdigit()):\n",
+           "    if not text.removeprefix(\"-\").isdigit():\n",
+           ("tests/test_cli.py::"
+            "test_bad_flags_exit_2_with_one_line[argv14-env14]",
+            "tests/test_cli.py::"
+            "test_bad_flags_exit_2_with_one_line[argv15-env15]",
+            "tests/test_cli.py::"
+            "test_bad_flags_exit_2_with_one_line[argv16-env16]")),
     Mutant("no-op", "verify.py",
            "    if not ok:\n        report.violations.append(",
            "    if not ok:\n        report.violations.append(",

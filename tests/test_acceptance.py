@@ -10,6 +10,7 @@ import time
 
 import hopfbrace as hb
 import oracle
+from shared import ideals
 
 SAMPLES = 32
 SEED = 20240
@@ -94,9 +95,7 @@ def test_criterion_4_proposition_suite(catalog):
 
         # (e) relative commutator is normal for every normal subbrace
         if desc.order <= 24:
-            normal_subs = [hb.Subbrace(H, c)
-                           for c in oracle.subgroups(brace.dot.table)]
-            normal_subs = [B for B in normal_subs if B.is_normal()]
+            normal_subs = ideals(H)
         else:
             normal_subs = list(right.terms) + [soc.socle, soc.annihilator]
         for B in normal_subs:

@@ -29,7 +29,7 @@ import pytest
 
 import corpus
 import hopfbrace as hb
-import oracle
+import shared
 from shared import corpus_braces, ladder_brace
 
 SOURCES = ["catalog", *sorted(corpus.GROUPS)]
@@ -67,12 +67,10 @@ def test_huq_central_exactly_inside_the_annihilator(source):
     ideals = Counter()
     for H in hopf_braces(source):
         ann = hb.socle_annihilator(H).annihilator
-        for carrier in oracle.subgroups(H.base.dot.table):
-            N = hb.Subbrace(H, carrier)
-            if N.is_normal():
-                central = hb.check_central_huq(hb.quotient(H, N)[1])
-                assert central.central_huq == ann.contains(N), carrier
-                ideals[central.central_huq] += 1
+        for N in shared.ideals(H):
+            central = hb.check_central_huq(hb.quotient(H, N)[1])
+            assert central.central_huq == ann.contains(N), N.carrier
+            ideals[central.central_huq] += 1
     assert (ideals.total(), ideals[True]) == IDEALS[source]
 
 

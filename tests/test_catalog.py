@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hopfbrace as hb
+from shared import brace_doc
 
 
 def test_catalog_size_and_orders(catalog):
@@ -72,9 +73,7 @@ def test_load_rejects_non_latin_square(tmp_path):
 
 
 def test_load_rejects_wrong_identity_declaration(tmp_path, radical_c4):
-    doc = {"name": "bad-id", "order": 4, "identity": 1,
-           "dot_table": radical_c4.dot.table.tolist(),
-           "circ_table": radical_c4.circ.table.tolist()}
+    doc = {**brace_doc(radical_c4, "bad-id"), "identity": 1}
     path = tmp_path / "badid.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(hb.IdentityMismatchError):
@@ -82,8 +81,7 @@ def test_load_rejects_wrong_identity_declaration(tmp_path, radical_c4):
 
 
 def test_load_rejects_broken_compatibility(tmp_path, radical_c4):
-    doc = {"name": "mutated", "order": 4, "identity": 0,
-           "dot_table": radical_c4.dot.table.tolist(),
+    doc = {**brace_doc(radical_c4, "mutated"),
            # a valid group table (relabeled C4) that is not brace-compatible
            "circ_table": [[0, 1, 2, 3], [1, 3, 0, 2],
                           [2, 0, 3, 1], [3, 2, 1, 0]]}
@@ -99,9 +97,7 @@ def test_load_rejects_broken_compatibility(tmp_path, radical_c4):
     ("identity", 0.5), ("identity", False), ("order", 4.0)])
 def test_load_rejects_non_integers_instead_of_coercing(tmp_path, radical_c4,
                                                         field, value):
-    doc = {"name": "coerced", "order": 4, "identity": 0,
-           "dot_table": radical_c4.dot.table.tolist(),
-           "circ_table": radical_c4.circ.table.tolist()}
+    doc = brace_doc(radical_c4, "coerced")
     if field.endswith("_table"):
         doc[field][1][1] = value
     else:
@@ -117,9 +113,7 @@ def test_load_names_the_first_bad_entry_in_row_major_order(tmp_path,
                                                            radical_c4):
     """The whole-table check only says that some entry is bad; the message
     still names the first one, here an out-of-range int before a float."""
-    doc = {"name": "two-bad", "order": 4, "identity": 0,
-           "dot_table": radical_c4.dot.table.tolist(),
-           "circ_table": radical_c4.circ.table.tolist()}
+    doc = brace_doc(radical_c4, "two-bad")
     doc["dot_table"][1][2] = 2**63
     doc["dot_table"][1][3] = 1.5
     doc["dot_table"][3][0] = "x"

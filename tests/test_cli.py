@@ -12,6 +12,7 @@ import hopfbrace as hb
 from hopfbrace import catalog, cli
 from hopfbrace.skewbrace import ORDER_CAP
 from hopfbrace.cli import main
+from shared import brace_doc
 
 
 INVARIANTS_GOLDEN = Path(__file__).parent / "data" / "invariants.json"
@@ -41,15 +42,19 @@ def test_validate_unresolvable_input(capsys):
     assert code == 2 and "catalog" in err
 
 
-def test_validate_corrupted_file(tmp_path, capsys, radical_c4):
-    doc = {"name": "bad", "order": 4, "identity": 0,
-           "dot_table": radical_c4.dot.table.tolist(),
-           "circ_table": radical_c4.circ.table.tolist()}
+@pytest.fixture
+def bad_brace(tmp_path, radical_c4):
+    """radical_c4's file with entries 1 and 3 of circ row 1 swapped."""
+    doc = brace_doc(radical_c4, "bad")
     row = doc["circ_table"][1]
     row[1], row[3] = row[3], row[1]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "validate", str(path))
+    return path
+
+
+def test_validate_corrupted_file(capsys, bad_brace):
+    code, _, err = run(capsys, "validate", str(bad_brace))
     assert code == 1
     assert "witness" in err
 
@@ -60,26 +65,19 @@ def test_validate_corrupted_file(tmp_path, capsys, radical_c4):
                                         "--map", "TARGET_MAP"]],
     ids=["validate", "series", "invariants", "verify", "check-central",
          "check-central-target"])
-def test_invalid_brace_exits_1_with_the_witness(tmp_path, capsys, radical_c4,
+def test_invalid_brace_exits_1_with_the_witness(tmp_path, capsys, bad_brace,
                                                 command):
     """Every command reports a brace that fails validation as `validate`
     does: exit 1, nothing on stdout, one stderr line with the witness."""
-    doc = {"name": "bad", "order": 4, "identity": 0,
-           "dot_table": radical_c4.dot.table.tolist(),
-           "circ_table": radical_c4.circ.table.tolist()}
-    row = doc["circ_table"][1]
-    row[1], row[3] = row[3], row[1]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
     (tmp_path / "map.json").write_text(json.dumps(
         {"target": "trivial:C2", "images": [0, 1, 0, 1]}))
     (tmp_path / "target_map.json").write_text(json.dumps(
-        {"target": str(bad), "images": [0, 1, 2, 3]}))
+        {"target": str(bad_brace), "images": [0, 1, 2, 3]}))
     maps = {"MAP": str(tmp_path / "map.json"),
             "TARGET_MAP": str(tmp_path / "target_map.json")}
     argv = [maps.get(a, a) for a in command]
     if "TARGET_MAP" not in command:
-        argv.insert(1, str(bad))
+        argv.insert(1, str(bad_brace))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.splitlines() == ["invalid brace: column 1 is not a permutation "
@@ -88,9 +86,7 @@ def test_invalid_brace_exits_1_with_the_witness(tmp_path, capsys, radical_c4,
 
 def test_non_integer_inputs_exit_2_with_one_line(tmp_path, capsys,
                                                   radical_c4):
-    doc = {"name": "float", "order": 4, "identity": 0,
-           "dot_table": radical_c4.dot.table.tolist(),
-           "circ_table": radical_c4.circ.table.tolist()}
+    doc = brace_doc(radical_c4, "float")
     doc["dot_table"][1][1] = 2.5         # would truncate to the valid 2
     brace = tmp_path / "float.json"
     brace.write_text(json.dumps(doc))
@@ -105,9 +101,7 @@ def test_non_integer_inputs_exit_2_with_one_line(tmp_path, capsys,
 
 def test_integers_beyond_int64_exit_2_with_one_line(tmp_path, capsys,
                                                    radical_c4):
-    base = {"name": "big", "order": 4, "identity": 0,
-            "dot_table": radical_c4.dot.table.tolist(),
-            "circ_table": radical_c4.circ.table.tolist()}
+    base = brace_doc(radical_c4, "big")
     entry = json.loads(json.dumps(base))
     entry["circ_table"][2][3] = 10**30
     for stem, doc in (("entry", entry),
@@ -161,6 +155,17 @@ def test_unreadable_files_exit_2_with_one_line(tmp_path, capsys):
     (["bogus"], {}),
     (["verify", "--suite"], {}),
     (["verify", "", "--all", "--suite", "axioms", "--samples", "0"], {}),
+    # integers are an optional "-" and ASCII digits, not Python literals
+    (["verify", "radical_c4", "--suite", "axioms", "--samples", "1_0"], {}),
+    (["verify", "radical_c4", "--suite", "axioms", "--samples", " 3"], {}),
+    (["verify", "radical_c4", "--suite", "axioms", "--seed", "+3"], {}),
+    (["verify", "radical_c4", "--suite", "axioms", "--samples", "\u0663"],
+     {}),
+    (["verify", "radical_c4", "--suite", "axioms", "--samples", "\uff13"],
+     {}),
+    (["verify", "radical_c4", "--suite", "axioms"],
+     {"HOPFBRACE_SEED": "\u0667"}),
+    (["verify", "radical_c4", "--suite", "axioms"], {"HOPFBRACE_SEED": "1_0"}),
 ])
 def test_bad_flags_exit_2_with_one_line(capsys, monkeypatch, argv, env):
     """A handler refuses by returning 2, the parser by raising
@@ -386,9 +391,8 @@ def test_non_positive_order_is_a_parse_error(tmp_path, order):
 def test_identity_outside_the_carrier_is_a_parse_error(tmp_path, radical_c4,
                                                        identity):
     path = tmp_path / "brace.json"
-    path.write_text(json.dumps({"name": "x", "order": 4, "identity": identity,
-                                "dot_table": radical_c4.dot.table.tolist(),
-                                "circ_table": radical_c4.circ.table.tolist()}))
+    path.write_text(json.dumps({**brace_doc(radical_c4, "x"),
+                                "identity": identity}))
     line = parse_error_in_child("validate", str(path))
     assert (f"field 'identity' is outside the range [0, 4), got {identity}"
             in line)
@@ -460,9 +464,7 @@ def test_closed_stdout_exits_141_with_nothing_on_stderr(argv, buffered):
 
 @pytest.mark.parametrize("name", [5, True, None], ids=["int", "true", "null"])
 def test_brace_name_must_be_a_string(tmp_path, radical_c4, name):
-    doc = {"name": name, "order": 4, "identity": 0,
-           "dot_table": radical_c4.dot.table.tolist(),
-           "circ_table": radical_c4.circ.table.tolist()}
+    doc = brace_doc(radical_c4, name)
     path = tmp_path / "brace.json"
     path.write_text(json.dumps(doc))
     line = parse_error_in_child("invariants", str(path), "--json")
@@ -496,15 +498,8 @@ def test_verify_needs_input_or_all(capsys):
     assert code == 2
 
 
-def test_verify_corrupted_file_exits_nonzero(tmp_path, capsys, radical_c4):
-    doc = {"name": "bad", "order": 4, "identity": 0,
-           "dot_table": radical_c4.dot.table.tolist(),
-           "circ_table": radical_c4.circ.table.tolist()}
-    row = doc["circ_table"][1]
-    row[1], row[3] = row[3], row[1]
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "verify", str(path), "--suite", "axioms")
+def test_verify_corrupted_file_exits_nonzero(capsys, bad_brace):
+    code, _, err = run(capsys, "verify", str(bad_brace), "--suite", "axioms")
     assert code != 0
 
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import hopfbrace as hb
 from hopfbrace.cli import main
+from shared import brace_doc
 
 INT64_EDGES = (-2**63 - 1, -2**63, -1, 0, 1, 2**63 - 1, 2**63, 10**30)
 CAP_EDGES = (200, 201, 250)
@@ -32,12 +33,6 @@ values = st.recursive(
     max_leaves=10)
 raw_files = st.one_of(st.binary(max_size=12),
                       st.just(b"[" * 100_000), st.just(b'{"order": ' * 5000))
-
-
-def brace_doc(brace, name):
-    return {"name": name, "order": brace.order, "identity": brace.identity,
-            "dot_table": brace.dot.table.tolist(),
-            "circ_table": brace.circ.table.tolist()}
 
 
 BASES = [brace_doc(hb.trivial_brace(hb.cyclic_group(1)), "C1"),

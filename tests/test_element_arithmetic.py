@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfbrace as hb
-import oracle
 import reference_hopf as ref
 from hopfbrace.verify import _element_ops
+from shared import ideals
 
 CATALOG = {desc.name: brace for desc, brace in hb.builtin_catalog()}
 
@@ -25,9 +25,7 @@ def hopf(name: str) -> hb.HopfBrace:
 def projections(name: str) -> tuple:
     """The quotient maps of the brace onto each of its normal subbraces."""
     H = hopf(name)
-    normal = (hb.Subbrace(H, c)
-              for c in oracle.subgroups(CATALOG[name].dot.table))
-    return tuple(hb.quotient(H, B)[1] for B in normal if B.is_normal())
+    return tuple(hb.quotient(H, B)[1] for B in ideals(H))
 
 
 SCALARS = st.one_of(st.integers(-40, 40),

@@ -6,6 +6,7 @@ import hopfbrace as hb
 import hopfbrace.extensions as extensions
 import oracle
 from hopfbrace import cli
+from shared import ideals
 
 MAPS = Path(__file__).parent / "data" / "maps"
 
@@ -109,30 +110,23 @@ def test_projection_centrality_matches_relative_commutator(catalog):
         if desc.order > 24:
             continue
         H = hb.HopfBrace(brace)
-        for carrier in oracle.subgroups(brace.dot.table):
-            B = hb.Subbrace(H, carrier)
-            if not B.is_normal():
-                continue
+        for B in ideals(H):
             Q, pi = hb.quotient(H, B)
             verdict = hb.check_central_hopfcoc(pi).central_hopfcoc
             assert verdict == hb.relative_commutator(B, H).is_trivial(), \
-                (desc.name, carrier)
+                (desc.name, B.carrier)
 
 
 def test_quotients_by_annihilator_subbraces_are_central(catalog):
     for desc, brace in catalog:
         H = hb.HopfBrace(brace)
         soc = hb.socle_annihilator(H)
-        ann = set(soc.annihilator.carrier)
-        for carrier in oracle.subgroups(brace.dot.table):
-            if not set(carrier) <= ann:
-                continue
-            B = hb.Subbrace(H, carrier)
-            if not B.is_normal():
+        for B in ideals(H):
+            if not soc.annihilator.contains(B):
                 continue
             Q, pi = hb.quotient(H, B)
             r = hb.analyze_extension(pi)
-            assert r.central_hopfcoc and r.central_huq, (desc.name, carrier)
+            assert r.central_hopfcoc and r.central_huq, (desc.name, B.carrier)
             assert hb.centrality_consequences(r) == []
 
 
@@ -143,15 +137,12 @@ def test_verdicts_match_oracle(catalog):
         dot = brace.dot.table.tolist()
         circ = brace.circ.table.tolist()
         H = hb.HopfBrace(brace)
-        for carrier in oracle.subgroups(brace.dot.table):
-            B = hb.Subbrace(H, carrier)
-            if not B.is_normal():
-                continue
+        for B in ideals(H):
             Q, pi = hb.quotient(H, B)
             want_cc, want_cc_witness = oracle.central_hopfcoc(
-                dot, circ, set(carrier))
+                dot, circ, set(B.carrier))
             want_huq, want_huq_witness = oracle.central_huq(
-                dot, circ, set(carrier))
+                dot, circ, set(B.carrier))
             cc, huq = hb.check_central_hopfcoc(pi), hb.check_central_huq(pi)
             assert cc.central_hopfcoc == want_cc
             assert cc.witness_hopfcoc == want_cc_witness

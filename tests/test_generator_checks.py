@@ -23,7 +23,7 @@ import pytest
 import corpus
 import hopfbrace as hb
 import oracle
-from shared import WORKLOADS, corpus_braces, ladder_brace
+from shared import WORKLOADS, corpus_braces, ideals, ladder_brace
 
 
 def assert_generator_checks_are_sweeps(H):
@@ -119,10 +119,8 @@ def with_every_quotient(H):
     yield H
     yield hb.star_abelianization(H)[0]
     yield hb.full_abelianization(H)[0]
-    for carrier in oracle.subgroups(H.base.dot.table):
-        N = hb.Subbrace(H, carrier)
-        if N.is_normal():
-            yield hb.quotient(H, N)[0]
+    for N in ideals(H):
+        yield hb.quotient(H, N)[0]
 
 
 @pytest.mark.parametrize("order", ["catalog", *sorted(CORPUS_SAMPLE)])

@@ -40,9 +40,8 @@ import pytest
 
 import corpus
 import hopfbrace as hb
-import oracle
 from hopfbrace.skewbrace import ORDER_CAP
-from shared import corpus_braces
+from shared import corpus_braces, ideals
 
 REFLECTORS = (hb.star_abelianization, hb.full_abelianization)
 COMMUTATORS = (hb.relative_commutator, hb.huq_commutator)
@@ -80,37 +79,35 @@ def is_pullback(f, reflector):
     return len(np.unique(pairs)) == len(pairs) == fibered.sum()
 
 
-def verdicts(H, carriers):
+def verdicts(H, kernels):
     """(both, neither, hopfcoc only) over the extensions H -> H/N, one for
-    each ideal N among the carriers, each checked against the kernel
+    each ideal N among the kernels, each checked against the kernel
     pair's squares on the way; never Huq only, since Huq centrality makes
     k o a = k.a and a o k = a.k, so k*a = a*k = e."""
     found = Counter()
-    for carrier in carriers:
-        N = hb.Subbrace(H, carrier)
-        if not N.is_normal():
-            continue
+    for N in kernels:
         f = hb.quotient(H, N)[1]
         report = hb.analyze_extension(f)
         pair = (report.central_hopfcoc, report.central_huq)
-        assert tuple(is_pullback(f, r) for r in REFLECTORS) == pair, carrier
+        assert tuple(is_pullback(f, r) for r in REFLECTORS) == pair, \
+            N.carrier
         found[pair] += 1
     return np.array([found[True, True], found[False, False],
                      found[True, False]])
 
 
 def test_catalog_extensions(catalog):
-    assert sum(verdicts(hb.HopfBrace(brace),
-                        [c for c in oracle.subgroups(brace.dot.table)
-                         if brace.order * len(c) <= ORDER_CAP])
-               for _, brace in catalog).tolist() == [31, 19, 13]
+    hopf = [hb.HopfBrace(brace) for _, brace in catalog]
+    assert sum(verdicts(H, [N for N in ideals(H)
+                            if H.dim * N.dim <= ORDER_CAP])
+               for H in hopf).tolist() == [31, 19, 13]
 
 
 def corpus_verdicts(order, picks=None):
     """The counts of ``verdicts`` over every ideal of the corpus braces of
     this order, or of those at the ``picks`` indices of ``corpus.braces``."""
-    return sum(verdicts(hb.HopfBrace(brace), oracle.subgroups(brace.dot.table))
-               for brace in corpus_braces(order, picks)).tolist()
+    hopf = map(hb.HopfBrace, corpus_braces(order, picks))
+    return sum(verdicts(H, ideals(H)) for H in hopf).tolist()
 
 
 VERDICTS = {2: [2, 0, 0], 3: [2, 0, 0], 4: [16, 4, 0], 5: [2, 0, 0],
@@ -147,13 +144,11 @@ def least_central(H, bound=None):
     commutator [K, H]; when no N inside K is left out, [K, H] is their
     least element.  Returns the number of (K, N) pairs and of K with
     every N inside it kept."""
-    ideals = [N for N in (hb.Subbrace(H, c)
-                          for c in oracle.subgroups(H.base.dot.table))
-              if N.is_normal()]
-    quotients = {N.carrier: hb.quotient(H, N) for N in ideals}
+    normal = ideals(H)
+    quotients = {N.carrier: hb.quotient(H, N) for N in normal}
     pairs = whole = 0
-    for K in ideals:
-        inside = [N for N in ideals if K.contains(N)]
+    for K in normal:
+        inside = [N for N in normal if K.contains(N)]
         kept = [N for N in inside if bound is None
                 or (H.dim // N.dim) * (K.dim // N.dim) <= bound]
         QK, pi_K = quotients[K.carrier]

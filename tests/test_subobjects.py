@@ -7,7 +7,7 @@ import pytest
 
 import hopfbrace as hb
 import oracle
-from shared import ladder_brace
+from shared import ideals, ladder_brace
 
 
 @pytest.fixture(scope="module")
@@ -61,11 +61,8 @@ def test_every_normal_subbrace_is_strong(catalog):
     for desc, brace in catalog:
         if desc.order > 24:
             continue
-        HH = hb.HopfBrace(brace)
-        for carrier in oracle.subgroups(brace.dot.table):
-            B = hb.Subbrace(HH, carrier)
-            if B.is_normal():
-                assert B.is_strong(), (desc.name, carrier)
+        for B in ideals(hb.HopfBrace(brace)):
+            assert B.is_strong(), (desc.name, B.carrier)
 
 
 def test_strong_subbrace_is_circ_and_t_closed(catalog):
@@ -107,11 +104,9 @@ def test_quotient_then_kernel_recovers_every_normal_subbrace(catalog):
         if desc.order > 12:
             continue
         HH = hb.HopfBrace(brace)
-        for carrier in oracle.subgroups(brace.dot.table):
-            B = hb.Subbrace(HH, carrier)
-            if B.is_normal():
-                Q, pi = hb.quotient(HH, B)
-                assert hb.hopf_kernel(pi).carrier == B.carrier
+        for B in ideals(HH):
+            Q, pi = hb.quotient(HH, B)
+            assert hb.hopf_kernel(pi).carrier == B.carrier
 
 
 def test_hopf_kernel_examples(H):
@@ -285,11 +280,6 @@ def test_oracle_agreement_on_normality(catalog):
 LADDER_96 = ("opposite:D48", "opposite:S4*trivial:C4")
 
 
-def normal_subbraces(H):
-    subs = (hb.Subbrace(H, c) for c in oracle.subgroups(H.base.dot.table))
-    return [B for B in subs if B.is_normal()]
-
-
 @pytest.mark.parametrize("name", [
     *hb.catalog_names(),
     *(pytest.param(name, marks=pytest.mark.slow) for name in LADDER_96)])
@@ -300,7 +290,7 @@ def test_certified_quotients_match_validation_and_cosets(name):
     brace = ladder_brace(name) if name in LADDER_96 else hb.lookup(name)[1]
     H = hb.HopfBrace(brace)
     dot, circ = brace.dot.table.tolist(), brace.circ.table.tolist()
-    for B in normal_subbraces(H):
+    for B in ideals(H):
         Q, pi = hb.quotient(H, B)
         q = Q.base
         full = hb.validate_skew_brace(q.dot.table, q.circ.table)
@@ -339,7 +329,7 @@ def test_certificate_refuses_a_tampered_quotient_table(catalog, monkeypatch,
 
         monkeypatch.setattr(hb.FiniteGroup, "_image", tampered)
         H = hb.HopfBrace(brace)
-        for B in normal_subbraces(H):
+        for B in ideals(H):
             if B.dim == brace.order:
                 continue
             with pytest.raises(hb.ValidationError) as refused:
