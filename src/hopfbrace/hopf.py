@@ -118,6 +118,8 @@ class Element(_Combination):
     _key = staticmethod(_basis_index)
 
     def __add__(self, other: "Element") -> "Element":
+        if not isinstance(other, Element):
+            return NotImplemented
         a, b = self.den, other.den
         out = {k: n * b for k, n in self.nums.items()}
         for k, n in other.nums.items():
@@ -125,6 +127,8 @@ class Element(_Combination):
         return Element._make(out, a * b)
 
     def __sub__(self, other: "Element") -> "Element":
+        if not isinstance(other, Element):
+            return NotImplemented
         return self + other.scale(-1)
 
     def scale(self, c) -> "Element":

@@ -320,6 +320,19 @@ MUTANTS = (
             "test_bad_flags_exit_2_with_one_line[argv15-env15]",
             "tests/test_cli.py::"
             "test_bad_flags_exit_2_with_one_line[argv16-env16]")),
+    Mutant("closed-output-not-redirected", "cli.py",
+           "        os.dup2(os.open(os.devnull, os.O_WRONLY),"
+           " sys.stdout.fileno())\n", "",
+           ("tests/test_cli.py::"
+            "test_closed_stdout_exits_141_with_nothing_on_stderr"
+            "[version-buffered]",)),
+    Mutant("element-add-takes-any-combination", "hopf.py",
+           "    def __add__(self, other: \"Element\") -> \"Element\":\n"
+           "        if not isinstance(other, Element):\n"
+           "            return NotImplemented\n",
+           "    def __add__(self, other: \"Element\") -> \"Element\":\n",
+           ("tests/test_hopf.py::"
+            "test_elements_add_and_subtract_only_elements[tensor2]",)),
     Mutant("no-op", "verify.py",
            "    if not ok:\n        report.violations.append(",
            "    if not ok:\n        report.violations.append(",

@@ -27,6 +27,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def cli_child(*argv, env=os.environ, start=subprocess.run, **kwargs):
+    """``python -m hopfbrace *argv`` on this checkout's source, through
+    ``start`` (``subprocess.run`` or ``Popen``): the installed script's
+    ``sys.exit(main())``."""
+    src = str(Path(hb.__file__).resolve().parents[1])
+    return start([sys.executable, "-m", "hopfbrace", *argv], text=True,
+                 env={**env, "PYTHONPATH": src}, **kwargs)
+
+
 def test_validate_catalog_name(capsys):
     code, out, _ = run(capsys, "validate", "radical_c4")
     assert code == 0 and "valid" in out
@@ -84,6 +93,26 @@ def test_invalid_brace_exits_1_with_the_witness(tmp_path, capsys, bad_brace,
                                 "(not a Latin square) (witness: (1,))"]
 
 
+C4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+X3 = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]          # x.y = -x-y mod 3
+
+
+@pytest.mark.parametrize("dot, circ, line", [
+    (X3, X3, "associativity fails at triple (0, 0, 1) (witness: (0, 0, 1))"),
+    (C4, [[0, 1, 2, 3], [1, 3, 0, 2], [2, 0, 3, 1], [3, 2, 1, 0]],
+     "compatibility fails at triple (1, 1, 1) (witness: (1, 1, 1))")],
+    ids=["non-associative", "incompatible"])
+def test_broken_law_exits_1_with_its_first_failing_triple(tmp_path, dot,
+                                                          circ, line):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": "bad", "order": len(dot),
+                                "identity": 0, "dot_table": dot,
+                                "circ_table": circ}))
+    proc = cli_child("validate", str(path), capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == [f"invalid brace: {line}"]
+
+
 def test_non_integer_inputs_exit_2_with_one_line(tmp_path, capsys,
                                                   radical_c4):
     doc = brace_doc(radical_c4, "float")
@@ -106,7 +135,8 @@ def test_integers_beyond_int64_exit_2_with_one_line(tmp_path, capsys,
     entry["circ_table"][2][3] = 10**30
     for stem, doc in (("entry", entry),
                       ("identity", {**base, "identity": 10**30}),
-                      ("order", {**base, "order": -10**30})):
+                      ("order", {**base, "order": -10**30}),
+                      ("big-order", {**base, "order": 10**30})):
         path = tmp_path / f"{stem}.json"
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "validate", str(path))
@@ -365,11 +395,8 @@ def parse_error_in_child(*argv, timeout=120):
     """Run the CLI in a child process with at most ``CHILD_MEMORY`` of
     address space, expect exit 2 with nothing on stdout and one
     ``error:`` line on stderr, and return that line."""
-    src = str(Path(hb.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-m", "hopfbrace", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=timeout, preexec_fn=limit_child_memory)
+    proc = cli_child(*argv, capture_output=True, timeout=timeout,
+                     preexec_fn=limit_child_memory)
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
@@ -445,21 +472,30 @@ def test_closed_stdout_exits_141_with_nothing_on_stderr(argv, buffered):
     write fails at ``main``'s last flush; unbuffered, at the first
     print.  Either way the child exits 141 (128 + SIGPIPE) with no
     traceback and no "Exception ignored" from the flush at exit."""
-    src = str(Path(hb.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    env.pop("PYTHONUNBUFFERED", None)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "hopfbrace", *argv],
-                              stdout=write_end, stderr=subprocess.PIPE,
-                              text=True, env=env, timeout=120)
+        proc = cli_child(*argv, env=env, stdout=write_end,
+                         stderr=subprocess.PIPE, timeout=120)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, "")
     assert cli.CLOSED_OUTPUT == 141
+
+
+def test_reader_closing_early_exits_0_or_141_without_a_traceback():
+    """A reader that takes 10 bytes and closes the pipe, as ``| head -c
+    10`` does: exit 0 if the output fitted in the pipe, else 141."""
+    with cli_child("verify", "--all", "--json", start=subprocess.Popen,
+                   stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(os.read(proc.stdout.fileno(), 10)) == 10
+        proc.stdout.close()
+        err = proc.communicate(timeout=120)[1]
+    assert proc.returncode in (0, 141)
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 @pytest.mark.parametrize("name", [5, True, None], ids=["int", "true", "null"])

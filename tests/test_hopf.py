@@ -1,3 +1,4 @@
+import operator
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -171,6 +172,16 @@ def test_non_rational_scalars_are_refused(H, value):
         H.basis(1).scale(value)
     with pytest.raises(TypeError):
         hb.Tensor2({(1, 1): value})
+
+
+@pytest.mark.parametrize("other", [hb.Tensor2({(0, 0): 1}), 1, Fraction(1)],
+                         ids=["tensor2", "int", "fraction"])
+def test_elements_add_and_subtract_only_elements(other):
+    """``+`` and ``-`` take an ``Element`` on both sides: a ``Tensor2``
+    would be merged into a corrupt vector, a scalar has no basis."""
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError):
+            op(hb.Element({0: 1}), other)
 
 
 @pytest.mark.parametrize("key", [1.7, 1.0, "1", None, True, np.True_])
