@@ -12,12 +12,12 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import permutations
 
 import numpy as np
 
-from .errors import BraceFileError
-from .skewbrace import (_INT64, ORDER_CAP, FiniteGroup, SkewBrace, _integer,
+from .errors import BraceFileError, ValidationError
+from .skewbrace import (ORDER_CAP, FiniteGroup, SkewBrace, _as_table, _integer,
                         cyclic_group, dihedral_group, direct_product,
                         opposite_brace, product_group, radical_c4_brace,
                         symmetric_group, trivial_brace, validate_skew_brace)
@@ -197,19 +197,14 @@ def load_brace(path) -> tuple[BraceDescriptor, SkewBrace]:
                              f"got {name!r}")
     tables = []
     for tname in ("dot_table", "circ_table"):
-        t = doc[tname]
-        if (not isinstance(t, list) or len(t) != order
-                or any(not isinstance(r, list) or len(r) != order for r in t)):
-            raise BraceFileError(
-                f"{path}: field {tname!r} is not an {order}x{order} matrix")
-        flat = list(chain.from_iterable(t))
-        if (set(map(type, flat)) != {int} or min(flat) < _INT64.start
-                or max(flat) >= _INT64.stop):
-            bad = next(x for x in flat if type(x) is not int or x not in _INT64)
-            kind = "an out-of-range" if type(bad) is int else "a non-integer"
-            raise BraceFileError(
-                f"{path}: field {tname!r} has {kind} entry {bad!r}")
-        tables.append(np.array(flat, dtype=np.int64).reshape(order, order))
+        try:
+            table = _as_table(doc[tname])
+        except ValidationError as exc:
+            raise BraceFileError(f"{path}: field {tname!r}: {exc}") from None
+        if len(table) != order:
+            raise BraceFileError(f"{path}: field {tname!r} is {len(table)}x"
+                                 f"{len(table)}, not {order}x{order}")
+        tables.append(table)
     brace = validate_skew_brace(*tables, identity=doc["identity"])
     return BraceDescriptor(name=name, order=brace.order,
                            construction="file"), brace

@@ -85,7 +85,7 @@ off the cached table conj_table[a, x] = a x a^-1, as are the rows of
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -97,9 +97,11 @@ _INT64 = range(-2**63, 2**63)
 
 
 def _as_table(table) -> np.ndarray:
-    """One owned int64 copy of a nonempty square table of int64 integers.
-    Rows that are not one array are typed by the rule of ``_integral``
-    first: numpy reads a bool among integers as 0 or 1."""
+    """One owned int64 copy of a nonempty square table of int64 integers,
+    from code or a brace file.  Rows that are not one array are typed by
+    the rule of ``_integral``, as numpy reads a bool among integers as 0
+    or 1, and an int past int64 makes it pick object or uint64.  A
+    refusal names the first bad entry in row-major order."""
     try:
         arr = np.array(table)
     except ValueError:                                  # ragged rows
@@ -109,17 +111,19 @@ def _as_table(table) -> np.ndarray:
             f"table must be nonempty and square, got shape {arr.shape}")
     if arr.shape[0] > ORDER_CAP:
         raise ValidationError(f"order {arr.shape[0]} exceeds cap {ORDER_CAP}")
-    if not isinstance(table, np.ndarray):
-        bad = {type(x) for row in table for x in row} - {int}
-        if not _integral(bad):
-            raise ValidationError("table entries must be integers, got "
-                                  + ", ".join(sorted(t.__name__ for t in bad)))
-    elif arr.dtype.kind not in "iu":
+    rows = not isinstance(table, np.ndarray)
+    if not rows and arr.dtype.kind not in "iu":
         raise ValidationError(f"table entries must be integers, got {arr.dtype}")
-    if arr.dtype.kind != "i" and (big := [  # numpy's read of ints past int64
-            x for row in table for x in map(int, row) if x not in _INT64]):
-        raise ValidationError(f"table has an out-of-range entry {big[0]}, "
-                              "outside the int64 range [-2**63, 2**63)")
+    if arr.dtype.kind != "i" or rows and not _integral(
+            {type(x) for row in table for x in row} - {int}):
+        for x in chain.from_iterable(table):
+            if not _integral({type(x)}):
+                raise ValidationError(
+                    f"table has a non-integer entry {x!r}: entries must be "
+                    f"integers, got {type(x).__name__}")
+            if int(x) not in _INT64:
+                raise ValidationError(f"table has an out-of-range entry {x}, "
+                                      "outside the int64 range [-2**63, 2**63)")
     return arr.astype(np.int64, copy=False)
 
 
@@ -352,8 +356,7 @@ class FiniteGroup:
 
     def __eq__(self, other):
         return (isinstance(other, FiniteGroup)
-                and self.order == other.order
-                and (self.table == other.table).all())
+                and np.array_equal(self.table, other.table))
 
     def __hash__(self):
         return hash((self.order, self.table.tobytes()))
@@ -422,7 +425,8 @@ class SkewBrace:
             raise ValidationError("the two groups have different carriers")
         if dot.identity != circ.identity:
             raise IdentityMismatchError(
-                f"identities differ: dot has {dot.identity}, circ has {circ.identity}")
+                f"identities differ: dot has {dot.identity}, circ has {circ.identity}",
+                witness=(dot.identity, circ.identity))
         n = dot.order
         d, o = dot.table, circ.table
         lam = d[dot.inverses[:, None], o]                # a^-1 . (a o b)
@@ -483,7 +487,8 @@ def validate_skew_brace(dot_table, circ_table, identity: int | None = None) -> S
     if identity is not None and {dot.identity, circ.identity} != {_integer(identity)}:
         raise IdentityMismatchError(
             f"declared identity {identity} but tables have "
-            f"dot={dot.identity}, circ={circ.identity}")
+            f"dot={dot.identity}, circ={circ.identity}",
+            witness=(dot.identity, circ.identity))
     return SkewBrace(dot, circ)
 
 

@@ -333,6 +333,27 @@ MUTANTS = (
            "    def __add__(self, other: \"Element\") -> \"Element\":\n",
            ("tests/test_hopf.py::"
             "test_elements_add_and_subtract_only_elements[tensor2]",)),
+    Mutant("row-tables-not-typed", "skewbrace.py",
+           "{type(x) for row in table for x in row} - {int}",
+           "set()",
+           ("tests/test_skewbrace.py::"
+            "test_bools_in_row_tables_are_refused[bools]",)),
+    Mutant("loader-ignores-the-order-field", "catalog.py",
+           "        if len(table) != order:\n",
+           "        if False:\n",
+           ("tests/test_cli.py::"
+            "test_tables_smaller_than_the_order_exit_2_with_one_line",)),
+    Mutant("equality-is-a-numpy-bool", "skewbrace.py",
+           "np.array_equal(self.table, other.table)",
+           "(self.table == other.table).all()",
+           ("tests/test_subobjects.py::"
+            "test_equality_is_a_python_bool[FiniteGroup]",)),
+    Mutant("identity-mismatch-without-witness", "skewbrace.py",
+           "circ={circ.identity}\",\n"
+           "            witness=(dot.identity, circ.identity))",
+           "circ={circ.identity}\")",
+           ("tests/test_cli.py::"
+            "test_identity_mismatch_exits_1_with_both_identities",)),
     Mutant("no-op", "verify.py",
            "    if not ok:\n        report.violations.append(",
            "    if not ok:\n        report.violations.append(",

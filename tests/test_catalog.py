@@ -129,6 +129,41 @@ def test_load_names_the_first_bad_entry_in_row_major_order(tmp_path,
     assert "a non-integer entry 1.5" in str(info.value)
 
 
+def with_entries(edits):
+    """The rows with each ``(i, j)`` entry of ``edits`` replaced."""
+    def bad(rows):
+        for (i, j), value in edits.items():
+            rows[i][j] = value
+        return rows
+    return bad
+
+
+@pytest.mark.parametrize("bad", [
+    lambda rows: [[float(x) for x in row] for row in rows],
+    lambda rows: [[str(x) for x in row] for row in rows],
+    with_entries({(0, 1): True}),
+    with_entries({(2, 3): 10**30}),
+    with_entries({(3, 0): -2**63 - 1}),
+    lambda rows: [[2**63] * len(row) for row in rows],
+    with_entries({(1, 2): 2**63, (1, 3): 1.5, (3, 0): "x"}),
+    with_entries({(1, 3): 1.5, (3, 0): "x"}),
+], ids=["floats", "strings", "bool", "past-int64", "below-int64", "uint64",
+        "row-major-range", "row-major-type"])
+def test_a_file_table_is_refused_as_a_caller_table_is(tmp_path, radical_c4,
+                                                      bad):
+    """One rule reads a table, from a file or from code: the loader's
+    refusal is ``FiniteGroup``'s, after the path and the field."""
+    doc = brace_doc(radical_c4, "bad")
+    doc["dot_table"] = bad(doc["dot_table"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(hb.ValidationError) as direct:
+        hb.FiniteGroup(doc["dot_table"])
+    with pytest.raises(hb.BraceFileError) as loaded:
+        hb.load_brace(path)
+    assert str(loaded.value) == f"{path}: field 'dot_table': {direct.value}"
+
+
 def test_resolve(tmp_path, radical_c4):
     desc, brace = hb.resolve("radical_c4")
     assert brace == radical_c4

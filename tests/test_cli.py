@@ -113,6 +113,36 @@ def test_broken_law_exits_1_with_its_first_failing_triple(tmp_path, dot,
     assert proc.stderr.splitlines() == [f"invalid brace: {line}"]
 
 
+def test_identity_mismatch_exits_1_with_both_identities(tmp_path, capsys):
+    """The witness of an identity mismatch is the pair of the tables'
+    identities, at both places that refuse one."""
+    swapped = [[1, 0], [0, 1]]                      # C2 with identity 1
+    for dot, circ, identity, witness in ((C4, C4, 1, (0, 0)),
+                                         ([[0, 1], [1, 0]], swapped, None,
+                                          (0, 1))):
+        with pytest.raises(hb.IdentityMismatchError) as info:
+            hb.validate_skew_brace(dot, circ, identity=identity)
+        assert info.value.witness == witness
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps({"name": "c4", "order": 4, "identity": 1,
+                                "dot_table": C4, "circ_table": C4}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["invalid brace: declared identity 1 but "
+                                "tables have dot=0, circ=0 (witness: (0, 0))"]
+
+
+def test_tables_smaller_than_the_order_exit_2_with_one_line(tmp_path, capsys):
+    c2 = [[0, 1], [1, 0]]
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps({"name": "c2", "order": 4, "identity": 0,
+                                "dot_table": c2, "circ_table": c2}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: {path}: field 'dot_table' is 2x2, not 4x4"]
+
+
 def test_non_integer_inputs_exit_2_with_one_line(tmp_path, capsys,
                                                   radical_c4):
     doc = brace_doc(radical_c4, "float")

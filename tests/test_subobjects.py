@@ -226,6 +226,18 @@ def test_morphism_equality_compares_source_target_and_images(C4, H):
     assert zero != zero.images and not hasattr(zero, "map")
 
 
+@pytest.mark.parametrize("make", [
+    lambda K: K.base.circ, lambda K: K.base, lambda K: K,
+    lambda K: hb.Subbrace(K, (0, 2)), hb.HopfMorphism.identity],
+    ids=["FiniteGroup", "SkewBrace", "HopfBrace", "Subbrace", "HopfMorphism"])
+def test_equality_is_a_python_bool(C4, H, make):
+    """``==`` answers a bool, not a ``numpy.bool``, for an equal pair and
+    for an unequal pair of the same order."""
+    a, twin, other = make(H), make(copy.deepcopy(H)), make(C4)
+    assert type(a == twin) is bool and a == twin
+    assert type(a == other) is bool and not a == other
+
+
 def frozen_arrays(H, B, f):
     """Every array of a Hopf brace, a subbrace of it and a morphism from
     it, the lazy ones included, by name."""
