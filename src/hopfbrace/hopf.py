@@ -165,6 +165,8 @@ class HopfBrace:
     __slots__ = ("base", "dim")
 
     def __init__(self, base: SkewBrace):
+        if not isinstance(base, SkewBrace):
+            raise TypeError(f"expected a SkewBrace, got {type(base).__name__}")
         self.base = base
         self.dim = base.order
 

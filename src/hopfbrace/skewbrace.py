@@ -98,10 +98,10 @@ _INT64 = range(-2**63, 2**63)
 
 def _as_table(table) -> np.ndarray:
     """One owned int64 copy of a nonempty square table of int64 integers,
-    from code or a brace file.  Rows that are not one array are typed by
-    the rule of ``_integral``, as numpy reads a bool among integers as 0
-    or 1, and an int past int64 makes it pick object or uint64.  A
-    refusal names the first bad entry in row-major order."""
+    from code or a brace file.  Rows, and arrays of no signed integer
+    dtype, are typed by the rule of ``_integral``, as numpy reads a bool
+    among integers as 0 or 1, and an int past int64 makes it pick object
+    or uint64.  A refusal names the first bad entry in row-major order."""
     try:
         arr = np.array(table)
     except ValueError:                                  # ragged rows
@@ -111,10 +111,7 @@ def _as_table(table) -> np.ndarray:
             f"table must be nonempty and square, got shape {arr.shape}")
     if arr.shape[0] > ORDER_CAP:
         raise ValidationError(f"order {arr.shape[0]} exceeds cap {ORDER_CAP}")
-    rows = not isinstance(table, np.ndarray)
-    if not rows and arr.dtype.kind not in "iu":
-        raise ValidationError(f"table entries must be integers, got {arr.dtype}")
-    if arr.dtype.kind != "i" or rows and not _integral(
+    if arr.dtype.kind != "i" or not isinstance(table, np.ndarray) and not _integral(
             {type(x) for row in table for x in row} - {int}):
         for x in chain.from_iterable(table):
             if not _integral({type(x)}):
@@ -421,6 +418,9 @@ class SkewBrace:
     __setstate__ = _set_frozen_state
 
     def __init__(self, dot: FiniteGroup, circ: FiniteGroup):
+        if not (isinstance(dot, FiniteGroup) and isinstance(circ, FiniteGroup)):
+            raise TypeError(f"expected two FiniteGroups, got "
+                            f"{type(dot).__name__} and {type(circ).__name__}")
         if dot.order != circ.order:
             raise ValidationError("the two groups have different carriers")
         if dot.identity != circ.identity:

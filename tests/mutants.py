@@ -354,6 +354,21 @@ MUTANTS = (
            "circ={circ.identity}\")",
            ("tests/test_cli.py::"
             "test_identity_mismatch_exits_1_with_both_identities",)),
+    Mutant("hopf-brace-takes-any-base", "hopf.py",
+           "        if not isinstance(base, SkewBrace):\n"
+           "            raise TypeError(f\"expected a SkewBrace, got "
+           "{type(base).__name__}\")\n", "",
+           ("tests/test_skewbrace.py::"
+            "test_brace_objects_refuse_other_types[hopf-of-a-group]",)),
+    Mutant("skew-brace-takes-any-groups", "skewbrace.py",
+           "        if not (isinstance(dot, FiniteGroup)"
+           " and isinstance(circ, FiniteGroup)):\n", "        if False:\n",
+           ("tests/test_skewbrace.py::"
+            "test_brace_objects_refuse_other_types[skew-of-strs]",)),
+    Mutant("float-arrays-truncated", "skewbrace.py",
+           "arr.dtype.kind != \"i\"", "arr.dtype.kind not in \"fi\"",
+           ("tests/test_skewbrace.py::"
+            "test_non_integer_arrays_name_their_first_entry[float]",)),
     Mutant("no-op", "verify.py",
            "    if not ok:\n        report.violations.append(",
            "    if not ok:\n        report.violations.append(",

@@ -60,7 +60,7 @@ def row_space(rows, ambient: int) -> Subspace:
             if not 0 <= idx < ambient:
                 raise IndexError(
                     f"index {idx} outside ambient dimension {ambient}")
-    return Subspace(ambient, reduce_rows(rows))
+    return Subspace._canonical(ambient, reduce_rows(rows))
 
 
 def common_nullspace(rows, ambient: int) -> Subspace:

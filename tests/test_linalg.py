@@ -279,6 +279,16 @@ def test_nullspace_matches_the_reference_and_is_canonical(system):
     assert Subspace.row_space(null.rows, n) == null
 
 
+def test_the_reference_solves_without_the_engines_elimination(monkeypatch):
+    """The reference shares only the containers with the engine, so the
+    comparisons above set two eliminations side by side."""
+    def refuse(*_):
+        raise AssertionError("the reference ran linalg._eliminate")
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    null = ref.common_nullspace([Element({0: 1, 1: -1})], 3)
+    assert null.rows == (Element({0: 1, 1: 1}), Element({2: 1}))
+
+
 @settings(max_examples=150, deadline=None)
 @given(systems(), st.randoms(use_true_random=False))
 def test_contains_matches_the_reference(system, rnd):

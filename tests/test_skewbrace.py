@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -319,6 +320,37 @@ def test_non_integer_tables_are_refused_not_truncated(table):
     with pytest.raises(hb.ValidationError) as info:
         hb.FiniteGroup(np.array(table))
     assert "integers" in str(info.value)
+
+
+@pytest.mark.parametrize("table, first", [
+    ([[0.5, 1.], [1., 0.]], "0.5"),
+    ([[False, True], [True, False]], "False"),
+    ([["0", "1"], ["1", "0"]], "'0'"),
+], ids=["float", "bool", "str"])
+def test_non_integer_arrays_name_their_first_entry(table, first):
+    """An array of no signed integer dtype is scanned like rows, so its
+    refusal names the first bad entry, not only the array's dtype."""
+    with pytest.raises(hb.ValidationError,
+                       match=rf"non-integer entry \S*{re.escape(first)}"):
+        hb.FiniteGroup(np.array(table))
+
+
+def test_an_object_array_of_ints_reads_like_its_rows():
+    rows = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    assert hb.FiniteGroup(np.array(rows, dtype=object)) == hb.FiniteGroup(rows)
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda: hb.HopfBrace(hb.cyclic_group(2)), "FiniteGroup"),
+    (lambda: hb.HopfBrace("x"), "str"),
+    (lambda: hb.SkewBrace("a", "b"), "str"),
+    (lambda: hb.trivial_brace([[0]]), "list"),
+], ids=["hopf-of-a-group", "hopf-of-a-str", "skew-of-strs", "trivial-of-rows"])
+def test_brace_objects_refuse_other_types(make, named):
+    """Refused before any attribute is read, with the argument's type
+    named, not its repr, which for a 200x200 list would fill one line."""
+    with pytest.raises(TypeError, match=rf"got {named}\b"):
+        make()
 
 
 @pytest.mark.parametrize("table", [
